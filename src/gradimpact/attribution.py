@@ -22,7 +22,7 @@ from typing import Iterator, Mapping
 from .errors import ExactModeRequiredError, UnknownAttackError
 from .framework import ArgumentationFramework, Attack
 from .semantics import SemanticsSpec, degrees
-from .verdicts import COUNTEREXAMPLE, NO_COUNTEREXAMPLE, PrincipleVerdict, Witness
+from .verdicts import PrincipleVerdict, exceeds, falsify, trial
 
 EXACT_MODE = "exact"
 SAMPLED_MODE = "sampled"
@@ -205,32 +205,24 @@ def check_bounded_loss(
         indegree = af.in_degree(target)
         if indegree > config.exact_indegree_cap:
             raise ExactModeRequiredError(indegree, config.exact_indegree_cap)
+    return falsify(
+        "bounded-loss",
+        spec.kind,
+        tolerance,
+        _bound_trials(af, spec, config),
+        relation=exceeds,
+    )
+
+
+def _bound_trials(af, spec, config):
     measure = shapley_all(af, spec, config)
-    trials = 0
     scores = degrees(af, spec) if measure.entries else {}
     for (source, target), value in measure.entries:
-        trials += 1
-        if abs(value) > scores[source] + tolerance:
-            witness = Witness(
-                frameworks=(af,),
-                lhs=abs(value),
-                rhs=scores[source],
-                targets=(target,),
-                attack=(source, target),
-                description="intensity magnitude exceeded the source's degree",
-            )
-            return PrincipleVerdict(
-                principle="bounded-loss",
-                semantics=spec.kind,
-                status=COUNTEREXAMPLE,
-                trials=trials,
-                tolerance=tolerance,
-                witness=witness,
-            )
-    return PrincipleVerdict(
-        principle="bounded-loss",
-        semantics=spec.kind,
-        status=NO_COUNTEREXAMPLE,
-        trials=trials,
-        tolerance=tolerance,
-    )
+        yield trial(
+            abs(value),
+            scores[source],
+            frameworks=(af,),
+            targets=(target,),
+            attack=(source, target),
+            description="intensity magnitude exceeded the source's degree",
+        )

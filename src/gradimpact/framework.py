@@ -31,8 +31,11 @@ class ArgumentationFramework:
         arguments: Iterable[str],
         attacks: Iterable[Attack] = (),
     ) -> "ArgumentationFramework":
-        """Build a framework, sorting members and dropping duplicate attacks."""
-        args = tuple(sorted(set(arguments)))
+        """Build a framework, sorting members and dropping duplicate attacks.
+
+        Argument ids and attack endpoints are both coerced with ``str``.
+        """
+        args = tuple(sorted({str(a) for a in arguments}))
         for a in args:
             if not a:
                 raise ValueError("argument identifiers must be non-empty strings")

@@ -155,25 +155,6 @@ def _walk_series(
     return total, False
 
 
-def imp_si_single(
-    af: ArgumentationFramework,
-    spec: SemanticsSpec,
-    member: str,
-    target: str,
-    measure: ShapleyMeasure | None = None,
-    shapley_config: ShapleyConfig = ShapleyConfig(),
-    series: SeriesConfig = SeriesConfig(),
-) -> ImpactValue:
-    """Walk-summed intensity impact of one argument on ``target``."""
-    _checked_subject(af, (member,), target)
-    if measure is None:
-        measure = shapley_all(af, spec, shapley_config)
-    matrix = _intensity_matrix(af, measure)
-    index = {a: i for i, a in enumerate(af.arguments)}
-    value, converged = _walk_series(matrix, index[member], index[target], series)
-    return ImpactValue(value, converged)
-
-
 def imp_si(
     af: ArgumentationFramework,
     spec: SemanticsSpec,

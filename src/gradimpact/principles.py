@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .attribution import ShapleyConfig
 from .automorphisms import find_automorphisms
@@ -43,7 +43,16 @@ from .framework import ArgumentationFramework, Attack
 from .generate import GeneratorConfig, random_af
 from .impact import SeriesConfig, evaluate_impact
 from .semantics import KINDS, SemanticsSpec, degrees
-from .verdicts import COUNTEREXAMPLE, NO_COUNTEREXAMPLE, PrincipleVerdict, Witness
+from .verdicts import (
+    COUNTEREXAMPLE,
+    NO_COUNTEREXAMPLE,
+    PrincipleVerdict,
+    Relation,
+    differs,
+    falsify,
+    probe,
+    trial,
+)
 
 PRINCIPLES = (
     "anonymity",
@@ -59,9 +68,6 @@ PRINCIPLES = (
 
 AUDIT_MEASURES = ("dv", "dv-original", "si")
 RESTRICTED_SCOPE = "max-indegree>=2"
-
-CorpusEntry = object
-
 
 @dataclass(frozen=True)
 class AuditConfig:
@@ -122,9 +128,9 @@ def corpus_frameworks(config: AuditConfig) -> tuple[ArgumentationFramework, ...]
     return tuple(out)
 
 
-def fixture_entries(principle: str) -> tuple[CorpusEntry, ...]:
+def fixture_entries(principle: str) -> tuple[ArgumentationFramework | tuple, ...]:
     """Bundled corpus entries for one principle, shaped instances included."""
-    base: tuple[CorpusEntry, ...] = fixture_frameworks()
+    base = fixture_frameworks()
     if principle == "independence":
         return (disjoint_pair(),) + base
     if principle == "directionality":
@@ -159,26 +165,6 @@ class _Context:
 
     def rng(self, label: str, index: int) -> random.Random:
         return random.Random(f"{self.seed}:{label}:{index}")
-
-    def verdict(
-        self,
-        principle: str,
-        trials: int,
-        witness: Witness | None,
-        scope: str = "all",
-        notes: str = "",
-    ) -> PrincipleVerdict:
-        return PrincipleVerdict(
-            principle=principle,
-            semantics=self.spec.kind,
-            status=NO_COUNTEREXAMPLE if witness is None else COUNTEREXAMPLE,
-            trials=trials,
-            tolerance=self.tolerance,
-            measure=self.measure,
-            witness=witness,
-            scope=scope,
-            notes=notes,
-        )
 
 
 def _random_subset(
@@ -219,11 +205,14 @@ def _attacked_first(af: ArgumentationFramework) -> list[str]:
     return sorted(af.arguments, key=lambda a: (-af.in_degree(a), a))
 
 
-# -- per-principle searches ----------------------------------------------
+# -- per-principle trial streams -----------------------------------------
+#
+# Each stream yields the trials of one principle in search order, one probe
+# per trial, for ``falsify`` to compare.  Shaped instances are the corpus
+# entries besides plain frameworks that a principle accepts.
 
 
-def _check_anonymity(ctx, plain, shaped):
-    trials = 0
+def _anonymity(ctx, plain, shaped):
     for i, af in enumerate(plain):
         rng = ctx.rng("anonymity", i)
         order = list(af.arguments)
@@ -234,29 +223,28 @@ def _check_anonymity(ctx, plain, shaped):
             target = rng.choice(af.arguments)
             subject = _random_subset(rng, af.arguments)
             image = tuple(sorted(mapping[x] for x in subject))
-            trials += 1
-            lhs = ctx.value(af, subject, target)
-            rhs = ctx.value(renamed, image, mapping[target])
-            if abs(lhs - rhs) > ctx.tolerance:
-                witness = Witness(
-                    frameworks=(af, renamed),
-                    lhs=lhs,
-                    rhs=rhs,
-                    subjects=(subject, image),
-                    targets=(target, mapping[target]),
-                    mapping=tuple(sorted(mapping.items())),
-                    description="impact changed under renaming",
-                )
-                return ctx.verdict("anonymity", trials, witness)
-    return ctx.verdict("anonymity", trials, None)
+            yield trial(
+                ctx.value(af, subject, target),
+                ctx.value(renamed, image, mapping[target]),
+                frameworks=(af, renamed),
+                subjects=(subject, image),
+                targets=(target, mapping[target]),
+                mapping=tuple(sorted(mapping.items())),
+                description="impact changed under renaming",
+            )
 
 
-def _check_independence(ctx, plain, shaped):
+def _is_framework_pair(entry: tuple) -> bool:
+    return len(entry) == 2 and all(
+        isinstance(e, ArgumentationFramework) for e in entry
+    )
+
+
+def _independence(ctx, plain, shaped):
     pairs: list[tuple[ArgumentationFramework, ArgumentationFramework]] = list(shaped)
     for i in range(0, len(plain) - 1, 2):
         left, right = plain[i], plain[i + 1]
         pairs.append((left, right.rename({c: f"z{i}x{c}" for c in right.arguments})))
-    trials = 0
     for i, (left, right) in enumerate(pairs):
         if set(left.arguments) & set(right.arguments):
             raise UnsupportedInstanceError(
@@ -266,31 +254,22 @@ def _check_independence(ctx, plain, shaped):
         rng = ctx.rng("independence", i)
         for target in _attacked_first(left)[: ctx.queries]:
             for subject in _subject_candidates(left, target, rng, ctx.subset_cap):
-                trials += 1
-                lhs = ctx.value(left, subject, target)
-                rhs = ctx.value(combined, subject, target)
-                if abs(lhs - rhs) > ctx.tolerance:
-                    witness = Witness(
-                        frameworks=(left, right),
-                        lhs=lhs,
-                        rhs=rhs,
-                        subjects=(subject,),
-                        targets=(target,),
-                        description="impact changed by a disjoint union",
-                    )
-                    return ctx.verdict("independence", trials, witness)
-    return ctx.verdict("independence", trials, None)
+                yield trial(
+                    ctx.value(left, subject, target),
+                    ctx.value(combined, subject, target),
+                    frameworks=(left, right),
+                    subjects=(subject,),
+                    targets=(target,),
+                    description="impact changed by a disjoint union",
+                )
 
 
-def _balanced_gap(ctx, af, subject, extra, target):
-    lhs = ctx.value(af, subject, target) + ctx.value(af, (extra,), target)
-    rhs = ctx.value(af, tuple(sorted(subject + (extra,))), target)
-    return lhs, rhs
+def _is_balanced_instance(entry: tuple) -> bool:
+    return len(entry) == 4 and isinstance(entry[0], ArgumentationFramework)
 
 
-def _check_balanced(ctx, plain, shaped):
-    trials = 0
-    probes: list[tuple[ArgumentationFramework, tuple[str, ...], str, str]] = []
+def _balanced(ctx, plain, shaped):
+    instances: list[tuple[ArgumentationFramework, tuple[str, ...], str, str]] = []
     for af, subject, extra, target in shaped:
         subject = tuple(sorted(set(subject)))
         members = set(af.arguments)
@@ -301,7 +280,7 @@ def _check_balanced(ctx, plain, shaped):
             or target not in members
         ):
             raise UnsupportedInstanceError("balanced instance is not well-formed")
-        probes.append((af, subject, extra, target))
+        instances.append((af, subject, extra, target))
     for i, af in enumerate(plain):
         rng = ctx.rng("balanced", i)
         anchor = _attacked_first(af)[0]
@@ -317,50 +296,49 @@ def _check_balanced(ctx, plain, shaped):
                 None,
             )
             if extra is not None:
-                probes.append((af, subject, extra, anchor))
+                instances.append((af, subject, extra, anchor))
         for _ in range(ctx.queries):
             target = rng.choice(af.arguments)
             subject = _random_subset(rng, af.arguments)
             pool = [c for c in af.arguments if c not in subject]
             if not pool:
                 continue
-            probes.append((af, subject, rng.choice(pool), target))
-    for af, subject, extra, target in probes:
-        trials += 1
-        lhs, rhs = _balanced_gap(ctx, af, subject, extra, target)
-        if abs(lhs - rhs) > ctx.tolerance:
-            witness = Witness(
-                frameworks=(af,),
-                lhs=lhs,
-                rhs=rhs,
-                subjects=(subject, (extra,), tuple(sorted(subject + (extra,)))),
-                targets=(target,),
-                description="impact of the union differs from the sum of the split",
-            )
-            return ctx.verdict("balanced", trials, witness)
-    return ctx.verdict("balanced", trials, None)
+            instances.append((af, subject, rng.choice(pool), target))
+    for af, subject, extra, target in instances:
+        union = tuple(sorted(subject + (extra,)))
+        yield trial(
+            ctx.value(af, subject, target) + ctx.value(af, (extra,), target),
+            ctx.value(af, union, target),
+            frameworks=(af,),
+            subjects=(subject, (extra,), union),
+            targets=(target,),
+            description="impact of the union differs from the sum of the split",
+        )
 
 
-def _check_void(ctx, plain, shaped):
-    trials = 0
+def _void(ctx, plain, shaped):
     for af in plain:
         for target in af.arguments:
-            trials += 1
-            value = ctx.value(af, (), target)
-            if abs(value) > ctx.tolerance:
-                witness = Witness(
-                    frameworks=(af,),
-                    lhs=value,
-                    rhs=0.0,
-                    subjects=((),),
-                    targets=(target,),
-                    description="empty set has nonzero impact",
-                )
-                return ctx.verdict("void", trials, witness)
-    return ctx.verdict("void", trials, None)
+            yield trial(
+                ctx.value(af, (), target),
+                0.0,
+                frameworks=(af,),
+                subjects=((),),
+                targets=(target,),
+                description="empty set has nonzero impact",
+            )
 
 
-def _check_directionality(ctx, plain, shaped):
+def _is_attack_addition(entry: tuple) -> bool:
+    return (
+        len(entry) == 2
+        and isinstance(entry[0], ArgumentationFramework)
+        and isinstance(entry[1], tuple)
+        and len(entry[1]) == 2
+    )
+
+
+def _directionality(ctx, plain, shaped):
     instances: list[tuple[ArgumentationFramework, Attack]] = list(shaped)
     for af in plain:
         if not af.attacks:
@@ -369,7 +347,6 @@ def _check_directionality(ctx, plain, shaped):
         # counting normalisation, which is where violations hide.
         attack = sorted(af.attacks, key=lambda c: (-af.in_degree(c[1]), c))[0]
         instances.append((af.delete_attacks([attack]), attack))
-    trials = 0
     for i, (base, attack) in enumerate(instances):
         source, entry = attack
         if source not in base or entry not in base or base.has_attack(source, entry):
@@ -385,25 +362,18 @@ def _check_directionality(ctx, plain, shaped):
         ]
         for y in eligible[: ctx.queries]:
             for subject in _subject_candidates(augmented, y, rng, ctx.subset_cap):
-                trials += 1
-                lhs = ctx.value(base, subject, y)
-                rhs = ctx.value(augmented, subject, y)
-                if abs(lhs - rhs) > ctx.tolerance:
-                    witness = Witness(
-                        frameworks=(base, augmented),
-                        lhs=lhs,
-                        rhs=rhs,
-                        subjects=(subject,),
-                        targets=(y,),
-                        attack=attack,
-                        description="impact changed beyond the added attack's reach",
-                    )
-                    return ctx.verdict("directionality", trials, witness)
-    return ctx.verdict("directionality", trials, None)
+                yield trial(
+                    ctx.value(base, subject, y),
+                    ctx.value(augmented, subject, y),
+                    frameworks=(base, augmented),
+                    subjects=(subject,),
+                    targets=(y,),
+                    attack=attack,
+                    description="impact changed beyond the added attack's reach",
+                )
 
 
-def _check_minimisation(ctx, plain, shaped):
-    trials = 0
+def _minimisation(ctx, plain, shaped):
     for i, af in enumerate(plain):
         rng = ctx.rng("minimisation", i)
         eligible = [
@@ -416,26 +386,20 @@ def _check_minimisation(ctx, plain, shaped):
             padding = _random_subset(
                 rng, [c for c in af.arguments if c != x], probability=0.3
             )
-            for subject in {(x,), tuple(sorted(padding + (x,)))}:
+            # The bare member first, then the padded subject if it differs.
+            for subject in dict.fromkeys(((x,), tuple(sorted(padding + (x,))))):
                 reduced = tuple(c for c in subject if c != x)
-                trials += 1
-                lhs = ctx.value(af, subject, a)
-                rhs = ctx.value(af, reduced, a)
-                if abs(lhs - rhs) > ctx.tolerance:
-                    witness = Witness(
-                        frameworks=(af,),
-                        lhs=lhs,
-                        rhs=rhs,
-                        subjects=(subject, reduced),
-                        targets=(a,),
-                        description=f"dropping pathless member {x!r} changed the impact",
-                    )
-                    return ctx.verdict("minimisation", trials, witness)
-    return ctx.verdict("minimisation", trials, None)
+                yield trial(
+                    ctx.value(af, subject, a),
+                    ctx.value(af, reduced, a),
+                    frameworks=(af,),
+                    subjects=(subject, reduced),
+                    targets=(a,),
+                    description=f"dropping pathless member {x!r} changed the impact",
+                )
 
 
-def _check_zero(ctx, plain, shaped):
-    trials = 0
+def _zero(ctx, plain, shaped):
     for af in plain:
         eligible = [
             (x, a)
@@ -444,23 +408,17 @@ def _check_zero(ctx, plain, shaped):
             if not af.has_path(x, a)
         ]
         for x, a in eligible[: 2 * ctx.queries + 2]:
-            trials += 1
-            value = ctx.value(af, (x,), a)
-            if abs(value) > ctx.tolerance:
-                witness = Witness(
-                    frameworks=(af,),
-                    lhs=value,
-                    rhs=0.0,
-                    subjects=((x,),),
-                    targets=(a,),
-                    description="pathless argument has nonzero impact",
-                )
-                return ctx.verdict("zero", trials, witness)
-    return ctx.verdict("zero", trials, None)
+            yield trial(
+                ctx.value(af, (x,), a),
+                0.0,
+                frameworks=(af,),
+                subjects=((x,),),
+                targets=(a,),
+                description="pathless argument has nonzero impact",
+            )
 
 
-def _check_symmetry(ctx, plain, shaped):
-    trials = 0
+def _symmetry(ctx, plain, shaped):
     instances = 0
     skipped = 0
     for i, af in enumerate(plain):
@@ -486,30 +444,25 @@ def _check_symmetry(ctx, plain, shaped):
                 projected = tuple(
                     sorted({f[u] for u in subject if u in members})
                 )
-                trials += 1
-                lhs = ctx.value(af, subject, a)
-                rhs = ctx.value(af, projected, b)
-                if abs(lhs - rhs) > ctx.tolerance:
-                    witness = Witness(
-                        frameworks=(af,),
-                        lhs=lhs,
-                        rhs=rhs,
-                        subjects=(subject, projected),
-                        targets=(a, b),
-                        mapping=tuple(sorted(f.items())),
-                        description="automorphic arguments received different impacts",
-                    )
-                    return ctx.verdict("symmetry", trials, witness)
+                yield trial(
+                    ctx.value(af, subject, a),
+                    ctx.value(af, projected, b),
+                    frameworks=(af,),
+                    subjects=(subject, projected),
+                    targets=(a, b),
+                    mapping=tuple(sorted(f.items())),
+                    description="automorphic arguments received different impacts",
+                )
             used_here += 1
             if used_here >= 2:
                 break
     notes = f"automorphism instances: {instances}"
     if skipped:
         notes += f"; restrictions over cap skipped: {skipped}"
-    return ctx.verdict("symmetry", trials, None, notes=notes)
+    return {"notes": notes}
 
 
-def _existence_witness(ctx, af, target) -> Witness | None:
+def _existence_probes(ctx, af, target):
     if ctx.measure in ("dv", "dv-original"):
         candidates = [tuple(af.arguments)]
         attackers = af.attackers(target)
@@ -519,17 +472,20 @@ def _existence_witness(ctx, af, target) -> Witness | None:
     else:
         # Set impacts decompose over members, so vanishing singletons decide.
         candidates = [(x,) for x in af.arguments]
-    for subject in candidates:
-        if abs(ctx.value(af, subject, target)) > ctx.tolerance:
-            return None
-    return Witness(
+    # The left side is the first nonzero impact found, or 0.0 if none is.
+    values = (ctx.value(af, subject, target) for subject in candidates)
+    yield probe(
+        next((v for v in values if abs(v) > ctx.tolerance), 0.0),
+        0.0,
         frameworks=(af,),
-        lhs=0.0,
-        rhs=0.0,
         subjects=tuple(candidates),
         targets=(target,),
         description="no searched set had nonzero impact despite a reduced degree",
     )
+
+
+def _vanishes(lhs: float, rhs: float, tolerance: float) -> bool:
+    return not differs(lhs, rhs, tolerance)
 
 
 def _has_shared_max_indegree(af: ArgumentationFramework) -> bool:
@@ -537,86 +493,74 @@ def _has_shared_max_indegree(af: ArgumentationFramework) -> bool:
     return sum(1 for a in af.arguments if af.in_degree(a) == top) >= 2
 
 
-def _check_existence(ctx, plain, shaped):
-    split = ctx.measure == "si" and ctx.spec.kind == "cs"
-    main_trials = side_trials = 0
-    main_witness: Witness | None = None
-    side_witness: Witness | None = None
-    for af in plain:
+def _premises(ctx, frameworks):
+    # Every argument scored below one is a premise; its probe stays a lazy
+    # generator so that premises counted after a witness are not evaluated.
+    for af in frameworks:
         scores = degrees(af, ctx.spec)
-        in_main = not split or _has_shared_max_indegree(af)
         for target in af.arguments:
-            if scores[target] >= 1.0 - ctx.tolerance:
-                continue
-            if in_main:
-                main_trials += 1
-                if main_witness is None:
-                    main_witness = _existence_witness(ctx, af, target)
-            else:
-                side_trials += 1
-                if side_witness is None:
-                    side_witness = _existence_witness(ctx, af, target)
-    if not split:
-        return ctx.verdict("existence", main_trials, main_witness)
-    side_status = (
-        "no counterexample" if side_witness is None else "counterexample found"
+            if scores[target] < 1.0 - ctx.tolerance:
+                yield _existence_probes(ctx, af, target)
+
+
+def _existence(ctx, plain, shaped):
+    if ctx.measure != "si" or ctx.spec.kind != "cs":
+        yield from _premises(ctx, plain)
+        return
+    side = falsify(
+        "existence",
+        ctx.spec.kind,
+        ctx.tolerance,
+        _premises(ctx, [af for af in plain if not _has_shared_max_indegree(af)]),
+        relation=_vanishes,
+        count_all=True,
     )
-    notes = (
-        f"outside the scope, on graphs with a unique maximum in-degree:"
-        f" {side_trials} premises, {side_status}"
-    )
-    return ctx.verdict(
-        "existence", main_trials, main_witness, scope=RESTRICTED_SCOPE, notes=notes
-    )
+    yield from _premises(ctx, [af for af in plain if _has_shared_max_indegree(af)])
+    side_status = "no counterexample" if side.passed else "counterexample found"
+    return {
+        "scope": RESTRICTED_SCOPE,
+        "notes": (
+            f"outside the scope, on graphs with a unique maximum in-degree:"
+            f" {side.trials} premises, {side_status}"
+        ),
+    }
+
+
+class _Check(NamedTuple):
+    trials: Callable
+    fits: Callable[[tuple], bool] | None = None  # shaped instances accepted
+    relation: Relation = differs
+    count_all: bool = False
 
 
 _CHECKS = {
-    "anonymity": _check_anonymity,
-    "independence": _check_independence,
-    "balanced": _check_balanced,
-    "void": _check_void,
-    "directionality": _check_directionality,
-    "minimisation": _check_minimisation,
-    "zero": _check_zero,
-    "symmetry": _check_symmetry,
-    "existence": _check_existence,
+    "anonymity": _Check(_anonymity),
+    "independence": _Check(_independence, _is_framework_pair),
+    "balanced": _Check(_balanced, _is_balanced_instance),
+    "void": _Check(_void),
+    "directionality": _Check(_directionality, _is_attack_addition),
+    "minimisation": _Check(_minimisation),
+    "zero": _Check(_zero),
+    "symmetry": _Check(_symmetry),
+    # Existence counts every premise, also those after its first witness.
+    "existence": _Check(_existence, relation=_vanishes, count_all=True),
 }
 
 
-def _split_corpus(principle: str, corpus: Iterable[CorpusEntry]):
+def _split_corpus(
+    principle: str, fits, corpus: Iterable[ArgumentationFramework | tuple]
+):
     plain: list[ArgumentationFramework] = []
     shaped: list[tuple] = []
     for entry in corpus:
         if isinstance(entry, ArgumentationFramework):
             plain.append(entry)
-            continue
-        if isinstance(entry, tuple):
-            if (
-                principle == "independence"
-                and len(entry) == 2
-                and all(isinstance(e, ArgumentationFramework) for e in entry)
-            ):
-                shaped.append(entry)
-                continue
-            if (
-                principle == "directionality"
-                and len(entry) == 2
-                and isinstance(entry[0], ArgumentationFramework)
-                and isinstance(entry[1], tuple)
-                and len(entry[1]) == 2
-            ):
-                shaped.append(entry)
-                continue
-            if (
-                principle == "balanced"
-                and len(entry) == 4
-                and isinstance(entry[0], ArgumentationFramework)
-            ):
-                shaped.append(entry)
-                continue
-        raise UnsupportedInstanceError(
-            f"corpus entry of type {type(entry).__name__} does not fit {principle!r}"
-        )
+        elif isinstance(entry, tuple) and fits is not None and fits(entry):
+            shaped.append(entry)
+        else:
+            raise UnsupportedInstanceError(
+                f"corpus entry of type {type(entry).__name__} does not fit {principle!r}"
+            )
     return plain, shaped
 
 
@@ -624,7 +568,7 @@ def check_principle(
     principle: str,
     measure: str,
     spec: SemanticsSpec,
-    corpus: Iterable[CorpusEntry],
+    corpus: Iterable[ArgumentationFramework | tuple],
     *,
     tolerance: float = 1e-7,
     seed: int = 0,
@@ -639,7 +583,8 @@ def check_principle(
         raise ValueError(f"unknown principle {principle!r}")
     if measure not in AUDIT_MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
-    plain, shaped = _split_corpus(principle, corpus)
+    check = _CHECKS[principle]
+    plain, shaped = _split_corpus(principle, check.fits, corpus)
     ctx = _Context(
         measure=measure,
         spec=spec,
@@ -651,7 +596,15 @@ def check_principle(
         shapley=shapley_config or ShapleyConfig(),
         series=series or SeriesConfig(),
     )
-    return _CHECKS[principle](ctx, plain, shaped)
+    return falsify(
+        principle,
+        spec.kind,
+        tolerance,
+        check.trials(ctx, plain, shaped),
+        relation=check.relation,
+        count_all=check.count_all,
+        measure=measure,
+    )
 
 
 # -- full audits ---------------------------------------------------------
@@ -726,7 +679,7 @@ def audit(config: AuditConfig = AuditConfig()) -> AuditResult:
     base = corpus_frameworks(config)
     verdicts = []
     for principle in PRINCIPLES:
-        entries: tuple[CorpusEntry, ...] = base
+        entries = base
         if config.include_fixtures:
             entries = fixture_entries(principle) + base
         for semantics in config.semantics:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DivergentSeriesError, NonConvergenceError, UnknownArgumentError
 from .framework import ArgumentationFramework, Attack
-from .verdicts import COUNTEREXAMPLE, NO_COUNTEREXAMPLE, PrincipleVerdict, Witness
+from .verdicts import PrincipleVerdict, exceeds, falsify, probe, trial
 
 KINDS = ("hbs", "car", "max", "cs")
 
@@ -220,39 +220,29 @@ def check_independence(
     tolerance: float = CHECK_TOLERANCE,
 ) -> PrincipleVerdict:
     """Search disjoint pairs for a degree changed by joining the frameworks."""
-    trials = 0
+    return falsify("independence", spec.kind, tolerance, _union_trials(spec, pairs))
+
+
+def _union_trials(spec, pairs):
+    # One trial per pair, comparing the degree of each of its arguments.
     for left, right in pairs:
         if set(left.arguments) & set(right.arguments):
             raise ValueError("independence pairs must have disjoint arguments")
-        trials += 1
-        combined = left.union(right)
-        joined = degrees(combined, spec)
-        for part in (left, right):
-            alone = degrees(part, spec)
-            for y in part.arguments:
-                if abs(alone[y] - joined[y]) > tolerance:
-                    witness = Witness(
-                        frameworks=(left, right),
-                        lhs=alone[y],
-                        rhs=joined[y],
-                        targets=(y,),
-                        description="degree changed by a disjoint union",
-                    )
-                    return PrincipleVerdict(
-                        principle="independence",
-                        semantics=spec.kind,
-                        status=COUNTEREXAMPLE,
-                        trials=trials,
-                        tolerance=tolerance,
-                        witness=witness,
-                    )
-    return PrincipleVerdict(
-        principle="independence",
-        semantics=spec.kind,
-        status=NO_COUNTEREXAMPLE,
-        trials=trials,
-        tolerance=tolerance,
-    )
+        yield _union_probes(spec, left, right)
+
+
+def _union_probes(spec, left, right):
+    joined = degrees(left.union(right), spec)
+    for part in (left, right):
+        alone = degrees(part, spec)
+        for y in part.arguments:
+            yield probe(
+                alone[y],
+                joined[y],
+                frameworks=(left, right),
+                targets=(y,),
+                description="degree changed by a disjoint union",
+            )
 
 
 def check_directionality(
@@ -261,7 +251,13 @@ def check_directionality(
     tolerance: float = CHECK_TOLERANCE,
 ) -> PrincipleVerdict:
     """Search attack additions for a degree change outside the target's reach."""
-    trials = 0
+    return falsify(
+        "directionality", spec.kind, tolerance, _addition_trials(spec, instances)
+    )
+
+
+def _addition_trials(spec, instances):
+    # One trial per added attack, comparing every argument beyond its reach.
     for af, attack in instances:
         source, target = attack
         if source not in af:
@@ -270,37 +266,25 @@ def check_directionality(
             raise UnknownArgumentError(target)
         if af.has_attack(source, target):
             raise ValueError(f"attack {attack!r} is already present")
-        trials += 1
-        augmented = ArgumentationFramework.of(af.arguments, af.attacks + (attack,))
-        before = degrees(af, spec)
-        after = degrees(augmented, spec)
-        for y in af.arguments:
-            if y == target or augmented.has_path(target, y):
-                continue
-            if abs(before[y] - after[y]) > tolerance:
-                witness = Witness(
-                    frameworks=(af, augmented),
-                    lhs=before[y],
-                    rhs=after[y],
-                    targets=(y,),
-                    attack=attack,
-                    description="degree changed beyond the added attack's reach",
-                )
-                return PrincipleVerdict(
-                    principle="directionality",
-                    semantics=spec.kind,
-                    status=COUNTEREXAMPLE,
-                    trials=trials,
-                    tolerance=tolerance,
-                    witness=witness,
-                )
-    return PrincipleVerdict(
-        principle="directionality",
-        semantics=spec.kind,
-        status=NO_COUNTEREXAMPLE,
-        trials=trials,
-        tolerance=tolerance,
-    )
+        yield _addition_probes(spec, af, attack)
+
+
+def _addition_probes(spec, af, attack):
+    target = attack[1]
+    augmented = ArgumentationFramework.of(af.arguments, af.attacks + (attack,))
+    before = degrees(af, spec)
+    after = degrees(augmented, spec)
+    for y in af.arguments:
+        if y == target or augmented.has_path(target, y):
+            continue
+        yield probe(
+            before[y],
+            after[y],
+            frameworks=(af, augmented),
+            targets=(y,),
+            attack=attack,
+            description="degree changed beyond the added attack's reach",
+        )
 
 
 def check_attack_removal_monotonicity(
@@ -310,36 +294,28 @@ def check_attack_removal_monotonicity(
     tolerance: float = CHECK_TOLERANCE,
 ) -> PrincipleVerdict:
     """Search for an argument whose degree drops when attacks on it are removed."""
-    trials = 0
+    return falsify(
+        "attack-removal-monotonicity",
+        spec.kind,
+        tolerance,
+        _removal_trials(spec, corpus, removal_cap),
+        relation=exceeds,
+    )
+
+
+def _removal_trials(spec, corpus, removal_cap):
     for af in corpus:
         base = degrees(af, spec)
         for a in af.arguments:
             incoming = af.attacks_on(a)
             for size in range(1, min(removal_cap, len(incoming)) + 1):
                 for removed in combinations(incoming, size):
-                    trials += 1
                     after = degrees(af.delete_attacks(removed), spec)
-                    if base[a] > after[a] + tolerance:
-                        witness = Witness(
-                            frameworks=(af,),
-                            lhs=base[a],
-                            rhs=after[a],
-                            targets=(a,),
-                            removed_attacks=removed,
-                            description="degree dropped after removing attacks",
-                        )
-                        return PrincipleVerdict(
-                            principle="attack-removal-monotonicity",
-                            semantics=spec.kind,
-                            status=COUNTEREXAMPLE,
-                            trials=trials,
-                            tolerance=tolerance,
-                            witness=witness,
-                        )
-    return PrincipleVerdict(
-        principle="attack-removal-monotonicity",
-        semantics=spec.kind,
-        status=NO_COUNTEREXAMPLE,
-        trials=trials,
-        tolerance=tolerance,
-    )
+                    yield trial(
+                        base[a],
+                        after[a],
+                        frameworks=(af,),
+                        targets=(a,),
+                        removed_attacks=removed,
+                        description="degree dropped after removing attacks",
+                    )

@@ -1,8 +1,9 @@
-"""Verdict and witness records shared by the falsification checks."""
+"""Verdict and witness records, and the search driver shared by every check."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .framework import ArgumentationFramework, Attack
 
@@ -67,7 +68,6 @@ class PrincipleVerdict:
     witness: Witness | None = None
     scope: str = "all"
     notes: str = ""
-    extras: tuple[tuple[str, str], ...] = field(default=(), repr=False)
 
     @property
     def passed(self) -> bool:
@@ -88,6 +88,81 @@ class PrincipleVerdict:
             payload["witness"] = self.witness.to_dict()
         if self.notes:
             payload["notes"] = self.notes
-        for key, value in self.extras:
-            payload[key] = value
         return payload
+
+
+# A probe is one comparison: ``(lhs, rhs, fields)``, where ``fields`` are the
+# remaining ``Witness`` fields that replay it.  A trial is an iterable of
+# probes, most often a single one.
+Probe = tuple[float, float, dict]
+Relation = Callable[[float, float, float], bool]
+
+
+def probe(lhs: float, rhs: float, **fields) -> Probe:
+    return lhs, rhs, fields
+
+
+def trial(lhs: float, rhs: float, **fields) -> list[Probe]:
+    """A trial of a single probe."""
+    return [(lhs, rhs, fields)]
+
+
+def differs(lhs: float, rhs: float, tolerance: float) -> bool:
+    """The two sides of an equality are apart by more than the tolerance."""
+    return abs(lhs - rhs) > tolerance
+
+
+def exceeds(lhs: float, rhs: float, tolerance: float) -> bool:
+    """The left side passes the upper bound on the right by more than the tolerance."""
+    return lhs > rhs + tolerance
+
+
+def falsify(
+    principle: str,
+    semantics: str,
+    tolerance: float,
+    trials: Iterable[Iterable[Probe]],
+    *,
+    relation: Relation = differs,
+    count_all: bool = False,
+    measure: str | None = None,
+) -> PrincipleVerdict:
+    """Search a stream of trials for the first counterexample.
+
+    Each trial counts once; the first of its probes on which
+    ``relation(lhs, rhs, tolerance)`` holds becomes the witness, and the
+    search stops there, so nothing after it is evaluated.  With
+    ``count_all`` the later trials are still counted, but their probes are
+    not drawn.  A generator stream may return a mapping of further verdict
+    fields (``scope``, ``notes``); they are kept when the stream is read to
+    its end, that is when the search passes or counts every trial.
+    """
+    stream = iter(trials)
+    tried = 0
+    witness: Witness | None = None
+    annotations: dict = {}
+    while True:
+        try:
+            probes = next(stream)
+        except StopIteration as end:
+            annotations = end.value or {}
+            break
+        tried += 1
+        if witness is not None:
+            continue
+        for lhs, rhs, fields in probes:
+            if relation(lhs, rhs, tolerance):
+                witness = Witness(lhs=lhs, rhs=rhs, **fields)
+                break
+        if witness is not None and not count_all:
+            break
+    return PrincipleVerdict(
+        principle=principle,
+        semantics=semantics,
+        status=NO_COUNTEREXAMPLE if witness is None else COUNTEREXAMPLE,
+        trials=tried,
+        tolerance=tolerance,
+        measure=measure,
+        witness=witness,
+        **annotations,
+    )

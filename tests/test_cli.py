@@ -260,14 +260,28 @@ def _declared_console_script(name):
     return EntryPoint(name=name, value=scripts[name], group="console_scripts")
 
 
-def _run_launcher(launcher, *args, text=True):
+def _run_checkout(*command, text=True):
+    # Run this checkout's package in a fresh interpreter.
     env = dict(os.environ)
     paths = [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
     env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
     return subprocess.run(
-        [sys.executable, str(launcher), *args],
+        [sys.executable, *command],
         capture_output=True, text=text, check=False, env=env,
     )
+
+
+def _run_launcher(launcher, *args, text=True):
+    return _run_checkout(str(launcher), *args, text=text)
+
+
+def test_python_dash_m_runs_the_cli(showcase_tgf, capsys):
+    args = ["degrees", showcase_tgf, "--semantics", "hbs"]
+    assert main(args) == 0
+    expected = capsys.readouterr().out.encode("utf-8")
+    done = _run_checkout("-m", "gradimpact", *args, text=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected
 
 
 @pytest.fixture()

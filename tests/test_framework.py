@@ -33,6 +33,12 @@ def test_of_rejects_unknown_endpoints_and_empty_names():
         ArgumentationFramework.of(["a", ""], [])
 
 
+def test_of_coerces_argument_ids_like_attack_endpoints():
+    numeric = ArgumentationFramework.of([1, 2], [(1, 2)])
+    assert numeric == ArgumentationFramework.of(["1", "2"], [("1", "2")])
+    assert ArgumentationFramework.of([0, 1]).arguments == ("0", "1")
+
+
 def test_adjacency_queries(showcase):
     assert "a4" in showcase
     assert "z" not in showcase

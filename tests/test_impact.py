@@ -15,7 +15,6 @@ from gradimpact import (
     imp_dv,
     imp_dv_original,
     imp_si,
-    imp_si_single,
     impact_payload,
 )
 from gradimpact.fixtures import fan_af, selfloop_af
@@ -117,7 +116,7 @@ def test_set_impact_equals_the_sum_of_singles(af, kind):
     target = af.arguments[0]
     total = imp_si(af, spec, af.arguments, target).value
     parts = sum(
-        imp_si_single(af, spec, member, target).value for member in af.arguments
+        imp_si(af, spec, (member,), target).value for member in af.arguments
     )
     assert total == pytest.approx(parts, abs=1e-10)
 
@@ -139,7 +138,7 @@ def test_walk_enumeration_agrees_on_an_acyclic_graph():
             expected = walk_impact(
                 af.arguments, af.attacks, measure.as_dict(), member, target
             )
-            got = imp_si_single(af, HBS, member, target, measure=measure)
+            got = imp_si(af, HBS, (member,), target, measure=measure)
             assert got.value == pytest.approx(expected, abs=1e-12)
 
 
