@@ -8,6 +8,8 @@ change caused by removing (b, a) at its turn.
 
 Targets with at most ``exact_indegree_cap`` attackers are enumerated exactly;
 beyond the cap a seeded permutation sample estimates the same average.
+Every coalition score a call needs is solved in one batched
+``coalition_degrees`` call.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterator, Mapping
 
 from .errors import ExactModeRequiredError, UnknownAttackError
 from .framework import ArgumentationFramework, Attack
-from .semantics import SemanticsSpec, degrees
+from .semantics import SemanticsSpec, coalition_degrees, degrees
 from .verdicts import PrincipleVerdict, exceeds, falsify, trial
 
 EXACT_MODE = "exact"
@@ -81,26 +83,11 @@ class ShapleyMeasure(Mapping[Attack, float]):
         }
 
 
-def _coalition_degree(
-    af: ArgumentationFramework,
-    spec: SemanticsSpec,
-    target: str,
-    removed: tuple[Attack, ...],
-) -> float:
-    return degrees(af.delete_attacks(removed), spec)[target]
-
-
 def _exact_values(
-    af: ArgumentationFramework,
-    spec: SemanticsSpec,
-    target: str,
-    incoming: tuple[Attack, ...],
+    incoming: tuple[Attack, ...], sigma: list[float]
 ) -> dict[Attack, float]:
+    """Factorial-weighted marginals; ``sigma[mask]`` scores removing ``mask``."""
     n = len(incoming)
-    sigma: dict[int, float] = {}
-    for mask in range(1 << n):
-        removed = tuple(incoming[i] for i in range(n) if mask >> i & 1)
-        sigma[mask] = _coalition_degree(af, spec, target, removed)
     factorial = math.factorial
     weights = [factorial(k) * factorial(n - k - 1) / factorial(n) for k in range(n)]
     values: dict[Attack, float] = {}
@@ -120,25 +107,68 @@ def _sample_seed(seed: int, attack: Attack) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _sampled_value(
-    af: ArgumentationFramework,
-    spec: SemanticsSpec,
-    target: str,
-    incoming: tuple[Attack, ...],
-    attack: Attack,
-    config: ShapleyConfig,
-) -> float:
+def _draws(
+    incoming: tuple[Attack, ...], attack: Attack, config: ShapleyConfig
+) -> list[tuple[int, int]]:
+    """Coalition masks with and without ``attack``, one pair per seeded permutation."""
     rng = random.Random(_sample_seed(config.seed, attack))
-    order = list(incoming)
-    total = 0.0
+    bit = incoming.index(attack)
+    # Shuffling positions draws the same permutations as shuffling the attacks.
+    order = list(range(len(incoming)))
+    draws = []
     for _ in range(config.sample_count):
         rng.shuffle(order)
-        position = order.index(attack)
-        before = tuple(sorted(order[:position]))
-        total += _coalition_degree(
-            af, spec, target, before + (attack,)
-        ) - _coalition_degree(af, spec, target, before)
-    return total / config.sample_count
+        before = sum(1 << i for i in order[: order.index(bit)])
+        draws.append((before | 1 << bit, before))
+    return draws
+
+
+def _intensities(
+    af: ArgumentationFramework,
+    spec: SemanticsSpec,
+    config: ShapleyConfig,
+    targets: tuple[str, ...],
+    only: Attack | None = None,
+) -> dict[Attack, float]:
+    """Intensities of the attacks on ``targets``, from one batched coalition solve.
+
+    Exact targets enumerate every mask; sampled ones draw ``only`` or every
+    incoming attack.  Rows appear in the order of first use, so a failing
+    solve reports the coalition that a one-by-one evaluation would reach first.
+    """
+    index = {a: i for i, a in enumerate(af.arguments)}
+    rows: dict[tuple[int, int], int] = {}
+    games = []
+    for target in targets:
+        t = index[target]
+        incoming = af.attacks_on(target)
+        if len(incoming) <= config.exact_indegree_cap:
+            masks = range(1 << len(incoming))
+            games.append((t, incoming, None))
+        else:
+            draws = {
+                attack: _draws(incoming, attack, config)
+                for attack in incoming
+                if only is None or attack == only
+            }
+            masks = (mask for pairs in draws.values() for pair in pairs for mask in pair)
+            games.append((t, incoming, draws))
+        for mask in masks:
+            rows.setdefault((t, mask), len(rows))
+    sigma = coalition_degrees(af, spec, list(rows))
+    values: dict[Attack, float] = {}
+    for t, incoming, draws in games:
+        if draws is None:
+            start = rows[(t, 0)]
+            scores = sigma[start : start + (1 << len(incoming))]
+            values.update(_exact_values(incoming, scores))
+            continue
+        for attack, pairs in draws.items():
+            total = 0.0
+            for with_, without in pairs:
+                total += sigma[rows[(t, with_)]] - sigma[rows[(t, without)]]
+            values[attack] = total / config.sample_count
+    return values
 
 
 def shapley_attack(
@@ -151,30 +181,16 @@ def shapley_attack(
     source, target = attack
     if not af.has_attack(source, target):
         raise UnknownAttackError(source, target)
-    incoming = af.attacks_on(target)
-    if len(incoming) <= config.exact_indegree_cap:
-        return _exact_values(af, spec, target, incoming)[attack]
-    return _sampled_value(af, spec, target, incoming, attack, config)
+    return _intensities(af, spec, config, (target,), only=attack)[attack]
 
 
 @lru_cache(maxsize=4096)
 def _cached_shapley_all(
     af: ArgumentationFramework, spec: SemanticsSpec, config: ShapleyConfig
 ) -> ShapleyMeasure:
-    values: dict[Attack, float] = {}
-    sampled = False
-    for target in af.arguments:
-        incoming = af.attacks_on(target)
-        if not incoming:
-            continue
-        if len(incoming) <= config.exact_indegree_cap:
-            values.update(_exact_values(af, spec, target, incoming))
-        else:
-            sampled = True
-            for attack in incoming:
-                values[attack] = _sampled_value(
-                    af, spec, target, incoming, attack, config
-                )
+    targets = tuple(a for a in af.arguments if af.in_degree(a))
+    values = _intensities(af, spec, config, targets)
+    sampled = any(af.in_degree(a) > config.exact_indegree_cap for a in targets)
     entries = tuple(sorted(values.items(), key=lambda kv: (kv[0][1], kv[0][0])))
     return ShapleyMeasure(
         entries=entries, mode=SAMPLED_MODE if sampled else EXACT_MODE

@@ -14,6 +14,9 @@ in-degree and damping factor alpha, the degree vector solves
 (I + alpha * M / N) v = 1.  The series view of that solution converges for
 any alpha below 1, and a user-supplied normalisation below the largest
 in-degree is rejected because the guarantee is lost.
+
+``coalition_degrees`` solves many copies of one framework at once, each with
+some of one target's incoming attacks removed, for the Shapley intensities.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -35,6 +38,9 @@ DEFAULT_DAMPING = 0.98
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MAX_ITERATIONS = 10**6
 CHECK_TOLERANCE = 1e-7
+# Float cells one chunk of coalition rows may keep in its working arrays
+# (about 8 MB); larger frameworks get fewer rows per chunk.
+COALITION_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,10 @@ class Weighting(Mapping[str, float]):
 
 def counting_norm(af: ArgumentationFramework, config: CountingConfig) -> float | None:
     """The normalisation ``cs`` would use on this framework, None if attack-free."""
-    top = af.max_in_degree()
+    return _norm_for(af.max_in_degree(), config)
+
+
+def _norm_for(top: int, config: CountingConfig) -> float | None:
     if config.norm_override is not None:
         if config.norm_override < top:
             raise DivergentSeriesError(
@@ -193,6 +202,140 @@ def degrees(
     if initial_value == 1.0 or spec.kind == "cs":
         return _cached_degrees(af, spec)
     return Weighting(dict(zip(af.arguments, _fixed_point(af, spec, initial_value))))
+
+
+def coalition_degrees(
+    af: ArgumentationFramework,
+    spec: SemanticsSpec,
+    rows: Sequence[tuple[int, int]],
+) -> list[float]:
+    """Degree of each row's target once a coalition of its attacks is removed.
+
+    A row is ``(t, mask)``: ``t`` indexes ``af.arguments``, and bit ``i`` of
+    ``mask`` removes the attack from the target's ``i``-th attacker in sorted
+    order.  Each value equals, bit for bit,
+    ``degrees(af.delete_attacks(removed), spec)[af.arguments[t]]``, and a
+    failure raises what that call would raise for the first failing row.  The
+    rows are solved together, in chunks of at most ``COALITION_CELLS`` working
+    cells, without building or caching the reduced frameworks.
+    """
+    if not rows:
+        return []
+    n = len(af.arguments)
+    table = _attacker_table(af)
+    width = table.shape[1]
+    targets = np.array([t for t, _ in rows], dtype=np.intp)
+    nbytes = (width + 7) // 8
+    packed = np.frombuffer(
+        b"".join(m.to_bytes(nbytes, "little") for _, m in rows), dtype=np.uint8
+    ).reshape(len(rows), nbytes)
+    removed = np.unpackbits(packed, axis=1, bitorder="little")[:, :width]
+    # The target's own attackers, with the removed ones sent to the sentinel.
+    own = np.where(removed == 1, n, table[targets])
+    if spec.kind == "cs":
+        solve, cells = _counting_rows, n * (n + 1)
+    else:
+        # State, sweep, running total and one gathered slot per row.
+        solve, cells = _picard_rows, 4 * (n + 1)
+    chunk = max(1, COALITION_CELLS // cells)
+    values: list[float] = []
+    for start in range(0, len(rows), chunk):
+        part = slice(start, start + chunk)
+        solved = solve(spec, table, targets[part], own[part])
+        # Clipped into [0, 1] as ``Weighting`` clips a solver's overshoot.
+        values.extend(np.clip(solved, 0.0, 1.0).tolist())
+    return values
+
+
+def _attacker_table(af: ArgumentationFramework) -> np.ndarray:
+    """Attacker indices of every argument in sorted-source order.
+
+    Rows are padded to a common width (at least one) with ``n``, the index of
+    a sentinel whose degree is always 0.0: adding it leaves a sum unchanged,
+    and it never wins a max over degrees.
+    """
+    n = len(af.arguments)
+    index = {a: i for i, a in enumerate(af.arguments)}
+    table = np.full((n, max(1, af.max_in_degree())), n, dtype=np.intp)
+    for i, a in enumerate(af.arguments):
+        sources = [index[b] for b in af.attackers(a)]
+        table[i, : len(sources)] = sources
+    return table
+
+
+def _update(kind: str, slots: Iterator[np.ndarray], count: np.ndarray) -> np.ndarray:
+    """``_step``'s rule from attacker degrees given slot by slot.
+
+    Summing one slot at a time keeps ``sum``'s left-to-right order, so the
+    result is bit-identical to ``_step``.  ``count`` is the attacker count.
+    """
+    total = next(slots).copy()
+    for values in slots:
+        if kind == "max":
+            np.maximum(total, values, out=total)
+        else:
+            total += values
+    if kind == "car":
+        # An unattacked argument has total 0.0, so dividing by 1 keeps it at 1.
+        return 1.0 / ((1.0 + count) + total / np.maximum(count, 1))
+    return 1.0 / (1.0 + total)
+
+
+def _picard_rows(
+    spec: SemanticsSpec, table: np.ndarray, targets: np.ndarray, own: np.ndarray
+) -> np.ndarray:
+    # state[:, r] is row r's degree vector plus the sentinel: a column per
+    # row, so each gather copies contiguous runs of rows.
+    n, width = table.shape
+    count = (table < n).sum(axis=1)[:, None]
+    kept = (own < n).sum(axis=1)
+    state = np.ones((n + 1, len(targets)))
+    state[n] = 0.0
+    live = np.arange(len(targets))
+    values = np.empty(len(targets))
+    for _ in range(spec.max_iterations):
+        cols = np.arange(len(live))
+        swept = _update(spec.kind, (state[table[:, j]] for j in range(width)), count)
+        swept[targets, cols] = _update(
+            spec.kind, (state[own[:, j], cols] for j in range(width)), kept
+        )
+        residual = np.abs(swept - state[:n]).max(axis=0)
+        done = residual <= spec.tolerance
+        if done.any():
+            values[live[done]] = swept[targets[done], cols[done]]
+            going = ~done
+            if not going.any():
+                return values
+            live, targets = live[going], targets[going]
+            own, kept = own[going], kept[going]
+            residual, swept, state = residual[going], swept[:, going], state[:, going]
+        state[:n] = swept
+    raise NonConvergenceError(spec.max_iterations, float(residual[0]))
+
+
+def _counting_rows(
+    spec: SemanticsSpec, table: np.ndarray, targets: np.ndarray, own: np.ndarray
+) -> np.ndarray:
+    n = len(table)
+    count = (table < n).sum(axis=1)
+    # Only the target's in-degree changes, so a row's largest in-degree is
+    # the larger of its kept attackers and the top over the other arguments.
+    ranked = np.sort(count)
+    first, second = ranked[-1], (ranked[-2] if n > 1 else 0)
+    others = np.where(count[targets] == first, second, first)
+    tops = np.maximum(others, (own < n).sum(axis=1))
+    norms = [_norm_for(int(top), spec.counting) for top in tops]
+    scale = np.array([0.0 if m is None else spec.counting.damping / m for m in norms])
+    matrix = np.zeros((n, n))
+    matrix[np.repeat(np.arange(n), count), table[table < n]] = 1.0
+    systems = matrix * scale[:, None, None]
+    rows, slots = np.nonzero(own != table[targets])
+    systems[rows, targets[rows], table[targets[rows], slots]] = 0.0
+    systems += np.eye(n)
+    solved = np.linalg.solve(systems, np.ones((len(targets), n, 1)))[:, :, 0]
+    values = solved[np.arange(len(targets)), targets]
+    values[[m is None for m in norms]] = 1.0
+    return values
 
 
 def weighting_payload(

@@ -10,7 +10,9 @@ caller where a semantics is needed).
 
 from __future__ import annotations
 
+import hashlib
 import math
+import random
 from collections import deque
 from itertools import permutations
 from typing import Callable, Iterable, Mapping, Sequence
@@ -91,6 +93,93 @@ def permutation_shapley(
             removed = removed + (attack,)
             values[attack] += worth(removed) - before
     return {attack: total / count for attack, total in values.items()}
+
+
+def subset_shapley(
+    incoming: Sequence[Edge],
+    worth: Callable[[tuple[Edge, ...]], float],
+) -> dict[Edge, float]:
+    """Factorial-weighted sum of marginals over every coalition of the others.
+
+    The coalition scores are taken one by one from ``worth`` and the sums run
+    in the same order as the library's, so agreement is exact, not approximate.
+    """
+    n = len(incoming)
+    sigma = [
+        worth(tuple(incoming[i] for i in range(n) if mask >> i & 1))
+        for mask in range(1 << n)
+    ]
+    factorial = math.factorial
+    weights = [factorial(k) * factorial(n - k - 1) / factorial(n) for k in range(n)]
+    values = {}
+    for position, attack in enumerate(incoming):
+        bit = 1 << position
+        total = 0.0
+        for mask in range(1 << n):
+            if not mask & bit:
+                total += weights[bin(mask).count("1")] * (sigma[mask | bit] - sigma[mask])
+        values[attack] = total
+    return values
+
+
+def sampled_shapley(
+    incoming: Sequence[Edge],
+    attack: Edge,
+    worth: Callable[[tuple[Edge, ...]], float],
+    sample_count: int,
+    seed: int,
+) -> float:
+    """Mean marginal of ``attack`` over seeded random removal orders.
+
+    The permutation stream is keyed by the seed and the attack, as the
+    library's sampler documents: one ``random.Random`` per attack, seeded
+    with the first eight bytes of ``sha256("seed:source>target")``.
+    """
+    digest = hashlib.sha256(f"{seed}:{attack[0]}>{attack[1]}".encode()).digest()
+    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    order = list(incoming)
+    total = 0.0
+    for _ in range(sample_count):
+        rng.shuffle(order)
+        before = tuple(sorted(order[: order.index(attack)]))
+        total += worth(before + (attack,)) - worth(before)
+    return total / sample_count
+
+
+def reference_shapley(
+    nodes: Sequence[str],
+    edges: Iterable[Edge],
+    worth: Callable[[str, tuple[Edge, ...]], float],
+    exact_cap: int,
+    sample_count: int,
+    seed: int,
+) -> tuple[tuple[tuple[Edge, float], ...], str]:
+    """Every attack's intensity, one coalition score at a time.
+
+    ``worth(target, removed)`` is the target's degree once ``removed`` is
+    gone.  Targets with at most ``exact_cap`` attackers use the subset sum,
+    the rest the sampler.  Returns the entries ordered by target then source,
+    and "sampled" if any target was sampled, else "exact".
+    """
+    by_target: dict[str, list[Edge]] = {n: [] for n in nodes}
+    for s, t in edges:
+        by_target[t].append((s, t))
+    values: dict[Edge, float] = {}
+    sampled = False
+    for target, attacks in by_target.items():
+        incoming = sorted(attacks)
+        if not incoming:
+            continue
+        def score(removed, target=target):
+            return worth(target, removed)
+        if len(incoming) <= exact_cap:
+            values.update(subset_shapley(incoming, score))
+            continue
+        sampled = True
+        for attack in incoming:
+            values[attack] = sampled_shapley(incoming, attack, score, sample_count, seed)
+    entries = tuple(sorted(values.items(), key=lambda kv: (kv[0][1], kv[0][0])))
+    return entries, "sampled" if sampled else "exact"
 
 
 def walk_impact(

@@ -12,11 +12,16 @@ from gradimpact import (
     shapley_all,
     shapley_attack,
 )
+from gradimpact import attribution, semantics
 from gradimpact.attribution import EXACT_MODE, SAMPLED_MODE
 from gradimpact.fixtures import fan_af
 from gradimpact.semantics import KINDS
 
-from oracles import permutation_shapley
+from oracles import permutation_shapley, reference_shapley
+
+# The default config, and one that samples every target with two or more
+# attackers.
+CONFIGS = (ShapleyConfig(), ShapleyConfig(exact_indegree_cap=1, sample_count=16, seed=3))
 
 
 @st.composite
@@ -90,6 +95,57 @@ def test_matches_full_permutation_enumeration(af, kind):
         expected = permutation_shapley(incoming, _worth(af, spec, target))
         for attack in incoming:
             assert measure[attack] == pytest.approx(expected[attack], abs=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(attack_graphs(), st.sampled_from(KINDS), st.sampled_from(CONFIGS))
+def test_batched_solve_equals_the_one_by_one_reference(af, kind, config):
+    spec = SemanticsSpec(kind)
+
+    def worth(target, removed):
+        return degrees(af.delete_attacks(removed), spec)[target]
+
+    expected = reference_shapley(
+        af.arguments,
+        af.attacks,
+        worth,
+        config.exact_indegree_cap,
+        config.sample_count,
+        config.seed,
+    )
+    measure = shapley_all(af, spec, config)
+    assert (measure.entries, measure.mode) == expected
+    for attack in af.attacks:
+        assert shapley_attack(af, spec, attack, config) == measure[attack]
+
+
+@pytest.mark.parametrize("cells", [1, 200])
+@pytest.mark.parametrize("kind, solver", [("hbs", "_picard_rows"), ("cs", "_counting_rows")])
+def test_rows_split_across_chunks_give_the_same_values(
+    showcase, monkeypatch, cells, kind, solver
+):
+    spec = SemanticsSpec(kind)
+    unsplit = attribution._cached_shapley_all.__wrapped__
+    whole = unsplit(showcase, spec, ShapleyConfig())
+    chunks = []
+    solve = getattr(semantics, solver)
+
+    def counted(*args):
+        chunks.append(len(args[2]))
+        return solve(*args)
+
+    monkeypatch.setattr(semantics, solver, counted)
+    monkeypatch.setattr(semantics, "COALITION_CELLS", cells)
+    split = unsplit(showcase, spec, ShapleyConfig())
+    assert len(chunks) >= 3
+    assert split == whole
+
+
+def test_coalitions_stay_out_of_the_degree_cache(showcase):
+    attribution._cached_shapley_all.cache_clear()
+    semantics._cached_degrees.cache_clear()
+    shapley_all(showcase, SemanticsSpec("hbs"))
+    assert semantics._cached_degrees.cache_info().currsize == 0
 
 
 @settings(max_examples=40, deadline=None)

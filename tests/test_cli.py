@@ -171,6 +171,38 @@ def test_exhausted_iteration_budget_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flags, code, message",
+    [
+        (
+            ["--semantics", "hbs", "--max-iterations", "1"],
+            3,
+            "no fixed point after 1 iterations (residual 6.667e-01)",
+        ),
+        # The full framework stops at 1.111e-01; the first sampled coalition
+        # to fail has one of a's two attacks removed.
+        (
+            ["--semantics", "car", "--exact-cap", "0", "--samples", "5",
+             "--max-iterations", "2"],
+            3,
+            "no fixed point after 2 iterations (residual 9.524e-02)",
+        ),
+        (
+            ["--semantics", "cs", "--norm", "0.5"],
+            5,
+            "norm_override 0.5 is below the largest in-degree 2",
+        ),
+    ],
+)
+def test_shapley_failures_name_the_first_failing_coalition(
+    tmp_path, capsys, flags, code, message
+):
+    path = tmp_path / "pair.tgf"
+    path.write_text("a\nb\nc\n#\na b\nb a\nc a\n", encoding="utf-8")
+    assert main(["shapley", str(path), *flags]) == code
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_shapley_payload(triangle_apx, capsys):
     assert main(["shapley", triangle_apx, "--semantics", "cs"]) == 0
     payload = json.loads(capsys.readouterr().out)
