@@ -147,7 +147,7 @@ def _walk_series(
     for length in range(1, series.max_walk_length + 1):
         reached = -(matrix @ reached)
         total += reached[goal]
-        peak = float(np.max(np.abs(reached)))
+        peak = float(abs(reached).max())
         if peak > series.divergence_guard or abs(total) > series.divergence_guard:
             raise DivergenceError(total, length, series.divergence_guard)
         if peak < series.truncation_tolerance:

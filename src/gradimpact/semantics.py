@@ -1,7 +1,7 @@
 """Gradual acceptability semantics and their structural property checks.
 
 Four scoring rules are supported.  Three are fixed points computed by Picard
-iteration from the all-ones vector:
+iteration, from the all-ones vector unless another start is given:
 
 * ``hbs``: sigma(a) = 1 / (1 + sum of attacker degrees)
 * ``car``: sigma(a) = 1 / (1 + k + (sum of attacker degrees) / k) with k
@@ -15,7 +15,9 @@ in-degree and damping factor alpha, the degree vector solves
 any alpha below 1, and a user-supplied normalisation below the largest
 in-degree is rejected because the guarantee is lost.
 
-``coalition_degrees`` solves many copies of one framework at once, each with
+Every solve runs on one kernel per kind: a Picard loop over a state with one
+column per framework, or a stack of linear systems.  ``degrees`` solves one
+framework; ``coalition_degrees`` solves many copies of it at once, each with
 some of one target's incoming attacks removed, for the Shapley intensities.
 """
 
@@ -23,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, combinations
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,62 +128,16 @@ def _norm_for(top: int, config: CountingConfig) -> float | None:
     return float(top) if top > 0 else None
 
 
-def _counting_degrees(af: ArgumentationFramework, spec: SemanticsSpec) -> list[float]:
-    n = len(af.arguments)
-    norm = counting_norm(af, spec.counting)
-    if norm is None:
-        return [1.0] * n
-    index = {a: i for i, a in enumerate(af.arguments)}
-    matrix = np.zeros((n, n))
-    for s, t in af.attacks:
-        matrix[index[t], index[s]] = 1.0
-    system = np.eye(n) + (spec.counting.damping / norm) * matrix
-    return np.linalg.solve(system, np.ones(n)).tolist()
-
-
-def _step(kind: str, current: list[float], attacker_index: list[tuple[int, ...]]) -> list[float]:
-    result = []
-    for attackers in attacker_index:
-        if kind == "hbs":
-            result.append(1.0 / (1.0 + sum(current[i] for i in attackers)))
-        elif kind == "car":
-            k = len(attackers)
-            if k == 0:
-                result.append(1.0)
-            else:
-                mean = sum(current[i] for i in attackers) / k
-                result.append(1.0 / (1.0 + k + mean))
-        else:
-            worst = max((current[i] for i in attackers), default=0.0)
-            result.append(1.0 / (1.0 + worst))
-    return result
-
-
-def _fixed_point(
-    af: ArgumentationFramework, spec: SemanticsSpec, initial_value: float
-) -> list[float]:
-    index = {a: i for i, a in enumerate(af.arguments)}
-    attacker_index = [
-        tuple(index[b] for b in af.attackers(a)) for a in af.arguments
-    ]
-    current = [float(initial_value)] * len(af.arguments)
-    residual = float("inf")
-    for _ in range(spec.max_iterations):
-        updated = _step(spec.kind, current, attacker_index)
-        residual = max(abs(x - y) for x, y in zip(updated, current)) if updated else 0.0
-        current = updated
-        if residual <= spec.tolerance:
-            return current
-    raise NonConvergenceError(spec.max_iterations, residual)
-
-
 @lru_cache(maxsize=32768)
 def _cached_degrees(af: ArgumentationFramework, spec: SemanticsSpec) -> Weighting:
-    if spec.kind == "cs":
-        values = _counting_degrees(af, spec)
-    else:
-        values = _fixed_point(af, spec, 1.0)
-    return Weighting(dict(zip(af.arguments, values)))
+    return _solve(af, spec, 1.0)
+
+
+def _solve(af: ArgumentationFramework, spec: SemanticsSpec, start: float) -> Weighting:
+    # The unreduced framework is a single row that removes no attack.
+    nothing = np.zeros((1, 1), dtype=bool)
+    solved = _solve_rows(spec, _attackers(af), np.zeros(1, dtype=np.intp), nothing, start)
+    return Weighting(dict(zip(af.arguments, solved[:, 0].tolist())))
 
 
 def degrees(
@@ -201,7 +157,7 @@ def degrees(
         raise ValueError("initial_value must lie in [0, 1]")
     if initial_value == 1.0 or spec.kind == "cs":
         return _cached_degrees(af, spec)
-    return Weighting(dict(zip(af.arguments, _fixed_point(af, spec, initial_value))))
+    return _solve(af, spec, initial_value)
 
 
 def coalition_degrees(
@@ -222,120 +178,247 @@ def coalition_degrees(
     if not rows:
         return []
     n = len(af.arguments)
-    table = _attacker_table(af)
-    width = table.shape[1]
+    graph = _attackers(af)
+    # Every row that removes nothing solves the unreduced framework, so they
+    # all read one system, placed where the first of them stands.
+    systems: dict[tuple[int, int], int] = {}
+    picks = np.array(
+        [systems.setdefault((t, m) if m else (0, 0), len(systems)) for t, m in rows]
+    )
     targets = np.array([t for t, _ in rows], dtype=np.intp)
+    heads = np.array([t for t, _ in systems], dtype=np.intp)
+    width = max(1, int(graph.count[heads].max()))
     nbytes = (width + 7) // 8
     packed = np.frombuffer(
-        b"".join(m.to_bytes(nbytes, "little") for _, m in rows), dtype=np.uint8
-    ).reshape(len(rows), nbytes)
-    removed = np.unpackbits(packed, axis=1, bitorder="little")[:, :width]
-    # The target's own attackers, with the removed ones sent to the sentinel.
-    own = np.where(removed == 1, n, table[targets])
-    if spec.kind == "cs":
-        solve, cells = _counting_rows, n * (n + 1)
-    else:
-        # State, sweep, running total and one gathered slot per row.
-        solve, cells = _picard_rows, 4 * (n + 1)
+        b"".join(m.to_bytes(nbytes, "little") for _, m in systems), dtype=np.uint8
+    ).reshape(len(systems), nbytes)
+    removed = np.unpackbits(packed, axis=1, count=width, bitorder="little") == 1
+    # Per system, cs keeps its matrix and right-hand side; Picard its state,
+    # the gathered attacker degrees (the sums among them), the sweep, its
+    # change, the attacker counts and the solution.
+    m = len(graph.sources)
+    cells = n * (n + 1) if spec.kind == "cs" else 5 * (n + 1) + m
     chunk = max(1, COALITION_CELLS // cells)
-    values: list[float] = []
-    for start in range(0, len(rows), chunk):
+    values = np.empty(len(rows))
+    for start in range(0, len(systems), chunk):
         part = slice(start, start + chunk)
-        solved = solve(spec, table, targets[part], own[part])
-        # Clipped into [0, 1] as ``Weighting`` clips a solver's overshoot.
-        values.extend(np.clip(solved, 0.0, 1.0).tolist())
-    return values
+        solved = _solve_rows(spec, graph, heads[part], removed[part])
+        mine = np.flatnonzero((picks >= start) & (picks < start + chunk))
+        values[mine] = solved[targets[mine], picks[mine] - start]
+    # Clipped into [0, 1] as ``Weighting`` clips a solver's overshoot.
+    return np.clip(values, 0.0, 1.0).tolist()
 
 
-def _attacker_table(af: ArgumentationFramework) -> np.ndarray:
-    """Attacker indices of every argument in sorted-source order.
+class _Attackers(NamedTuple):
+    """Every argument's attacker indices in sorted-source order, end to end.
 
-    Rows are padded to a common width (at least one) with ``n``, the index of
-    a sentinel whose degree is always 0.0: adding it leaves a sum unchanged,
-    and it never wins a max over degrees.
+    The attackers of argument ``i`` are ``sources[first[i]:][:count[i]]``, so
+    the whole framework takes O(n + m) memory, however high an in-degree.
     """
-    n = len(af.arguments)
+
+    count: np.ndarray
+    first: np.ndarray
+    sources: np.ndarray
+
+
+def _attackers(af: ArgumentationFramework) -> _Attackers:
     index = {a: i for i, a in enumerate(af.arguments)}
-    table = np.full((n, max(1, af.max_in_degree())), n, dtype=np.intp)
-    for i, a in enumerate(af.arguments):
-        sources = [index[b] for b in af.attackers(a)]
-        table[i, : len(sources)] = sources
-    return table
+    lists = [af.attackers(a) for a in af.arguments]
+    count = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
+    sources = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(lists)),
+        dtype=np.intp,
+        count=int(count.sum()),
+    )
+    return _Attackers(count, np.cumsum(count) - count, sources)
 
 
-def _update(kind: str, slots: Iterator[np.ndarray], count: np.ndarray) -> np.ndarray:
-    """``_step``'s rule from attacker degrees given slot by slot.
+def _solve_rows(
+    spec: SemanticsSpec,
+    graph: _Attackers,
+    targets: np.ndarray,
+    removed: np.ndarray,
+    start: float = 1.0,
+) -> np.ndarray:
+    """Degree vectors, a column per row, each with its removed attacks gone.
 
-    Summing one slot at a time keeps ``sum``'s left-to-right order, so the
-    result is bit-identical to ``_step``.  ``count`` is the attacker count.
+    Row ``r`` drops the attack from the ``j``-th attacker of ``targets[r]``
+    wherever ``removed[r, j]`` is set; ``start`` seeds the Picard iteration
+    and ``cs`` ignores it.
     """
-    total = next(slots).copy()
-    for values in slots:
-        if kind == "max":
-            np.maximum(total, values, out=total)
-        else:
-            total += values
+    if spec.kind == "cs":
+        return _counting_rows(spec, graph, targets, removed)
+    return _picard_rows(spec, graph, targets, removed, start)
+
+
+def _update(kind: str, total: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The scoring rule, from each argument's folded attacker degrees.
+
+    ``total`` is the sum of the attacker degrees (their max for ``max``) and
+    ``count`` the attacker count, which ``car`` divides by.
+    """
     if kind == "car":
         # An unattacked argument has total 0.0, so dividing by 1 keeps it at 1.
         return 1.0 / ((1.0 + count) + total / np.maximum(count, 1))
     return 1.0 / (1.0 + total)
 
 
+class _SweepPlan(NamedTuple):
+    """How one Picard sweep gathers and folds every attacker degree.
+
+    Arguments are held in order of falling in-degree, ``rank`` mapping an
+    index (and the sentinel ``n``, whose degree is always 0.0) to its place,
+    and ``count`` is their attacker count in that order.  Those with more
+    than ``j`` attackers are then a prefix, so attacker slot ``j`` folds into
+    one slice.  A sweep gathers ``state[index]`` in one go; the attack at
+    edge ``e`` of ``_Attackers.sources`` lands at ``where[e]``.  The first
+    ``n`` entries are every argument's slot 0 (the sentinel for the
+    unattacked) and become the running totals; each ``(c, lo)`` of ``folds``
+    then folds entries ``lo:lo + c`` into the first ``c`` totals.  Past a
+    cut, the few arguments still attacked (hubs) fold the run of their
+    remaining attackers at once, hub ``h`` the run ``runs[h]``; a run costs
+    about three slot folds, and the cut minimises that cost per sweep.  A
+    sweep thus costs O(n + m) per row, and every sum keeps the left-to-right
+    order of the sorted attackers, so each semantics has exactly one
+    floating-point result.
+    """
+
+    rank: np.ndarray
+    count: np.ndarray
+    index: np.ndarray
+    where: np.ndarray
+    folds: list[tuple[int, int]]
+    runs: list[slice]
+
+
+def _sweep_plan(graph: _Attackers) -> _SweepPlan:
+    # Built in plain Python: a handful of list passes is cheaper than the
+    # numpy calls it would take on the small frameworks solved most often.
+    count, first = graph.count.tolist(), graph.first.tolist()
+    sources = graph.sources.tolist()
+    n = len(count)
+    order = sorted(range(n), key=count.__getitem__, reverse=True)
+    rank = [0] * (n + 1)
+    for r, i in enumerate(order):
+        rank[i] = r
+    rank[n] = n
+    # depth[j] is the number of arguments with more than j attackers.
+    top = count[order[0]]
+    depth = [0] * (top + 1)
+    for k in count:
+        if k:
+            depth[k - 1] += 1
+    for j in reversed(range(top)):
+        depth[j] += depth[j + 1]
+    cut = min(range(top + 1), key=lambda j: j + 3 * depth[j])
+    index, where = [n] * n, [0] * len(sources)
+
+    def place(e: int) -> None:
+        where[e] = len(index)
+        index.append(rank[sources[e]])
+
+    for r in range(depth[0] if cut else 0):
+        e = first[order[r]]
+        where[e], index[r] = r, rank[sources[e]]
+    folds, runs = [], []
+    for j in range(1, cut):
+        folds.append((depth[j], len(index)))
+        for i in order[: depth[j]]:
+            place(first[i] + j)
+    for i in order[: depth[cut]]:
+        lo = len(index)
+        for e in range(first[i] + cut, first[i] + count[i]):
+            place(e)
+        runs.append(slice(lo, len(index)))
+    return _SweepPlan(
+        np.array(rank),
+        np.array([count[i] for i in order]),
+        np.array(index, dtype=np.intp),
+        np.array(where, dtype=np.intp),
+        folds,
+        runs,
+    )
+
+
 def _picard_rows(
-    spec: SemanticsSpec, table: np.ndarray, targets: np.ndarray, own: np.ndarray
+    spec: SemanticsSpec,
+    graph: _Attackers,
+    targets: np.ndarray,
+    removed: np.ndarray,
+    start: float,
 ) -> np.ndarray:
-    # state[:, r] is row r's degree vector plus the sentinel: a column per
-    # row, so each gather copies contiguous runs of rows.
-    n, width = table.shape
-    count = (table < n).sum(axis=1)[:, None]
-    kept = (own < n).sum(axis=1)
-    state = np.ones((n + 1, len(targets)))
+    # state[:, r] is row r's degree vector, in the plan's order, plus the
+    # sentinel: a column per row, so each gather copies contiguous runs.
+    plan = _sweep_plan(graph)
+    n, rows = len(plan.count), len(targets)
+    # A removed attack stays in the gather with degree 0.0, which leaves a
+    # sum or a max over degrees as it is; only car's count drops it.
+    count = plan.count[:, None]
+    r, j = np.nonzero(removed)
+    if r.size:
+        dropped = plan.where[graph.first[targets[r]] + j], r
+        count = count.repeat(rows, axis=1)
+        count[plan.rank[targets], np.arange(rows)] -= removed.sum(axis=1)
+    fold = np.maximum if spec.kind == "max" else np.add
+    state = np.full((n + 1, rows), float(start))
     state[n] = 0.0
-    live = np.arange(len(targets))
-    values = np.empty(len(targets))
+    # A solved row keeps sweeping, but its bar drops below any residual, so
+    # only its first solution counts.
+    bar = np.full(rows, spec.tolerance)
+    values = np.empty((n, rows))
     for _ in range(spec.max_iterations):
-        cols = np.arange(len(live))
-        swept = _update(spec.kind, (state[table[:, j]] for j in range(width)), count)
-        swept[targets, cols] = _update(
-            spec.kind, (state[own[:, j], cols] for j in range(width)), kept
-        )
+        gathered = state[plan.index]
+        if r.size:
+            gathered[dropped] = 0.0
+        total = gathered[:n]
+        for c, lo in plan.folds:
+            head = total[:c]
+            fold(head, gathered[lo : lo + c], out=head)
+        for h, run in enumerate(plan.runs):
+            # Folding the total into the run's first degree, then
+            # accumulating, keeps the left-to-right order of a slot fold.
+            tail = gathered[run]
+            fold(tail[0], total[h], out=tail[0])
+            total[h] = fold.accumulate(tail)[-1]
+        swept = _update(spec.kind, total, count)
         residual = np.abs(swept - state[:n]).max(axis=0)
-        done = residual <= spec.tolerance
-        if done.any():
-            values[live[done]] = swept[targets[done], cols[done]]
-            going = ~done
-            if not going.any():
-                return values
-            live, targets = live[going], targets[going]
-            own, kept = own[going], kept[going]
-            residual, swept, state = residual[going], swept[:, going], state[:, going]
+        solved = residual <= bar
+        if solved.any():
+            values[:, solved] = swept[:, solved]
+            bar[solved] = -1.0
+            if bar.max() < 0.0:
+                return values[plan.rank[:n]]
         state[:n] = swept
-    raise NonConvergenceError(spec.max_iterations, float(residual[0]))
+    raise NonConvergenceError(spec.max_iterations, float(residual[bar >= 0.0][0]))
 
 
 def _counting_rows(
-    spec: SemanticsSpec, table: np.ndarray, targets: np.ndarray, own: np.ndarray
+    spec: SemanticsSpec, graph: _Attackers, targets: np.ndarray, removed: np.ndarray
 ) -> np.ndarray:
-    n = len(table)
-    count = (table < n).sum(axis=1)
+    n = len(graph.count)
+    count = graph.count
     # Only the target's in-degree changes, so a row's largest in-degree is
     # the larger of its kept attackers and the top over the other arguments.
     ranked = np.sort(count)
-    first, second = ranked[-1], (ranked[-2] if n > 1 else 0)
-    others = np.where(count[targets] == first, second, first)
-    tops = np.maximum(others, (own < n).sum(axis=1))
-    norms = [_norm_for(int(top), spec.counting) for top in tops]
+    top, runner_up = ranked[-1], (ranked[-2] if n > 1 else 0)
+    others = np.where(count[targets] == top, runner_up, top)
+    tops = np.maximum(others, count[targets] - removed.sum(axis=1))
+    norms = [_norm_for(int(t), spec.counting) for t in tops]
     scale = np.array([0.0 if m is None else spec.counting.damping / m for m in norms])
-    matrix = np.zeros((n, n))
-    matrix[np.repeat(np.arange(n), count), table[table < n]] = 1.0
-    systems = matrix * scale[:, None, None]
-    rows, slots = np.nonzero(own != table[targets])
-    systems[rows, targets[rows], table[targets[rows], slots]] = 0.0
-    systems += np.eye(n)
+    if not scale.any():
+        # Attack-free frameworks score 1 everywhere: there is nothing to solve.
+        return np.ones((n, len(targets)))
+    # Each system I + scale * M is assembled in place, in its one array.
+    systems = np.zeros((len(targets), n, n))
+    systems[:, np.repeat(np.arange(n), count), graph.sources] = scale[:, None]
+    rows, slots = np.nonzero(removed)
+    heads = targets[rows]
+    systems[rows, heads, graph.sources[graph.first[heads] + slots]] = 0.0
+    diagonal = np.arange(n)
+    systems[:, diagonal, diagonal] += 1.0
     solved = np.linalg.solve(systems, np.ones((len(targets), n, 1)))[:, :, 0]
-    values = solved[np.arange(len(targets)), targets]
-    values[[m is None for m in norms]] = 1.0
-    return values
+    solved[[m is None for m in norms]] = 1.0
+    return solved.T
 
 
 def weighting_payload(

@@ -72,6 +72,45 @@ def counting_series(
     return dict(zip(order, total))
 
 
+def picard_scores(
+    nodes: Sequence[str],
+    edges: Iterable[Edge],
+    kind: str,
+    start: float = 1.0,
+    tolerance: float = 1e-12,
+    max_iterations: int = 10**6,
+) -> tuple[dict[str, float], int, float]:
+    """Picard iteration of ``hbs``, ``car`` or ``max`` from a constant start.
+
+    Each sweep rescores every node from its attackers' previous scores,
+    summed (or maxed) in sorted attacker order, and its residual is the
+    largest change of any score.  Returns the last scores, the number of
+    sweeps run and the last residual: the iteration converged when that
+    residual is at most ``tolerance``, and otherwise ran out of sweeps.
+    """
+    attackers: dict[str, list[str]] = {n: [] for n in nodes}
+    for s, t in edges:
+        attackers[t].append(s)
+    scores = {n: float(start) for n in nodes}
+    residual = float("inf")
+    sweeps = 0
+    while sweeps < max_iterations and residual > tolerance:
+        updated = {}
+        for node, sources in attackers.items():
+            values = [scores[b] for b in sorted(sources)]
+            if kind == "hbs":
+                updated[node] = 1.0 / (1.0 + sum(values))
+            elif kind == "car":
+                k = len(values)
+                updated[node] = 1.0 / (1.0 + k + sum(values) / k) if k else 1.0
+            else:
+                updated[node] = 1.0 / (1.0 + max(values, default=0.0))
+        residual = max(abs(updated[n] - scores[n]) for n in nodes)
+        scores = updated
+        sweeps += 1
+    return scores, sweeps, residual
+
+
 def permutation_shapley(
     incoming: Sequence[Edge],
     worth: Callable[[tuple[Edge, ...]], float],

@@ -168,7 +168,9 @@ def test_exhausted_iteration_budget_exits_3(tmp_path, capsys):
         ["degrees", str(path), "--semantics", "hbs", "--max-iterations", "1"]
     )
     assert rc == 3
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == (
+        "error: no fixed point after 1 iterations (residual 5.000e-01)\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ the semantics, whatever route computed it.
 """
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +26,12 @@ from gradimpact import (
     counting_norm,
     degrees,
 )
+from gradimpact import semantics
 from gradimpact.fixtures import chain_pair, disjoint_pair
+from gradimpact.generate import GeneratorConfig, random_af
 from gradimpact.semantics import KINDS
+
+from oracles import picard_scores
 
 GOLDEN_RATIO_INVERSE = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -127,6 +132,77 @@ def test_fixed_point_is_reached_from_any_start(af, kind):
         assert all(
             abs(from_ones[a] - other[a]) < 1e-9 for a in af.arguments
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    solver_frameworks(),
+    st.sampled_from(("hbs", "car", "max")),
+    st.integers(1, 6),
+)
+def test_picard_solve_equals_the_reference_loop(af, kind, budget):
+    for spec in (SemanticsSpec(kind), SemanticsSpec(kind, max_iterations=budget)):
+        for start in (1.0, 0.0, 0.37):
+            scores, sweeps, residual = picard_scores(
+                af.arguments,
+                af.attacks,
+                kind,
+                start,
+                spec.tolerance,
+                spec.max_iterations,
+            )
+            if residual <= spec.tolerance:
+                assert degrees(af, spec, initial_value=start).as_dict() == scores
+                continue
+            with pytest.raises(NonConvergenceError) as err:
+                degrees(af, spec, initial_value=start)
+            assert (err.value.iterations, err.value.residual) == (sweeps, residual)
+
+
+@pytest.mark.parametrize("kind", ["hbs", "car", "max"])
+def test_hub_degrees_equal_the_reference_loop(kind):
+    # Two hubs under 58 and 30 attackers, which form a chain where each
+    # attacks the next two, so their degrees differ: long sums whose rounding
+    # depends on the order they are added in, folded slot by slot and, for
+    # the hubs, run by run.
+    names = [f"a{i:02d}" for i in range(60)]
+    chain = names[2:]
+    attacks = [(b, names[0]) for b in chain] + [(b, names[1]) for b in chain[:30]]
+    for step in (1, 2):
+        attacks += [(b, c) for b, c in zip(chain, chain[step:])]
+    af = ArgumentationFramework.of(names, attacks)
+    scores, _, _ = picard_scores(af.arguments, af.attacks, kind)
+    assert degrees(af, SemanticsSpec(kind)).as_dict() == scores
+
+
+def _traced_peak(af, spec):
+    """Peak bytes of the numpy arrays and Python objects one cold solve allocates."""
+    semantics._cached_degrees.cache_clear()
+    tracemalloc.start()
+    try:
+        degrees(af, spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_counting_solve_allocates_one_system_of_numpy_arrays():
+    # LAPACK's working copy of the matrix is plain malloc, which tracemalloc
+    # does not see, so this bounds the numpy-allocated arrays only.
+    af = random_af(GeneratorConfig(400, 0.01, seed=11))
+    n = len(af.arguments)
+    assert _traced_peak(af, SemanticsSpec("cs")) < 1.5 * n * n * 8
+
+
+@pytest.mark.parametrize("kind", ["hbs", "car", "max"])
+def test_picard_solve_memory_is_linear_in_a_star(kind):
+    # One argument attacked by all the others: n + m arguments and attacks,
+    # where any n x in-degree table would hold n^2 cells.
+    names = [f"a{i:04d}" for i in range(3000)]
+    af = ArgumentationFramework.of(names, [(b, names[0]) for b in names[1:]])
+    assert _traced_peak(af, SemanticsSpec(kind)) < 100 * (2 * len(names)) * 8
+    scores, _, _ = picard_scores(af.arguments, af.attacks, kind)
+    assert degrees(af, SemanticsSpec(kind)).as_dict() == scores
 
 
 def test_degrees_input_validation(showcase):
