@@ -9,9 +9,16 @@ keeps whatever attacks survive among the remaining arguments.
 
 The intensity-based impact sums attack intensities along every directed walk
 from a subject member to the target, with even-length walks counting
-positively and odd-length walks negatively.  It is evaluated as a truncated
-alternating matrix series over the intensity matrix, and is additive across
-subject members by construction.
+positively and odd-length walks negatively, and is additive across subject
+members by construction.  With M the intensity matrix (``M[t, s]`` the
+intensity of the attack from s on t), the walks from x to a of length k sum
+to ``[(-M)^k]_{a,x}``, so for spectral radius below 1 the impact of X on a is
+``sum over x in X of [(I + M)^{-1} - I]_{a,x}``.  That resolvent is computed
+once per (framework, measure) and answers every member and target.  It is
+used only when ``q = ‖M‖∞`` (the largest absolute row sum) proves that the
+truncated alternating series would converge under the query's
+``SeriesConfig``; otherwise the series itself is evaluated, walk length by
+walk length, with its divergence guard and length cap.
 
 For the counting semantics, both deletion-based variants score the reduced
 frameworks with the parent framework's normalisation so the two sides stay
@@ -21,22 +28,37 @@ stage computed per sub-framework.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
 
 from .attribution import ShapleyConfig, ShapleyMeasure, shapley_all
-from .errors import DivergenceError, UnknownArgumentError
+from .errors import DivergenceError, UnknownArgumentError, UnknownAttackError
 from .framework import ArgumentationFramework
 from .semantics import SemanticsSpec, counting_norm, degrees
 
 POLARITY_TOLERANCE = 1e-9
+GATE_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
 class SeriesConfig:
-    """Truncation, length cap and divergence guard for the walk series."""
+    """When the closed form applies, and how the walk series runs otherwise.
+
+    The closed form is taken when ``q = ‖M‖∞ < 1``, the sum bound
+    ``q / (1 - q)`` stays within ``divergence_guard``, and the first walk
+    length k with ``q**k < truncation_tolerance``, plus one step of slack,
+    is at most ``max_walk_length``.  It then returns the series' limit with
+    ``converged=True``; a truncated series would differ from it by less
+    than ``truncation_tolerance * q / (1 - q)``.  When the test fails, the
+    series runs: it stops once no walk of the current length carries more
+    than ``truncation_tolerance``, raises ``DivergenceError`` when a walk
+    weight or the partial sum exceeds ``divergence_guard``, and reports
+    ``converged=False`` with the partial sum after ``max_walk_length`` steps.
+    """
 
     truncation_tolerance: float = 1e-12
     max_walk_length: int = 10**5
@@ -47,8 +69,8 @@ class SeriesConfig:
             raise ValueError("truncation_tolerance must lie strictly between 0 and 1")
         if self.max_walk_length < 1:
             raise ValueError("max_walk_length must be at least 1")
-        if self.divergence_guard <= 0.0:
-            raise ValueError("divergence_guard must be positive")
+        if not 0.0 < self.divergence_guard < math.inf:
+            raise ValueError("divergence_guard must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -132,8 +154,56 @@ def _intensity_matrix(
     index = {a: i for i, a in enumerate(af.arguments)}
     matrix = np.zeros((len(af.arguments), len(af.arguments)))
     for (s, t), value in measure.entries:
+        if not af.has_attack(s, t):
+            raise UnknownAttackError(s, t)
         matrix[index[t], index[s]] = value
     return matrix
+
+
+@dataclass(frozen=True)
+class _Resolvent:
+    """What every ``si`` query on one (framework, measure) pair shares."""
+
+    index: dict[str, int]
+    matrix: np.ndarray
+    norm: float
+    closed: np.ndarray | None
+
+
+@lru_cache(maxsize=4096)
+def _cached_resolvent(
+    af: ArgumentationFramework, measure: ShapleyMeasure
+) -> _Resolvent:
+    matrix = _intensity_matrix(af, measure)
+    norm = float(abs(matrix).sum(axis=1).max(initial=0.0))
+    closed = None
+    if norm < 1.0:
+        # Invertible: the spectral radius of M is at most its norm.
+        eye = np.eye(len(matrix))
+        closed = np.linalg.inv(eye + matrix) - eye
+        closed.flags.writeable = False
+    matrix.flags.writeable = False
+    index = {a: i for i, a in enumerate(af.arguments)}
+    return _Resolvent(index, matrix, norm, closed)
+
+
+def _series_converges(norm: float, series: SeriesConfig) -> bool:
+    """Whether ``norm`` = ‖M‖∞ proves that the walk series converges.
+
+    Step k's peak is at most ``norm**k`` and every partial sum at most
+    ``norm / (1 - norm)``, so the series stops with ``converged=True`` at
+    the first k where ``norm**k`` drops below the truncation tolerance,
+    without tripping the guard.  The test keeps one step of slack on the
+    length and a relative margin on the sum bound, against rounding.
+    """
+    if norm >= 1.0:
+        return False
+    if norm / (1.0 - norm) * (1.0 + GATE_MARGIN) > series.divergence_guard:
+        return False
+    if norm == 0.0:
+        return True
+    steps = math.floor(math.log(series.truncation_tolerance) / math.log(norm)) + 1
+    return steps + 1 <= series.max_walk_length
 
 
 def _walk_series(
@@ -164,19 +234,29 @@ def imp_si(
     shapley_config: ShapleyConfig = ShapleyConfig(),
     series: SeriesConfig = SeriesConfig(),
 ) -> ImpactValue:
-    """Intensity impact of a set: the sum of its members' single impacts."""
+    """Intensity impact of a set: the sum of its members' single impacts.
+
+    A caller-supplied ``measure`` must name only attacks of ``af``; the
+    first entry that does not raises ``UnknownAttackError``.
+    """
     xs = _checked_subject(af, subject, target)
     if not xs:
         return ImpactValue(0.0)
     if measure is None:
         measure = shapley_all(af, spec, shapley_config)
-    matrix = _intensity_matrix(af, measure)
-    index = {a: i for i, a in enumerate(af.arguments)}
+    resolvent = _cached_resolvent(af, measure)
+    index = resolvent.index
+    goal = index[target]
     total = 0.0
+    if _series_converges(resolvent.norm, series):
+        row = resolvent.closed[goal]
+        for member in xs:
+            total += float(row[index[member]])
+        return ImpactValue(total)
     converged = True
     for member in xs:
-        value, ok = _walk_series(matrix, index[member], index[target], series)
-        total += value
+        value, ok = _walk_series(resolvent.matrix, index[member], goal, series)
+        total += float(value)
         converged = converged and ok
     return ImpactValue(total, converged)
 

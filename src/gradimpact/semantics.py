@@ -23,6 +23,7 @@ some of one target's incoming attacks removed, for the Shapley intensities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
@@ -55,8 +56,9 @@ class CountingConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.damping < 1.0:
             raise ValueError("damping must lie strictly between 0 and 1")
-        if self.norm_override is not None and self.norm_override <= 0.0:
-            raise ValueError("norm_override must be positive")
+        norm = self.norm_override
+        if norm is not None and not 0.0 < norm < math.inf:
+            raise ValueError("norm_override must be finite and positive")
 
 
 @dataclass(frozen=True)

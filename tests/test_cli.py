@@ -161,6 +161,24 @@ def test_unsafe_norm_override_exits_5(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["impact", "--semantics", "hbs", "--measure", "si", "--set", "a8",
+         "--target", "a4", "--guard", "nan"],
+        ["impact", "--semantics", "hbs", "--measure", "si", "--set", "a8",
+         "--target", "a4", "--guard", "inf"],
+        ["degrees", "--semantics", "cs", "--norm", "nan"],
+        ["degrees", "--semantics", "cs", "--norm", "inf"],
+    ],
+)
+def test_non_finite_config_values_exit_2(showcase_tgf, flags, capsys):
+    assert main([flags[0], showcase_tgf, *flags[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_exhausted_iteration_budget_exits_3(tmp_path, capsys):
     path = tmp_path / "pair.tgf"
     path.write_text("a\nb\n#\na b\nb a\n", encoding="utf-8")

@@ -7,18 +7,28 @@ from hypothesis import given, settings, strategies as st
 from gradimpact import (
     ArgumentationFramework,
     DivergenceError,
+    ImpactValue,
     SemanticsSpec,
     SeriesConfig,
     UnknownArgumentError,
+    UnknownAttackError,
     degrees,
     evaluate_impact,
     imp_dv,
     imp_dv_original,
     imp_si,
     impact_payload,
+    shapley_all,
 )
 from gradimpact.fixtures import fan_af, selfloop_af
-from gradimpact.impact import _shared_norm_spec, _walk_series
+from gradimpact import impact
+from gradimpact.impact import (
+    _cached_resolvent,
+    _intensity_matrix,
+    _series_converges,
+    _shared_norm_spec,
+    _walk_series,
+)
 from gradimpact.semantics import KINDS
 
 from oracles import walk_impact
@@ -182,6 +192,9 @@ def test_series_config_validation():
         SeriesConfig(max_walk_length=0)
     with pytest.raises(ValueError):
         SeriesConfig(divergence_guard=0.0)
+    for guard in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SeriesConfig(divergence_guard=guard)
 
 
 def test_payload_layout(showcase):
@@ -193,3 +206,109 @@ def test_payload_layout(showcase):
     assert payload["target"] == "a4"
     assert payload["value"] == pytest.approx(-0.174, abs=0.002)
     assert payload["polarity"] == "negative"
+
+
+def _series_outcome(matrix, start, goal, series):
+    try:
+        return _walk_series(matrix, start, goal, series)
+    except DivergenceError as err:
+        return ("diverged", err.partial, err.length, err.guard)
+
+
+def _si_outcome(af, spec, member, target, measure, series):
+    try:
+        outcome = imp_si(af, spec, (member,), target, measure=measure, series=series)
+    except DivergenceError as err:
+        return ("diverged", err.partial, err.length, err.guard)
+    assert type(outcome.value) is float
+    return outcome.value, outcome.converged
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    attack_graphs(),
+    st.sampled_from(KINDS),
+    st.sampled_from(
+        (
+            SeriesConfig(),
+            SeriesConfig(divergence_guard=0.2),
+            SeriesConfig(max_walk_length=4),
+            SeriesConfig(truncation_tolerance=1e-3),
+        )
+    ),
+)
+def test_closed_form_agrees_with_the_walk_series(af, kind, series):
+    spec = SemanticsSpec(kind)
+    measure = shapley_all(af, spec)
+    matrix = _intensity_matrix(af, measure)
+    q = float(np.abs(matrix).sum(axis=1).max())
+    gated = _series_converges(q, series)
+    index = {a: i for i, a in enumerate(af.arguments)}
+    for member in af.arguments:
+        for target in af.arguments:
+            expected = _series_outcome(matrix, index[member], index[target], series)
+            got = _si_outcome(af, spec, member, target, measure, series)
+            if not gated:
+                assert got == expected
+                continue
+            # the gate promises a converged series within the guard
+            value, converged = expected
+            assert converged and got[1]
+            bound = series.truncation_tolerance * q / (1.0 - q) + 1e-12
+            assert abs(got[0] - value) <= bound
+
+
+def test_showcase_impacts_need_no_walk_series(showcase, monkeypatch):
+    measure = shapley_all(showcase, HBS)
+    matrix = _intensity_matrix(showcase, measure)
+    index = {a: i for i, a in enumerate(showcase.arguments)}
+    series = SeriesConfig()
+    expected = {
+        (member, target): _walk_series(matrix, index[member], index[target], series)
+        for member in showcase.arguments
+        for target in showcase.arguments
+    }
+
+    def unused(*args):
+        raise AssertionError("the walk series ran")
+
+    monkeypatch.setattr(impact, "_walk_series", unused)
+    for (member, target), (value, _) in expected.items():
+        got = imp_si(showcase, HBS, (member,), target)
+        assert got.converged
+        assert got.value == pytest.approx(value, abs=1e-12)
+    both = imp_si(showcase, HBS, ["a8", "a10"], "a4").value
+    assert both == pytest.approx(
+        expected[("a8", "a4")][0] + expected[("a10", "a4")][0], abs=1e-12
+    )
+
+
+def test_counting_intensities_above_unit_norm_take_the_series():
+    # corpus graph 37 of the default audit: a2 has three cs attackers whose
+    # intensities sum past 1 in magnitude
+    af = ArgumentationFramework.of(
+        ["a1", "a2", "a3", "a4"],
+        [("a1", "a2"), ("a1", "a3"), ("a3", "a2"), ("a4", "a2")],
+    )
+    spec = SemanticsSpec("cs")
+    measure = shapley_all(af, spec)
+    assert _cached_resolvent(af, measure).norm > 1.0
+    # the series' values before the closed form existed, digit for digit
+    assert imp_si(af, spec, ["a1"], "a2") == ImpactValue(-0.5268092839506172, True)
+    assert imp_si(af, spec, ["a3"], "a2") == ImpactValue(0.10907037037037035, True)
+    assert imp_si(af, spec, ["a4"], "a2") == ImpactValue(-0.4911796296296296, True)
+    assert imp_si(af, spec, ["a1"], "a3") == ImpactValue(-0.32666666666666666, True)
+    matrix = _intensity_matrix(af, measure)
+    for member in af.arguments:
+        for target in af.arguments:
+            start, goal = af.arguments.index(member), af.arguments.index(target)
+            value, ok = _walk_series(matrix, start, goal, SeriesConfig())
+            assert imp_si(af, spec, [member], target) == ImpactValue(value, ok)
+
+
+def test_supplied_measure_must_name_attacks_of_the_framework(showcase):
+    foreign = shapley_all(fan_af(), HBS)
+    first = next(attack for attack in foreign if not showcase.has_attack(*attack))
+    with pytest.raises(UnknownAttackError) as err:
+        imp_si(showcase, HBS, ["a8"], "a4", measure=foreign)
+    assert (err.value.source, err.value.target) == first

@@ -225,6 +225,12 @@ def test_spec_validation():
         CountingConfig(norm_override=0.0)
 
 
+def test_norm_override_must_be_finite():
+    for norm in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            CountingConfig(norm_override=norm)
+
+
 def test_iteration_budget_is_enforced():
     pair = ArgumentationFramework.of(["a", "b"], [("a", "b"), ("b", "a")])
     with pytest.raises(NonConvergenceError) as err:
