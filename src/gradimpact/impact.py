@@ -36,7 +36,12 @@ from typing import Iterable
 import numpy as np
 
 from .attribution import ShapleyConfig, ShapleyMeasure, shapley_all
-from .errors import DivergenceError, UnknownArgumentError, UnknownAttackError
+from .errors import (
+    DivergenceError,
+    InconsistentAnnotationError,
+    UnknownArgumentError,
+    UnknownAttackError,
+)
 from .framework import ArgumentationFramework
 from .semantics import SemanticsSpec, counting_norm, degrees
 
@@ -157,6 +162,14 @@ def _intensity_matrix(
         if not af.has_attack(s, t):
             raise UnknownAttackError(s, t)
         matrix[index[t], index[s]] = value
+    # Every entry names an attack of af, so they cover its attacks exactly
+    # when there are as many distinct entries as attacks.
+    if len(measure.as_dict()) != len(measure.entries):
+        raise InconsistentAnnotationError("intensity measure names an attack twice")
+    if len(measure.entries) != len(af.attacks):
+        raise InconsistentAnnotationError(
+            "intensity measure does not cover the attacks exactly"
+        )
     return matrix
 
 
@@ -236,8 +249,10 @@ def imp_si(
 ) -> ImpactValue:
     """Intensity impact of a set: the sum of its members' single impacts.
 
-    A caller-supplied ``measure`` must name only attacks of ``af``; the
-    first entry that does not raises ``UnknownAttackError``.
+    A caller-supplied ``measure`` must name every attack of ``af`` once and
+    nothing else: the first entry naming another attack raises
+    ``UnknownAttackError``, and a missing or repeated attack
+    ``InconsistentAnnotationError``.
     """
     xs = _checked_subject(af, subject, target)
     if not xs:

@@ -15,10 +15,19 @@ in-degree and damping factor alpha, the degree vector solves
 any alpha below 1, and a user-supplied normalisation below the largest
 in-degree is rejected because the guarantee is lost.
 
-Every solve runs on one kernel per kind: a Picard loop over a state with one
-column per framework, or a stack of linear systems.  ``degrees`` solves one
-framework; ``coalition_degrees`` solves many copies of it at once, each with
-some of one target's incoming attacks removed, for the Shapley intensities.
+Every solve runs on one of two kernels: a Picard loop over a state with one
+column per framework, or a stack of dense linear systems.  ``cs`` takes the
+dense solve while one n x (n + 1) system fits ``COALITION_CELLS`` (n up to
+1,023); there it is far cheaper, since a sweep can need over a thousand
+steps when alpha * M / N contracts slowly.  Larger frameworks sweep
+``cs`` as one more Picard rule, sigma(a) = 1 - (alpha / N) * (sum of
+attacker degrees) from the all-ones vector, in O(n + m) memory.  With
+q = alpha * (largest in-degree) / N, a sweep contracts the error by q in
+the max norm, so it stops once a step is at most tolerance * (1 - q) / q,
+which bounds the error of every degree by the tolerance.  ``degrees`` solves
+one framework; ``coalition_degrees`` solves many copies of it at once, each
+with some of one target's incoming attacks removed, for the Shapley
+intensities.
 """
 
 from __future__ import annotations
@@ -150,8 +159,11 @@ def degrees(
     """Acceptability degree of every argument under the chosen semantics.
 
     ``initial_value`` seeds the Picard iteration; any start in [0, 1] reaches
-    the same fixed point, which the uniqueness tests exploit.  ``cs`` solves a
-    linear system and ignores it.
+    the same fixed point, which the uniqueness tests exploit.  ``cs`` ignores
+    it and always starts from 1.  On frameworks of up to 1,023 arguments
+    ``cs`` solves a linear system, and ``tolerance`` and ``max_iterations``
+    play no part; larger ones are swept, within ``tolerance`` of the exact
+    degrees, and can raise ``NonConvergenceError``.
     """
     if not af.arguments:
         raise ValueError("degrees need at least one argument")
@@ -195,11 +207,12 @@ def coalition_degrees(
         b"".join(m.to_bytes(nbytes, "little") for _, m in systems), dtype=np.uint8
     ).reshape(len(systems), nbytes)
     removed = np.unpackbits(packed, axis=1, count=width, bitorder="little") == 1
-    # Per system, cs keeps its matrix and right-hand side; Picard its state,
-    # the gathered attacker degrees (the sums among them), the sweep, its
-    # change, the attacker counts and the solution.
+    # Per system, a dense cs solve keeps its matrix and right-hand side; a
+    # sweep (cs on larger frameworks too) its state, the gathered attacker
+    # degrees (the sums among them), the sweep, its change, the attacker
+    # counts and the solution.
     m = len(graph.sources)
-    cells = n * (n + 1) if spec.kind == "cs" else 5 * (n + 1) + m
+    cells = n * (n + 1) if _dense(spec, n) else 5 * (n + 1) + m
     chunk = max(1, COALITION_CELLS // cells)
     values = np.empty(len(rows))
     for start in range(0, len(systems), chunk):
@@ -246,19 +259,45 @@ def _solve_rows(
 
     Row ``r`` drops the attack from the ``j``-th attacker of ``targets[r]``
     wherever ``removed[r, j]`` is set; ``start`` seeds the Picard iteration
-    and ``cs`` ignores it.
+    and the dense ``cs`` solve ignores it.
     """
-    if spec.kind == "cs":
+    if _dense(spec, len(graph.count)):
         return _counting_rows(spec, graph, targets, removed)
     return _picard_rows(spec, graph, targets, removed, start)
 
 
-def _update(kind: str, total: np.ndarray, count: np.ndarray) -> np.ndarray:
+def _dense(spec: SemanticsSpec, n: int) -> bool:
+    """Whether ``cs`` solves n x n systems: only while one fits a chunk."""
+    return spec.kind == "cs" and n * (n + 1) <= COALITION_CELLS
+
+
+def _counting_scales(
+    spec: SemanticsSpec, graph: _Attackers, targets: np.ndarray, removed: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's largest in-degree and ``damping / N``, 0.0 without a norm."""
+    count = graph.count
+    # Only the target's in-degree changes, so a row's largest in-degree is
+    # the larger of its kept attackers and the top over the other arguments.
+    ranked = np.sort(count)
+    top, runner_up = ranked[-1], (ranked[-2] if len(count) > 1 else 0)
+    others = np.where(count[targets] == top, runner_up, top)
+    tops = np.maximum(others, count[targets] - removed.sum(axis=1))
+    norms = [_norm_for(int(t), spec.counting) for t in tops]
+    scale = np.array([0.0 if m is None else spec.counting.damping / m for m in norms])
+    return tops, scale
+
+
+def _update(
+    kind: str, total: np.ndarray, count: np.ndarray, scale: np.ndarray | None
+) -> np.ndarray:
     """The scoring rule, from each argument's folded attacker degrees.
 
-    ``total`` is the sum of the attacker degrees (their max for ``max``) and
-    ``count`` the attacker count, which ``car`` divides by.
+    ``total`` is the sum of the attacker degrees (their max for ``max``),
+    ``count`` the attacker count, which ``car`` divides by, and ``scale``
+    each row's ``damping / N`` for ``cs``.
     """
+    if kind == "cs":
+        return 1.0 - scale * total
     if kind == "car":
         # An unattacked argument has total 0.0, so dividing by 1 keeps it at 1.
         return 1.0 / ((1.0 + count) + total / np.maximum(count, 1))
@@ -364,9 +403,17 @@ def _picard_rows(
     fold = np.maximum if spec.kind == "max" else np.add
     state = np.full((n + 1, rows), float(start))
     state[n] = 0.0
+    scale, bar = None, np.full(rows, spec.tolerance)
+    if spec.kind == "cs":
+        # A cs row contracts by q = scale * top in the max norm, so a step of
+        # at most tolerance * (1 - q) / q leaves an error of at most
+        # tolerance; a row with q = 0 is attack-free and stops at once.
+        tops, scale = _counting_scales(spec, graph, targets, removed)
+        q = scale * tops
+        with np.errstate(divide="ignore"):
+            bar = spec.tolerance * (1.0 - q) / q
     # A solved row keeps sweeping, but its bar drops below any residual, so
     # only its first solution counts.
-    bar = np.full(rows, spec.tolerance)
     values = np.empty((n, rows))
     for _ in range(spec.max_iterations):
         gathered = state[plan.index]
@@ -382,7 +429,7 @@ def _picard_rows(
             tail = gathered[run]
             fold(tail[0], total[h], out=tail[0])
             total[h] = fold.accumulate(tail)[-1]
-        swept = _update(spec.kind, total, count)
+        swept = _update(spec.kind, total, count, scale)
         residual = np.abs(swept - state[:n]).max(axis=0)
         solved = residual <= bar
         if solved.any():
@@ -397,16 +444,8 @@ def _picard_rows(
 def _counting_rows(
     spec: SemanticsSpec, graph: _Attackers, targets: np.ndarray, removed: np.ndarray
 ) -> np.ndarray:
-    n = len(graph.count)
-    count = graph.count
-    # Only the target's in-degree changes, so a row's largest in-degree is
-    # the larger of its kept attackers and the top over the other arguments.
-    ranked = np.sort(count)
-    top, runner_up = ranked[-1], (ranked[-2] if n > 1 else 0)
-    others = np.where(count[targets] == top, runner_up, top)
-    tops = np.maximum(others, count[targets] - removed.sum(axis=1))
-    norms = [_norm_for(int(t), spec.counting) for t in tops]
-    scale = np.array([0.0 if m is None else spec.counting.damping / m for m in norms])
+    n, count = len(graph.count), graph.count
+    _, scale = _counting_scales(spec, graph, targets, removed)
     if not scale.any():
         # Attack-free frameworks score 1 everywhere: there is nothing to solve.
         return np.ones((n, len(targets)))
@@ -419,7 +458,7 @@ def _counting_rows(
     diagonal = np.arange(n)
     systems[:, diagonal, diagonal] += 1.0
     solved = np.linalg.solve(systems, np.ones((len(targets), n, 1)))[:, :, 0]
-    solved[[m is None for m in norms]] = 1.0
+    solved[scale == 0.0] = 1.0
     return solved.T
 
 

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradimpact import (
     ArgumentationFramework,
+    CountingConfig,
     ExactModeRequiredError,
     SemanticsSpec,
     ShapleyConfig,
@@ -17,7 +18,7 @@ from gradimpact.attribution import EXACT_MODE, SAMPLED_MODE
 from gradimpact.fixtures import fan_af
 from gradimpact.semantics import KINDS
 
-from oracles import permutation_shapley, reference_shapley
+from oracles import counting_series, permutation_shapley, reference_shapley
 
 # The default config, and one that samples every target with two or more
 # attackers.
@@ -120,11 +121,17 @@ def test_batched_solve_equals_the_one_by_one_reference(af, kind, config):
 
 
 @pytest.mark.parametrize("cells", [1, 200])
-@pytest.mark.parametrize("kind, solver", [("hbs", "_picard_rows"), ("cs", "_counting_rows")])
+@pytest.mark.parametrize(
+    "kind, solver",
+    [("hbs", "_picard_rows"), ("cs", "_counting_rows"), ("cs", "_picard_rows")],
+)
 def test_rows_split_across_chunks_give_the_same_values(
     showcase, monkeypatch, cells, kind, solver
 ):
     spec = SemanticsSpec(kind)
+    # Pin cs to one solver, whatever the budget, so that the budget only
+    # splits the rows into chunks.
+    monkeypatch.setattr(semantics, "_dense", lambda spec, n: solver == "_counting_rows")
     unsplit = attribution._cached_shapley_all.__wrapped__
     whole = unsplit(showcase, spec, ShapleyConfig())
     chunks = []
@@ -139,6 +146,63 @@ def test_rows_split_across_chunks_give_the_same_values(
     split = unsplit(showcase, spec, ShapleyConfig())
     assert len(chunks) >= 3
     assert split == whole
+
+
+def _all_coalitions(af):
+    """Every (target, mask) row over every subset of each target's attackers."""
+    return [
+        (t, mask)
+        for t, a in enumerate(af.arguments)
+        for mask in range(1 << len(af.attackers(a)))
+    ]
+
+
+def _removed(af, t, mask):
+    target = af.arguments[t]
+    return [(b, target) for i, b in enumerate(af.attackers(target)) if mask >> i & 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(attack_graphs(), st.sampled_from((None, 4.0, 6.5)))
+# a1 alone has the top in-degree, so removing either of its attackers
+# lowers the norm of that row.
+@example(
+    ArgumentationFramework.of(
+        ["a1", "a2", "a3"], [("a2", "a1"), ("a3", "a1"), ("a3", "a2"), ("a1", "a3")]
+    ),
+    None,
+)
+def test_swept_counting_solve_agrees_with_the_dense_one(af, norm):
+    spec = SemanticsSpec("cs", counting=CountingConfig(norm_override=norm))
+    rows = _all_coalitions(af)
+    dense = semantics.coalition_degrees(af, spec, rows)
+    dense_whole = semantics._cached_degrees.__wrapped__(af, spec)
+    with pytest.MonkeyPatch.context() as patch:
+        # Every framework is swept, its rows batched at the usual budget.
+        patch.setattr(semantics, "_dense", lambda spec, n: False)
+        swept = semantics.coalition_degrees(af, spec, rows)
+        swept_whole = semantics._cached_degrees.__wrapped__(af, spec)
+        reduced = [
+            semantics._cached_degrees.__wrapped__(
+                af.delete_attacks(_removed(af, t, mask)), spec
+            )[af.arguments[t]]
+            for t, mask in rows
+        ]
+    bound = spec.tolerance + 1e-13
+    # The swept rows are the swept reduced frameworks, bit for bit.
+    assert swept == reduced
+    for a in af.arguments:
+        assert abs(swept_whole[a] - dense_whole[a]) <= bound
+    for (t, mask), s, d in zip(rows, swept, dense):
+        sub = af.delete_attacks(_removed(af, t, mask))
+        top = norm if norm is not None else sub.max_in_degree()
+        series = (
+            counting_series(sub.arguments, sub.attacks, spec.counting.damping, top)
+            if top
+            else dict.fromkeys(sub.arguments, 1.0)
+        )
+        assert abs(s - d) <= bound
+        assert abs(s - series[af.arguments[t]]) <= bound
 
 
 def test_coalitions_stay_out_of_the_degree_cache(showcase):

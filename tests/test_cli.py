@@ -191,6 +191,30 @@ def test_exhausted_iteration_budget_exits_3(tmp_path, capsys):
     )
 
 
+def test_large_counting_graphs_are_swept_on_the_iteration_budget(tmp_path, capsys):
+    # Past 1,023 arguments cs is swept, so the budget applies: a ring's
+    # first sweep moves every degree from 1 to 1 - alpha.
+    names = [f"a{i}" for i in range(1100)]
+    ring = "\n".join(f"{a} {b}" for a, b in zip(names, names[1:] + names[:1]))
+    path = tmp_path / "ring.tgf"
+    path.write_text("\n".join(names) + "\n#\n" + ring + "\n", encoding="utf-8")
+    rc = main(
+        ["degrees", str(path), "--semantics", "cs", "--max-iterations", "1"]
+    )
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: no fixed point after 1 iterations (residual 9.800e-01)\n"
+    )
+
+
+def test_small_counting_graphs_ignore_the_iteration_budget(triangle_apx, capsys):
+    assert main(["degrees", triangle_apx, "--semantics", "cs"]) == 0
+    unbounded = capsys.readouterr().out
+    argv = ["degrees", triangle_apx, "--semantics", "cs", "--max-iterations", "1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == unbounded
+
+
 @pytest.mark.parametrize(
     "flags, code, message",
     [

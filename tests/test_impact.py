@@ -8,8 +8,10 @@ from gradimpact import (
     ArgumentationFramework,
     DivergenceError,
     ImpactValue,
+    InconsistentAnnotationError,
     SemanticsSpec,
     SeriesConfig,
+    ShapleyMeasure,
     UnknownArgumentError,
     UnknownAttackError,
     degrees,
@@ -312,3 +314,20 @@ def test_supplied_measure_must_name_attacks_of_the_framework(showcase):
     with pytest.raises(UnknownAttackError) as err:
         imp_si(showcase, HBS, ["a8"], "a4", measure=foreign)
     assert (err.value.source, err.value.target) == first
+    # A missing attack would read as intensity 0, a repeated one as its
+    # last value.
+    full = shapley_all(showcase, HBS)
+    entries = full.entries
+    for broken in (
+        (),
+        entries[:3],
+        entries[:-1],
+        entries + entries[:1],
+        entries[:1] + entries[:-1],
+    ):
+        measure = ShapleyMeasure(entries=broken, mode=full.mode)
+        with pytest.raises(InconsistentAnnotationError):
+            imp_si(showcase, HBS, ["a8"], "a4", measure=measure)
+    assert imp_si(showcase, HBS, ["a8"], "a4", measure=full) == imp_si(
+        showcase, HBS, ["a8"], "a4"
+    )

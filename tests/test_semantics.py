@@ -194,15 +194,59 @@ def test_counting_solve_allocates_one_system_of_numpy_arrays():
     assert _traced_peak(af, SemanticsSpec("cs")) < 1.5 * n * n * 8
 
 
-@pytest.mark.parametrize("kind", ["hbs", "car", "max"])
+def _assert_linear_solve(af, kind, expected):
+    # n + m arguments and attacks, where any n x in-degree table or n x n
+    # system would hold n^2 cells.
+    size = len(af.arguments) + len(af.attacks)
+    assert _traced_peak(af, SemanticsSpec(kind)) < 100 * size * 8
+    scores = degrees(af, SemanticsSpec(kind)).as_dict()
+    if kind == "cs":
+        # Past the dense cutoff, so swept: within the tolerance of the exact
+        # degrees, whatever rounding the sweep took.
+        assert scores == pytest.approx(expected, abs=1e-12)
+    else:
+        assert scores == picard_scores(af.arguments, af.attacks, kind)[0]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_picard_solve_memory_is_linear_in_a_star(kind):
-    # One argument attacked by all the others: n + m arguments and attacks,
-    # where any n x in-degree table would hold n^2 cells.
+    # One argument attacked by all the others.
     names = [f"a{i:04d}" for i in range(3000)]
     af = ArgumentationFramework.of(names, [(b, names[0]) for b in names[1:]])
-    assert _traced_peak(af, SemanticsSpec(kind)) < 100 * (2 * len(names)) * 8
-    scores, _, _ = picard_scores(af.arguments, af.attacks, kind)
-    assert degrees(af, SemanticsSpec(kind)).as_dict() == scores
+    centre = 1.0 - CountingConfig().damping
+    expected = {a: centre if a == names[0] else 1.0 for a in names}
+    _assert_linear_solve(af, kind, expected)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_picard_solve_memory_is_linear_in_a_hub_over_a_ring(kind):
+    # The ring's arguments, each attacked by the one before, all attack the
+    # hub, so cs normalises by the hub's in-degree of n - 1.
+    names = [f"a{i:04d}" for i in range(3000)]
+    ring = names[1:]
+    attacks = [(b, names[0]) for b in ring] + list(zip(ring, ring[1:] + ring[:1]))
+    af = ArgumentationFramework.of(names, attacks)
+    alpha = CountingConfig().damping
+    scale = alpha / len(ring)
+    expected = dict.fromkeys(ring, 1.0 / (1.0 + scale))
+    expected[names[0]] = 1.0 - alpha / (1.0 + scale)
+    _assert_linear_solve(af, kind, expected)
+
+
+def test_swept_counting_solve_stops_on_its_error_bound():
+    # Past the dense cutoff, so swept.  On a ring every step shrinks by
+    # exactly q = alpha: a step of at most the tolerance would come after
+    # 1,368 sweeps, but the stop rule tolerance * (1 - q) / q, which bounds
+    # the error whatever the sign of the remaining steps, takes 1,561.
+    names = [f"a{i:04d}" for i in range(1100)]
+    ring = ArgumentationFramework.of(names, list(zip(names, names[1:] + names[:1])))
+    alpha = CountingConfig().damping
+    with pytest.raises(NonConvergenceError) as err:
+        degrees(ring, SemanticsSpec("cs", max_iterations=1500))
+    assert err.value.residual == pytest.approx(alpha**1500, rel=1e-2)
+    exact = 1.0 / (1.0 + alpha)
+    scores = degrees(ring, SemanticsSpec("cs", max_iterations=1561))
+    assert all(abs(v - exact) <= 1e-12 for v in scores.values())
 
 
 def test_degrees_input_validation(showcase):
