@@ -28,6 +28,8 @@ from .verdicts import PrincipleVerdict, exceeds, falsify, trial
 
 EXACT_MODE = "exact"
 SAMPLED_MODE = "sampled"
+# Slack on the bounded-loss comparison, for the rounding of exact intensities.
+BOUND_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -128,13 +130,12 @@ def _intensities(
     spec: SemanticsSpec,
     config: ShapleyConfig,
     targets: tuple[str, ...],
-    only: Attack | None = None,
 ) -> dict[Attack, float]:
     """Intensities of the attacks on ``targets``, from one batched coalition solve.
 
-    Exact targets enumerate every mask; sampled ones draw ``only`` or every
-    incoming attack.  Rows appear in the order of first use, so a failing
-    solve reports the coalition that a one-by-one evaluation would reach first.
+    Exact targets enumerate every mask; sampled ones draw every incoming
+    attack.  Rows appear in the order of first use, so a failing solve
+    reports the coalition that a one-by-one evaluation would reach first.
     """
     index = {a: i for i, a in enumerate(af.arguments)}
     rows: dict[tuple[int, int], int] = {}
@@ -146,11 +147,7 @@ def _intensities(
             masks = range(1 << len(incoming))
             games.append((t, incoming, None))
         else:
-            draws = {
-                attack: _draws(incoming, attack, config)
-                for attack in incoming
-                if only is None or attack == only
-            }
+            draws = {attack: _draws(incoming, attack, config) for attack in incoming}
             masks = (mask for pairs in draws.values() for pair in pairs for mask in pair)
             games.append((t, incoming, draws))
         for mask in masks:
@@ -169,19 +166,6 @@ def _intensities(
                 total += sigma[rows[(t, with_)]] - sigma[rows[(t, without)]]
             values[attack] = total / config.sample_count
     return values
-
-
-def shapley_attack(
-    af: ArgumentationFramework,
-    spec: SemanticsSpec,
-    attack: Attack,
-    config: ShapleyConfig = ShapleyConfig(),
-) -> float:
-    """Intensity of a single attack, exact when the target's in-degree allows."""
-    source, target = attack
-    if not af.has_attack(source, target):
-        raise UnknownAttackError(source, target)
-    return _intensities(af, spec, config, (target,), only=attack)[attack]
 
 
 @lru_cache(maxsize=4096)
@@ -210,7 +194,6 @@ def check_bounded_loss(
     af: ArgumentationFramework,
     spec: SemanticsSpec,
     config: ShapleyConfig = ShapleyConfig(),
-    tolerance: float = 1e-9,
 ) -> PrincipleVerdict:
     """Search for an attack whose intensity magnitude exceeds its source's degree.
 
@@ -224,7 +207,7 @@ def check_bounded_loss(
     return falsify(
         "bounded-loss",
         spec.kind,
-        tolerance,
+        BOUND_TOLERANCE,
         _bound_trials(af, spec, config),
         relation=exceeds,
     )

@@ -23,9 +23,7 @@ from .errors import (
     DivergenceError,
     DivergentSeriesError,
     GradimpactError,
-    InconsistentAnnotationError,
     NonConvergenceError,
-    ParseError,
     UnknownArgumentError,
     UnknownAttackError,
 )
@@ -99,6 +97,19 @@ def _series_config(args: argparse.Namespace) -> SeriesConfig:
     )
 
 
+def _audit_config(args: argparse.Namespace) -> AuditConfig:
+    return AuditConfig(
+        graph_count=args.graphs,
+        size_range=(args.size_min, args.size_max),
+        probability_range=(args.probability, args.probability),
+        seed=args.seed,
+        tolerance=args.tolerance,
+        measures=tuple(args.measures.split(",")),
+        semantics=tuple(args.semantics.split(",")),
+        include_fixtures=not args.no_fixtures,
+    )
+
+
 def cmd_degrees(args: argparse.Namespace) -> int:
     af = _load_framework(args.input, args.input_format)
     spec = _semantics_spec(args)
@@ -138,17 +149,7 @@ def cmd_impact(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    config = AuditConfig(
-        graph_count=args.graphs,
-        size_range=(args.size_min, args.size_max),
-        probability_range=(args.probability, args.probability),
-        seed=args.seed,
-        tolerance=args.tolerance,
-        measures=tuple(args.measures.split(",")),
-        semantics=tuple(args.semantics.split(",")),
-        include_fixtures=not args.no_fixtures,
-    )
-    result = audit(config)
+    result = audit(_audit_config(args))
     payload = result.to_dict()
     payload["implication_issues"] = crosscheck_implications(result)
     parts = []
@@ -198,26 +199,34 @@ def _add_semantics_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--semantics", required=True, choices=KINDS, help="scoring rule"
     )
-    parser.add_argument("--tolerance", type=float, default=1e-12)
-    parser.add_argument("--max-iterations", type=int, default=10**6)
+    parser.add_argument("--tolerance", type=float, default=SemanticsSpec.tolerance)
     parser.add_argument(
-        "--alpha", type=float, default=0.98, help="damping factor for cs"
+        "--max-iterations", type=int, default=SemanticsSpec.max_iterations
     )
     parser.add_argument(
-        "--norm", type=float, default=None, help="normalisation override for cs"
+        "--alpha", type=float, default=CountingConfig.damping,
+        help="damping factor for cs",
+    )
+    parser.add_argument(
+        "--norm", type=float, default=CountingConfig.norm_override,
+        help="normalisation override for cs",
     )
 
 
 def _add_shapley_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--exact-cap", type=int, default=12)
-    parser.add_argument("--samples", type=int, default=2000)
-    parser.add_argument("--sample-seed", type=int, default=0)
+    parser.add_argument(
+        "--exact-cap", type=int, default=ShapleyConfig.exact_indegree_cap
+    )
+    parser.add_argument("--samples", type=int, default=ShapleyConfig.sample_count)
+    parser.add_argument("--sample-seed", type=int, default=ShapleyConfig.seed)
 
 
 def _add_series_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--series-tolerance", type=float, default=1e-12)
-    parser.add_argument("--max-walk", type=int, default=10**5)
-    parser.add_argument("--guard", type=float, default=10**3)
+    parser.add_argument(
+        "--series-tolerance", type=float, default=SeriesConfig.truncation_tolerance
+    )
+    parser.add_argument("--max-walk", type=int, default=SeriesConfig.max_walk_length)
+    parser.add_argument("--guard", type=float, default=SeriesConfig.divergence_guard)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,14 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_impact)
 
     p = commands.add_parser("audit", help="falsification-audit the principles")
-    p.add_argument("--graphs", type=int, default=500)
-    p.add_argument("--size-min", type=int, default=2)
-    p.add_argument("--size-max", type=int, default=7)
-    p.add_argument("--probability", type=float, default=0.3)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tolerance", type=float, default=1e-7)
-    p.add_argument("--measures", default="dv,si")
-    p.add_argument("--semantics", default=",".join(KINDS))
+    audit_defaults = AuditConfig()
+    p.add_argument("--graphs", type=int, default=audit_defaults.graph_count)
+    p.add_argument("--size-min", type=int, default=audit_defaults.size_range[0])
+    p.add_argument("--size-max", type=int, default=audit_defaults.size_range[1])
+    p.add_argument(
+        "--probability", type=float, default=audit_defaults.probability_range[0]
+    )
+    p.add_argument("--seed", type=int, default=audit_defaults.seed)
+    p.add_argument("--tolerance", type=float, default=audit_defaults.tolerance)
+    p.add_argument("--measures", default=",".join(audit_defaults.measures))
+    p.add_argument("--semantics", default=",".join(audit_defaults.semantics))
     p.add_argument("--no-fixtures", action="store_true")
     p.add_argument(
         "--report", choices=("both", "json", "text"), default="both",
@@ -300,9 +312,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DivergenceError, DivergentSeriesError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 5
-    except (ParseError, InconsistentAnnotationError, GradimpactError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as error:
+    except (GradimpactError, OSError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

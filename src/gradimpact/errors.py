@@ -115,7 +115,11 @@ class DivergenceError(GradimpactError):
 
 
 class InconsistentAnnotationError(GradimpactError):
-    """Serialization annotations do not cover the framework exactly."""
+    """Annotations or an intensity measure do not cover the framework exactly.
+
+    Raised by ``serialize`` for degree or intensity annotations, and by
+    ``imp_si`` for an intensity measure that misses or repeats an attack.
+    """
 
 
 class UnsupportedInstanceError(GradimpactError):

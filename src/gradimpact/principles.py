@@ -30,19 +30,19 @@ the statements would otherwise contradict the expected satisfaction pattern.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .attribution import ShapleyConfig
-from .automorphisms import find_automorphisms
+from .automorphisms import DEFAULT_CAP, find_automorphisms
 from .errors import IncompleteMatrixError, UnsupportedInstanceError
 from .fixtures import chain_pair, disjoint_pair, fixture_frameworks, showcase_af
 from .framework import ArgumentationFramework, Attack
 from .generate import GeneratorConfig, random_af
-from .impact import SeriesConfig, evaluate_impact
-from .semantics import KINDS, SemanticsSpec, degrees
+from .impact import MEASURES, evaluate_impact
+from .semantics import CHECK_TOLERANCE, KINDS, SemanticsSpec, degrees
 from .verdicts import (
     COUNTEREXAMPLE,
     NO_COUNTEREXAMPLE,
@@ -66,8 +66,11 @@ PRINCIPLES = (
     "existence",
 )
 
-AUDIT_MEASURES = ("dv", "dv-original", "si")
 RESTRICTED_SCOPE = "max-indegree>=2"
+# Search budgets: the targets, draws or argument pairs a check tries per
+# framework, and the framework size up to which every subject is enumerated.
+QUERIES = 3
+SUBSET_CAP = 3
 
 @dataclass(frozen=True)
 class AuditConfig:
@@ -77,15 +80,10 @@ class AuditConfig:
     size_range: tuple[int, int] = (2, 7)
     probability_range: tuple[float, float] = (0.3, 0.3)
     seed: int = 42
-    tolerance: float = 1e-7
+    tolerance: float = CHECK_TOLERANCE
     measures: tuple[str, ...] = ("dv", "si")
     semantics: tuple[str, ...] = KINDS
     include_fixtures: bool = True
-    query_budget: int = 3
-    subset_cap: int = 3
-    automorphism_cap: int = 9
-    shapley: ShapleyConfig = field(default_factory=ShapleyConfig)
-    series: SeriesConfig = field(default_factory=SeriesConfig)
 
     def __post_init__(self) -> None:
         if self.graph_count < 0:
@@ -96,14 +94,19 @@ class AuditConfig:
         plo, phi = self.probability_range
         if not 0.0 <= plo <= phi <= 1.0:
             raise ValueError("probability_range must satisfy 0 <= low <= high <= 1")
+        _check_tolerance(self.tolerance)
         for m in self.measures:
-            if m not in AUDIT_MEASURES:
+            if m not in MEASURES:
                 raise ValueError(f"unknown measure {m!r}")
         for s in self.semantics:
             if s not in KINDS:
                 raise ValueError(f"unknown semantics {s!r}")
-        if self.query_budget < 1:
-            raise ValueError("query_budget must be at least 1")
+
+
+def _check_tolerance(tolerance: float) -> None:
+    # A NaN gap compares false against any bound, so every cell would pass.
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError("tolerance must be finite and non-negative")
 
 
 def corpus_frameworks(config: AuditConfig) -> tuple[ArgumentationFramework, ...]:
@@ -149,19 +152,11 @@ class _Context:
     spec: SemanticsSpec
     tolerance: float
     seed: int
-    queries: int
-    subset_cap: int
-    automorphism_cap: int
-    shapley: ShapleyConfig
-    series: SeriesConfig
 
     def value(
         self, af: ArgumentationFramework, subject: Iterable[str], target: str
     ) -> float:
-        return evaluate_impact(
-            self.measure, af, self.spec, subject, target,
-            shapley_config=self.shapley, series=self.series,
-        ).value
+        return evaluate_impact(self.measure, af, self.spec, subject, target).value
 
     def rng(self, label: str, index: int) -> random.Random:
         return random.Random(f"{self.seed}:{label}:{index}")
@@ -219,7 +214,7 @@ def _anonymity(ctx, plain, shaped):
         rng.shuffle(order)
         mapping = {original: f"m{j}" for j, original in enumerate(order)}
         renamed = af.rename(mapping)
-        for _ in range(ctx.queries):
+        for _ in range(QUERIES):
             target = rng.choice(af.arguments)
             subject = _random_subset(rng, af.arguments)
             image = tuple(sorted(mapping[x] for x in subject))
@@ -252,8 +247,8 @@ def _independence(ctx, plain, shaped):
             )
         combined = left.union(right)
         rng = ctx.rng("independence", i)
-        for target in _attacked_first(left)[: ctx.queries]:
-            for subject in _subject_candidates(left, target, rng, ctx.subset_cap):
+        for target in _attacked_first(left)[:QUERIES]:
+            for subject in _subject_candidates(left, target, rng, SUBSET_CAP):
                 yield trial(
                     ctx.value(left, subject, target),
                     ctx.value(combined, subject, target),
@@ -297,7 +292,7 @@ def _balanced(ctx, plain, shaped):
             )
             if extra is not None:
                 instances.append((af, subject, extra, anchor))
-        for _ in range(ctx.queries):
+        for _ in range(QUERIES):
             target = rng.choice(af.arguments)
             subject = _random_subset(rng, af.arguments)
             pool = [c for c in af.arguments if c not in subject]
@@ -360,8 +355,8 @@ def _directionality(ctx, plain, shaped):
             for y in base.arguments
             if y != entry and not augmented.has_path(entry, y)
         ]
-        for y in eligible[: ctx.queries]:
-            for subject in _subject_candidates(augmented, y, rng, ctx.subset_cap):
+        for y in eligible[:QUERIES]:
+            for subject in _subject_candidates(augmented, y, rng, SUBSET_CAP):
                 yield trial(
                     ctx.value(base, subject, y),
                     ctx.value(augmented, subject, y),
@@ -382,7 +377,7 @@ def _minimisation(ctx, plain, shaped):
             for x in af.arguments
             if x != a and not af.has_path(x, a)
         ]
-        for a, x in eligible[: ctx.queries]:
+        for a, x in eligible[:QUERIES]:
             padding = _random_subset(
                 rng, [c for c in af.arguments if c != x], probability=0.3
             )
@@ -407,7 +402,7 @@ def _zero(ctx, plain, shaped):
             for a in af.arguments
             if not af.has_path(x, a)
         ]
-        for x, a in eligible[: 2 * ctx.queries + 2]:
+        for x, a in eligible[: 2 * QUERIES + 2]:
             yield trial(
                 ctx.value(af, (x,), a),
                 0.0,
@@ -428,12 +423,10 @@ def _symmetry(ctx, plain, shaped):
             shared = sorted(
                 set(af.attack_structure(a)) | set(af.attack_structure(b))
             )
-            if len(shared) > ctx.automorphism_cap:
+            if len(shared) > DEFAULT_CAP:
                 skipped += 1
                 continue
-            autos = find_automorphisms(
-                af, shared, fixing=((a, b), (b, a)), cap=ctx.automorphism_cap
-            )
+            autos = find_automorphisms(af, shared, fixing=((a, b), (b, a)))
             if not autos:
                 continue
             f = autos[0]
@@ -570,32 +563,18 @@ def check_principle(
     spec: SemanticsSpec,
     corpus: Iterable[ArgumentationFramework | tuple],
     *,
-    tolerance: float = 1e-7,
+    tolerance: float = CHECK_TOLERANCE,
     seed: int = 0,
-    query_budget: int = 3,
-    subset_cap: int = 3,
-    automorphism_cap: int = 9,
-    shapley_config: ShapleyConfig | None = None,
-    series: SeriesConfig | None = None,
 ) -> PrincipleVerdict:
     """Search a corpus for counterexamples to one principle."""
     if principle not in PRINCIPLES:
         raise ValueError(f"unknown principle {principle!r}")
-    if measure not in AUDIT_MEASURES:
+    if measure not in MEASURES:
         raise ValueError(f"unknown measure {measure!r}")
+    _check_tolerance(tolerance)
     check = _CHECKS[principle]
     plain, shaped = _split_corpus(principle, check.fits, corpus)
-    ctx = _Context(
-        measure=measure,
-        spec=spec,
-        tolerance=tolerance,
-        seed=seed,
-        queries=query_budget,
-        subset_cap=subset_cap,
-        automorphism_cap=automorphism_cap,
-        shapley=shapley_config or ShapleyConfig(),
-        series=series or SeriesConfig(),
-    )
+    ctx = _Context(measure, spec, tolerance, seed)
     return falsify(
         principle,
         spec.kind,
@@ -629,16 +608,7 @@ class AuditResult:
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "graph_count": self.config.graph_count,
-                "size_range": list(self.config.size_range),
-                "probability_range": list(self.config.probability_range),
-                "seed": self.config.seed,
-                "tolerance": self.config.tolerance,
-                "measures": list(self.config.measures),
-                "semantics": list(self.config.semantics),
-                "include_fixtures": self.config.include_fixtures,
-            },
+            "config": asdict(self.config),
             "matrix": [v.to_dict() for v in self.verdicts],
         }
 
@@ -693,11 +663,6 @@ def audit(config: AuditConfig = AuditConfig()) -> AuditResult:
                         entries,
                         tolerance=config.tolerance,
                         seed=config.seed,
-                        query_budget=config.query_budget,
-                        subset_cap=config.subset_cap,
-                        automorphism_cap=config.automorphism_cap,
-                        shapley_config=config.shapley,
-                        series=config.series,
                     )
                 )
     return AuditResult(config=config, verdicts=tuple(verdicts))

@@ -50,6 +50,8 @@ DEFAULT_DAMPING = 0.98
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_MAX_ITERATIONS = 10**6
 CHECK_TOLERANCE = 1e-7
+# Attacks on one argument that the monotonicity check removes at most at once.
+REMOVAL_CAP = 3
 # Float cells one chunk of coalition rows may keep in its working arrays
 # (about 8 MB); larger frameworks get fewer rows per chunk.
 COALITION_CELLS = 1 << 20
@@ -484,10 +486,11 @@ def weighting_payload(
 def check_independence(
     spec: SemanticsSpec,
     pairs: Iterable[tuple[ArgumentationFramework, ArgumentationFramework]],
-    tolerance: float = CHECK_TOLERANCE,
 ) -> PrincipleVerdict:
     """Search disjoint pairs for a degree changed by joining the frameworks."""
-    return falsify("independence", spec.kind, tolerance, _union_trials(spec, pairs))
+    return falsify(
+        "independence", spec.kind, CHECK_TOLERANCE, _union_trials(spec, pairs)
+    )
 
 
 def _union_trials(spec, pairs):
@@ -515,11 +518,10 @@ def _union_probes(spec, left, right):
 def check_directionality(
     spec: SemanticsSpec,
     instances: Iterable[tuple[ArgumentationFramework, Attack]],
-    tolerance: float = CHECK_TOLERANCE,
 ) -> PrincipleVerdict:
     """Search attack additions for a degree change outside the target's reach."""
     return falsify(
-        "directionality", spec.kind, tolerance, _addition_trials(spec, instances)
+        "directionality", spec.kind, CHECK_TOLERANCE, _addition_trials(spec, instances)
     )
 
 
@@ -557,25 +559,23 @@ def _addition_probes(spec, af, attack):
 def check_attack_removal_monotonicity(
     spec: SemanticsSpec,
     corpus: Iterable[ArgumentationFramework],
-    removal_cap: int = 3,
-    tolerance: float = CHECK_TOLERANCE,
 ) -> PrincipleVerdict:
     """Search for an argument whose degree drops when attacks on it are removed."""
     return falsify(
         "attack-removal-monotonicity",
         spec.kind,
-        tolerance,
-        _removal_trials(spec, corpus, removal_cap),
+        CHECK_TOLERANCE,
+        _removal_trials(spec, corpus),
         relation=exceeds,
     )
 
 
-def _removal_trials(spec, corpus, removal_cap):
+def _removal_trials(spec, corpus):
     for af in corpus:
         base = degrees(af, spec)
         for a in af.arguments:
             incoming = af.attacks_on(a)
-            for size in range(1, min(removal_cap, len(incoming)) + 1):
+            for size in range(1, min(REMOVAL_CAP, len(incoming)) + 1):
                 for removed in combinations(incoming, size):
                     after = degrees(af.delete_attacks(removed), spec)
                     yield trial(

@@ -11,7 +11,6 @@ from gradimpact import (
     check_bounded_loss,
     degrees,
     shapley_all,
-    shapley_attack,
 )
 from gradimpact import attribution, semantics
 from gradimpact.attribution import EXACT_MODE, SAMPLED_MODE
@@ -50,7 +49,7 @@ def _worth(af, spec, target):
 def test_single_attack_intensity_is_the_degree_gap():
     af = ArgumentationFramework.of(["a", "b"], [("a", "b")])
     spec = SemanticsSpec("hbs")
-    assert shapley_attack(af, spec, ("a", "b")) == pytest.approx(0.5, abs=1e-9)
+    assert shapley_all(af, spec)[("a", "b")] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_symmetric_attackers_split_the_loss_evenly():
@@ -116,8 +115,6 @@ def test_batched_solve_equals_the_one_by_one_reference(af, kind, config):
     )
     measure = shapley_all(af, spec, config)
     assert (measure.entries, measure.mode) == expected
-    for attack in af.attacks:
-        assert shapley_attack(af, spec, attack, config) == measure[attack]
 
 
 @pytest.mark.parametrize("cells", [1, 200])
@@ -239,8 +236,6 @@ def test_sampling_approximates_the_exact_value():
 
 
 def test_unknown_attack_is_rejected(showcase):
-    with pytest.raises(UnknownAttackError):
-        shapley_attack(showcase, SemanticsSpec("hbs"), ("a4", "a3"))
     measure = shapley_all(showcase, SemanticsSpec("hbs"))
     with pytest.raises(UnknownAttackError):
         measure[("a4", "a3")]
@@ -277,7 +272,7 @@ def test_weakened_source_can_exceed_the_bound_under_car():
     assert w.attack == ("b", "a")
     assert w.lhs == pytest.approx(4.0 / 7.0, abs=1e-9)
     assert w.rhs == pytest.approx(1.0 / 3.0, abs=1e-9)
-    assert shapley_attack(chain, SemanticsSpec("car"), ("b", "a")) == pytest.approx(
+    assert shapley_all(chain, SemanticsSpec("car"))[("b", "a")] == pytest.approx(
         w.lhs, abs=1e-12
     )
 

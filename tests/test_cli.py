@@ -9,7 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from gradimpact.cli import main
+from gradimpact import (
+    AuditConfig,
+    SemanticsSpec,
+    SeriesConfig,
+    ShapleyConfig,
+)
+from gradimpact.cli import (
+    _audit_config,
+    _semantics_spec,
+    _series_config,
+    _shapley_config,
+    build_parser,
+    main,
+)
 from gradimpact.formats import serialize
 from gradimpact.fixtures import selfloop_af, showcase_af
 
@@ -170,13 +183,35 @@ def test_unsafe_norm_override_exits_5(tmp_path, capsys):
          "--target", "a4", "--guard", "inf"],
         ["degrees", "--semantics", "cs", "--norm", "nan"],
         ["degrees", "--semantics", "cs", "--norm", "inf"],
+        # A NaN tolerance would pass every cell and print invalid JSON.
+        ["audit", "--graphs", "1", "--tolerance", "nan"],
+        ["audit", "--graphs", "1", "--tolerance", "inf"],
+        ["audit", "--graphs", "1", "--tolerance", "-1"],
     ],
 )
 def test_non_finite_config_values_exit_2(showcase_tgf, flags, capsys):
-    assert main([flags[0], showcase_tgf, *flags[1:]]) == 2
+    argv = flags if flags[0] == "audit" else [flags[0], showcase_tgf, *flags[1:]]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["degrees", "shapley", "impact", "annotate"])
+def test_cli_defaults_are_the_library_defaults(command):
+    argv = [command, "graph.tgf", "--semantics", "cs"]
+    if command == "impact":
+        argv += ["--measure", "si", "--target", "a"]
+    args = build_parser().parse_args(argv)
+    assert _semantics_spec(args) == SemanticsSpec("cs")
+    if command != "degrees":
+        assert _shapley_config(args) == ShapleyConfig()
+    if command == "impact":
+        assert _series_config(args) == SeriesConfig()
+
+
+def test_cli_audit_defaults_are_the_library_defaults():
+    assert _audit_config(build_parser().parse_args(["audit"])) == AuditConfig()
 
 
 def test_exhausted_iteration_budget_exits_3(tmp_path, capsys):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,8 @@ from gradimpact import (
     imp_dv,
 )
 from gradimpact.fixtures import chain_pair, disjoint_pair, showcase_af
-from gradimpact.principles import AUDIT_MEASURES, PRINCIPLES, RESTRICTED_SCOPE
+from gradimpact.impact import MEASURES
+from gradimpact.principles import PRINCIPLES, RESTRICTED_SCOPE
 from gradimpact.verdicts import COUNTEREXAMPLE, NO_COUNTEREXAMPLE
 
 HBS = SemanticsSpec("hbs")
@@ -73,6 +75,14 @@ def test_unknown_names_are_rejected():
         check_principle("fairness", "dv", HBS, [])
     with pytest.raises(ValueError):
         check_principle("void", "median", HBS, [])
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+def test_tolerance_must_be_finite_and_non_negative(tolerance):
+    with pytest.raises(ValueError):
+        AuditConfig(tolerance=tolerance)
+    with pytest.raises(ValueError):
+        check_principle("void", "dv", HBS, [], tolerance=tolerance)
 
 
 def test_deletion_impact_is_not_balanced():
@@ -178,6 +188,15 @@ def test_audit_runs_every_configured_cell():
         result.cell("void", "dv", "hbs")
 
 
+def test_audit_report_names_every_setting():
+    config = AuditConfig(
+        graph_count=0, measures=("dv",), semantics=("hbs",), include_fixtures=False
+    )
+    reported = audit(config).to_dict()["config"]
+    assert set(reported) == {f.name for f in fields(AuditConfig)}
+    assert AuditConfig(**reported) == config
+
+
 def test_expected_pattern():
     assert expected_status("independence", "dv", "cs") == COUNTEREXAMPLE
     assert expected_status("independence", "dv", "hbs") == NO_COUNTEREXAMPLE
@@ -243,7 +262,7 @@ def test_implication_crosscheck_needs_a_complete_matrix():
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("audit_golden.json")
-GOLDEN_CONFIG = AuditConfig(graph_count=24, measures=AUDIT_MEASURES)
+GOLDEN_CONFIG = AuditConfig(graph_count=24, measures=MEASURES)
 
 MINIMISATION_CELL = """
 import json
