@@ -95,12 +95,16 @@ class AuditConfig:
         if not 0.0 <= plo <= phi <= 1.0:
             raise ValueError("probability_range must satisfy 0 <= low <= high <= 1")
         _check_tolerance(self.tolerance)
-        for m in self.measures:
-            if m not in MEASURES:
-                raise ValueError(f"unknown measure {m!r}")
-        for s in self.semantics:
-            if s not in KINDS:
-                raise ValueError(f"unknown semantics {s!r}")
+        for label, names, known in (
+            ("measure", self.measures, MEASURES),
+            ("semantics", self.semantics, KINDS),
+        ):
+            for i, name in enumerate(names):
+                if name not in known:
+                    raise ValueError(f"unknown {label} {name!r}")
+                # A repeated name would run and report its cells twice.
+                if name in names[:i]:
+                    raise ValueError(f"{label} {name!r} is listed twice")
 
 
 def _check_tolerance(tolerance: float) -> None:

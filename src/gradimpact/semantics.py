@@ -1,7 +1,7 @@
 """Gradual acceptability semantics and their structural property checks.
 
 Four scoring rules are supported.  Three are fixed points computed by Picard
-iteration, from the all-ones vector unless another start is given:
+iteration from the all-ones vector:
 
 * ``hbs``: sigma(a) = 1 / (1 + sum of attacker degrees)
 * ``car``: sigma(a) = 1 / (1 + k + (sum of attacker degrees) / k) with k
@@ -24,10 +24,13 @@ steps when alpha * M / N contracts slowly.  Larger frameworks sweep
 attacker degrees) from the all-ones vector, in O(n + m) memory.  With
 q = alpha * (largest in-degree) / N, a sweep contracts the error by q in
 the max norm, so it stops once a step is at most tolerance * (1 - q) / q,
-which bounds the error of every degree by the tolerance.  ``degrees`` solves
-one framework; ``coalition_degrees`` solves many copies of it at once, each
-with some of one target's incoming attacks removed, for the Shapley
-intensities.
+which bounds the error of every degree by the tolerance.  A sweep gathers
+every attacker's degree edge by edge and folds them into their targets with
+one ``ufunc.at`` scatter, which applies its indices in order, so each sum
+(or max) runs over the sorted attackers left to right, and every semantics
+has exactly one floating-point result.  ``degrees`` solves one framework;
+``coalition_degrees`` solves many copies of it at once, each with some of
+one target's incoming attacks removed, for the Shapley intensities.
 """
 
 from __future__ import annotations
@@ -143,37 +146,23 @@ def _norm_for(top: int, config: CountingConfig) -> float | None:
 
 @lru_cache(maxsize=32768)
 def _cached_degrees(af: ArgumentationFramework, spec: SemanticsSpec) -> Weighting:
-    return _solve(af, spec, 1.0)
-
-
-def _solve(af: ArgumentationFramework, spec: SemanticsSpec, start: float) -> Weighting:
     # The unreduced framework is a single row that removes no attack.
     nothing = np.zeros((1, 1), dtype=bool)
-    solved = _solve_rows(spec, _attackers(af), np.zeros(1, dtype=np.intp), nothing, start)
+    solved = _solve_rows(spec, _attackers(af), np.zeros(1, dtype=np.intp), nothing)
     return Weighting(dict(zip(af.arguments, solved[:, 0].tolist())))
 
 
-def degrees(
-    af: ArgumentationFramework,
-    spec: SemanticsSpec,
-    initial_value: float = 1.0,
-) -> Weighting:
+def degrees(af: ArgumentationFramework, spec: SemanticsSpec) -> Weighting:
     """Acceptability degree of every argument under the chosen semantics.
 
-    ``initial_value`` seeds the Picard iteration; any start in [0, 1] reaches
-    the same fixed point, which the uniqueness tests exploit.  ``cs`` ignores
-    it and always starts from 1.  On frameworks of up to 1,023 arguments
-    ``cs`` solves a linear system, and ``tolerance`` and ``max_iterations``
-    play no part; larger ones are swept, within ``tolerance`` of the exact
-    degrees, and can raise ``NonConvergenceError``.
+    On frameworks of up to 1,023 arguments ``cs`` solves a linear system, and
+    ``tolerance`` and ``max_iterations`` play no part; larger ones are swept,
+    within ``tolerance`` of the exact degrees, and can raise
+    ``NonConvergenceError``.
     """
     if not af.arguments:
         raise ValueError("degrees need at least one argument")
-    if not 0.0 <= initial_value <= 1.0:
-        raise ValueError("initial_value must lie in [0, 1]")
-    if initial_value == 1.0 or spec.kind == "cs":
-        return _cached_degrees(af, spec)
-    return _solve(af, spec, initial_value)
+    return _cached_degrees(af, spec)
 
 
 def coalition_degrees(
@@ -210,11 +199,11 @@ def coalition_degrees(
     ).reshape(len(systems), nbytes)
     removed = np.unpackbits(packed, axis=1, count=width, bitorder="little") == 1
     # Per system, a dense cs solve keeps its matrix and right-hand side; a
-    # sweep (cs on larger frameworks too) its state, the gathered attacker
-    # degrees (the sums among them), the sweep, its change, the attacker
-    # counts and the solution.
+    # sweep (cs on larger frameworks too) keeps n cells each of state, totals,
+    # sweep, change, attacker counts and solution, and m each of gathered
+    # attacker degrees and their ``bins`` index (8 bytes, as a float).
     m = len(graph.sources)
-    cells = n * (n + 1) if _dense(spec, n) else 5 * (n + 1) + m
+    cells = n * (n + 1) if _dense(spec, n) else 6 * n + 2 * m
     chunk = max(1, COALITION_CELLS // cells)
     values = np.empty(len(rows))
     for start in range(0, len(systems), chunk):
@@ -231,6 +220,9 @@ class _Attackers(NamedTuple):
 
     The attackers of argument ``i`` are ``sources[first[i]:][:count[i]]``, so
     the whole framework takes O(n + m) memory, however high an in-degree.
+    A sweep gathers ``state[sources]`` and scatters each edge's degree into
+    the total of the argument it attacks, in edge order, so every total runs
+    over that argument's sorted attackers left to right.
     """
 
     count: np.ndarray
@@ -251,21 +243,16 @@ def _attackers(af: ArgumentationFramework) -> _Attackers:
 
 
 def _solve_rows(
-    spec: SemanticsSpec,
-    graph: _Attackers,
-    targets: np.ndarray,
-    removed: np.ndarray,
-    start: float = 1.0,
+    spec: SemanticsSpec, graph: _Attackers, targets: np.ndarray, removed: np.ndarray
 ) -> np.ndarray:
     """Degree vectors, a column per row, each with its removed attacks gone.
 
     Row ``r`` drops the attack from the ``j``-th attacker of ``targets[r]``
-    wherever ``removed[r, j]`` is set; ``start`` seeds the Picard iteration
-    and the dense ``cs`` solve ignores it.
+    wherever ``removed[r, j]`` is set.
     """
     if _dense(spec, len(graph.count)):
         return _counting_rows(spec, graph, targets, removed)
-    return _picard_rows(spec, graph, targets, removed, start)
+    return _picard_rows(spec, graph, targets, removed)
 
 
 def _dense(spec: SemanticsSpec, n: int) -> bool:
@@ -306,105 +293,25 @@ def _update(
     return 1.0 / (1.0 + total)
 
 
-class _SweepPlan(NamedTuple):
-    """How one Picard sweep gathers and folds every attacker degree.
-
-    Arguments are held in order of falling in-degree, ``rank`` mapping an
-    index (and the sentinel ``n``, whose degree is always 0.0) to its place,
-    and ``count`` is their attacker count in that order.  Those with more
-    than ``j`` attackers are then a prefix, so attacker slot ``j`` folds into
-    one slice.  A sweep gathers ``state[index]`` in one go; the attack at
-    edge ``e`` of ``_Attackers.sources`` lands at ``where[e]``.  The first
-    ``n`` entries are every argument's slot 0 (the sentinel for the
-    unattacked) and become the running totals; each ``(c, lo)`` of ``folds``
-    then folds entries ``lo:lo + c`` into the first ``c`` totals.  Past a
-    cut, the few arguments still attacked (hubs) fold the run of their
-    remaining attackers at once, hub ``h`` the run ``runs[h]``; a run costs
-    about three slot folds, and the cut minimises that cost per sweep.  A
-    sweep thus costs O(n + m) per row, and every sum keeps the left-to-right
-    order of the sorted attackers, so each semantics has exactly one
-    floating-point result.
-    """
-
-    rank: np.ndarray
-    count: np.ndarray
-    index: np.ndarray
-    where: np.ndarray
-    folds: list[tuple[int, int]]
-    runs: list[slice]
-
-
-def _sweep_plan(graph: _Attackers) -> _SweepPlan:
-    # Built in plain Python: a handful of list passes is cheaper than the
-    # numpy calls it would take on the small frameworks solved most often.
-    count, first = graph.count.tolist(), graph.first.tolist()
-    sources = graph.sources.tolist()
-    n = len(count)
-    order = sorted(range(n), key=count.__getitem__, reverse=True)
-    rank = [0] * (n + 1)
-    for r, i in enumerate(order):
-        rank[i] = r
-    rank[n] = n
-    # depth[j] is the number of arguments with more than j attackers.
-    top = count[order[0]]
-    depth = [0] * (top + 1)
-    for k in count:
-        if k:
-            depth[k - 1] += 1
-    for j in reversed(range(top)):
-        depth[j] += depth[j + 1]
-    cut = min(range(top + 1), key=lambda j: j + 3 * depth[j])
-    index, where = [n] * n, [0] * len(sources)
-
-    def place(e: int) -> None:
-        where[e] = len(index)
-        index.append(rank[sources[e]])
-
-    for r in range(depth[0] if cut else 0):
-        e = first[order[r]]
-        where[e], index[r] = r, rank[sources[e]]
-    folds, runs = [], []
-    for j in range(1, cut):
-        folds.append((depth[j], len(index)))
-        for i in order[: depth[j]]:
-            place(first[i] + j)
-    for i in order[: depth[cut]]:
-        lo = len(index)
-        for e in range(first[i] + cut, first[i] + count[i]):
-            place(e)
-        runs.append(slice(lo, len(index)))
-    return _SweepPlan(
-        np.array(rank),
-        np.array([count[i] for i in order]),
-        np.array(index, dtype=np.intp),
-        np.array(where, dtype=np.intp),
-        folds,
-        runs,
-    )
-
-
 def _picard_rows(
-    spec: SemanticsSpec,
-    graph: _Attackers,
-    targets: np.ndarray,
-    removed: np.ndarray,
-    start: float,
+    spec: SemanticsSpec, graph: _Attackers, targets: np.ndarray, removed: np.ndarray
 ) -> np.ndarray:
-    # state[:, r] is row r's degree vector, in the plan's order, plus the
-    # sentinel: a column per row, so each gather copies contiguous runs.
-    plan = _sweep_plan(graph)
-    n, rows = len(plan.count), len(targets)
+    # state[:, r] is row r's degree vector: a column per row, so each gather
+    # copies contiguous runs.  Edge e's degree lands in bin
+    # heads[e] * rows + r of the flattened totals.
+    n, rows = len(graph.count), len(targets)
+    heads = np.repeat(np.arange(n), graph.count)
+    bins = (heads[:, None] * rows + np.arange(rows)).ravel()
     # A removed attack stays in the gather with degree 0.0, which leaves a
     # sum or a max over degrees as it is; only car's count drops it.
-    count = plan.count[:, None]
+    count = graph.count[:, None]
     r, j = np.nonzero(removed)
     if r.size:
-        dropped = plan.where[graph.first[targets[r]] + j], r
+        dropped = graph.first[targets[r]] + j, r
         count = count.repeat(rows, axis=1)
-        count[plan.rank[targets], np.arange(rows)] -= removed.sum(axis=1)
+        count[targets, np.arange(rows)] -= removed.sum(axis=1)
     fold = np.maximum if spec.kind == "max" else np.add
-    state = np.full((n + 1, rows), float(start))
-    state[n] = 0.0
+    state = np.ones((n, rows))
     scale, bar = None, np.full(rows, spec.tolerance)
     if spec.kind == "cs":
         # A cs row contracts by q = scale * top in the max norm, so a step of
@@ -418,28 +325,22 @@ def _picard_rows(
     # only its first solution counts.
     values = np.empty((n, rows))
     for _ in range(spec.max_iterations):
-        gathered = state[plan.index]
+        gathered = state[graph.sources]
         if r.size:
             gathered[dropped] = 0.0
-        total = gathered[:n]
-        for c, lo in plan.folds:
-            head = total[:c]
-            fold(head, gathered[lo : lo + c], out=head)
-        for h, run in enumerate(plan.runs):
-            # Folding the total into the run's first degree, then
-            # accumulating, keeps the left-to-right order of a slot fold.
-            tail = gathered[run]
-            fold(tail[0], total[h], out=tail[0])
-            total[h] = fold.accumulate(tail)[-1]
+        # ``ufunc.at`` applies its indices in order, so every total is the
+        # left-to-right sum (or max) of the sorted attackers, from 0.0.
+        total = np.zeros((n, rows))
+        fold.at(total.reshape(-1), bins, gathered.reshape(-1))
         swept = _update(spec.kind, total, count, scale)
-        residual = np.abs(swept - state[:n]).max(axis=0)
+        residual = np.abs(swept - state).max(axis=0)
         solved = residual <= bar
         if solved.any():
             values[:, solved] = swept[:, solved]
             bar[solved] = -1.0
             if bar.max() < 0.0:
-                return values[plan.rank[:n]]
-        state[:n] = swept
+                return values
+        state = swept
     raise NonConvergenceError(spec.max_iterations, float(residual[bar >= 0.0][0]))
 
 

@@ -197,6 +197,20 @@ def test_non_finite_config_values_exit_2(showcase_tgf, flags, capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--measures", "dv,dv", "--semantics", "hbs"],
+        ["--measures", "si", "--semantics", "hbs,max,hbs"],
+    ],
+)
+def test_repeated_audit_names_exit_2(flags, capsys):
+    assert main(["audit", "--graphs", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "listed twice" in captured.err
+
+
 @pytest.mark.parametrize("command", ["degrees", "shapley", "impact", "annotate"])
 def test_cli_defaults_are_the_library_defaults(command):
     argv = [command, "graph.tgf", "--semantics", "cs"]

@@ -85,6 +85,14 @@ def test_tolerance_must_be_finite_and_non_negative(tolerance):
         check_principle("void", "dv", HBS, [], tolerance=tolerance)
 
 
+@pytest.mark.parametrize(
+    "names", [{"measures": ("dv", "dv")}, {"semantics": ("hbs", "cs", "hbs")}]
+)
+def test_repeated_measures_or_semantics_are_rejected(names):
+    with pytest.raises(ValueError, match="listed twice"):
+        AuditConfig(**names)
+
+
 def test_deletion_impact_is_not_balanced():
     verdict = check_principle(
         "balanced", "dv", HBS, fixture_entries("balanced")

@@ -2,8 +2,8 @@
 
 The fixed-point rules are verified against their defining equations rather
 than a second solver: a degree vector that satisfies the equations to
-within tolerance and is reached from several different starting vectors is
-the semantics, whatever route computed it.
+within tolerance and that the reference loop also reaches from other
+starting vectors is the semantics, whatever route computed it.
 """
 
 import math
@@ -125,10 +125,9 @@ def test_scores_satisfy_their_defining_equations(af, kind):
 @settings(max_examples=40, deadline=None)
 @given(solver_frameworks(), st.sampled_from(("hbs", "car", "max")))
 def test_fixed_point_is_reached_from_any_start(af, kind):
-    spec = SemanticsSpec(kind)
-    from_ones = degrees(af, spec)
+    from_ones = degrees(af, SemanticsSpec(kind))
     for start in (0.0, 0.37):
-        other = degrees(af, spec, initial_value=start)
+        other, _, _ = picard_scores(af.arguments, af.attacks, kind, start)
         assert all(
             abs(from_ones[a] - other[a]) < 1e-9 for a in af.arguments
         )
@@ -142,37 +141,57 @@ def test_fixed_point_is_reached_from_any_start(af, kind):
 )
 def test_picard_solve_equals_the_reference_loop(af, kind, budget):
     for spec in (SemanticsSpec(kind), SemanticsSpec(kind, max_iterations=budget)):
-        for start in (1.0, 0.0, 0.37):
-            scores, sweeps, residual = picard_scores(
-                af.arguments,
-                af.attacks,
-                kind,
-                start,
-                spec.tolerance,
-                spec.max_iterations,
-            )
-            if residual <= spec.tolerance:
-                assert degrees(af, spec, initial_value=start).as_dict() == scores
-                continue
-            with pytest.raises(NonConvergenceError) as err:
-                degrees(af, spec, initial_value=start)
-            assert (err.value.iterations, err.value.residual) == (sweeps, residual)
+        scores, sweeps, residual = picard_scores(
+            af.arguments,
+            af.attacks,
+            kind,
+            1.0,
+            spec.tolerance,
+            spec.max_iterations,
+        )
+        if residual <= spec.tolerance:
+            assert degrees(af, spec).as_dict() == scores
+            continue
+        with pytest.raises(NonConvergenceError) as err:
+            degrees(af, spec)
+        assert (err.value.iterations, err.value.residual) == (sweeps, residual)
 
 
-@pytest.mark.parametrize("kind", ["hbs", "car", "max"])
-def test_hub_degrees_equal_the_reference_loop(kind):
+def _two_hubs():
     # Two hubs under 58 and 30 attackers, which form a chain where each
-    # attacks the next two, so their degrees differ: long sums whose rounding
-    # depends on the order they are added in, folded slot by slot and, for
-    # the hubs, run by run.
+    # attacks the next two, so their degrees differ.
     names = [f"a{i:02d}" for i in range(60)]
     chain = names[2:]
     attacks = [(b, names[0]) for b in chain] + [(b, names[1]) for b in chain[:30]]
     for step in (1, 2):
         attacks += [(b, c) for b, c in zip(chain, chain[step:])]
-    af = ArgumentationFramework.of(names, attacks)
+    return ArgumentationFramework.of(names, attacks)
+
+
+@pytest.mark.parametrize("kind", ["hbs", "car", "max"])
+def test_hub_degrees_equal_the_reference_loop(kind):
+    # Long sums whose rounding depends on the order they are added in, each
+    # scattered into its hub's total one attacker at a time, in sorted order.
+    af = _two_hubs()
     scores, _, _ = picard_scores(af.arguments, af.attacks, kind)
     assert degrees(af, SemanticsSpec(kind)).as_dict() == scores
+
+
+@pytest.mark.parametrize("kind", ["hbs", "car", "max"])
+def test_hub_coalitions_equal_their_reduced_frameworks(kind):
+    # Rows removing one to three of the 58 attacks on the first hub, from its
+    # first, middle and last slots, so the dropped edges sit inside long sums.
+    af = _two_hubs()
+    spec = SemanticsSpec(kind)
+    hub = af.arguments[0]
+    incoming = af.attacks_on(hub)
+    assert len(incoming) == 58
+    coalitions = [(0,), (29,), (57,), (0, 57), (0, 29), (28, 29, 57), (0, 1, 2)]
+    rows = [(0, sum(1 << i for i in slots)) for slots in coalitions]
+    values = semantics.coalition_degrees(af, spec, rows)
+    for slots, value in zip(coalitions, values):
+        reduced = af.delete_attacks([incoming[i] for i in slots])
+        assert value == degrees(reduced, spec)[hub]
 
 
 def _traced_peak(af, spec):
@@ -249,11 +268,9 @@ def test_swept_counting_solve_stops_on_its_error_bound():
     assert all(abs(v - exact) <= 1e-12 for v in scores.values())
 
 
-def test_degrees_input_validation(showcase):
+def test_degrees_input_validation():
     with pytest.raises(ValueError):
         degrees(ArgumentationFramework.of([], []), SemanticsSpec("hbs"))
-    with pytest.raises(ValueError):
-        degrees(showcase, SemanticsSpec("hbs"), initial_value=1.5)
 
 
 def test_spec_validation():
