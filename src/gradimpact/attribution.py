@@ -23,7 +23,7 @@ from typing import Iterator, Mapping
 
 from .errors import ExactModeRequiredError, UnknownAttackError
 from .framework import ArgumentationFramework, Attack
-from .semantics import SemanticsSpec, coalition_degrees, degrees
+from .semantics import SemanticsSpec, attack_bits, coalition_degrees, degrees
 from .verdicts import PrincipleVerdict, exceeds, falsify, trial
 
 EXACT_MODE = "exact"
@@ -138,11 +138,14 @@ def _intensities(
     reports the coalition that a one-by-one evaluation would reach first.
     """
     index = {a: i for i, a in enumerate(af.arguments)}
+    bits = attack_bits(af)
     rows: dict[tuple[int, int], int] = {}
+    shifts: dict[int, int] = {}
     games = []
     for target in targets:
         t = index[target]
         incoming = af.attacks_on(target)
+        shifts[t] = bits[incoming[0]] if incoming else 0
         if len(incoming) <= config.exact_indegree_cap:
             masks = range(1 << len(incoming))
             games.append((t, incoming, None))
@@ -152,7 +155,9 @@ def _intensities(
             games.append((t, incoming, draws))
         for mask in masks:
             rows.setdefault((t, mask), len(rows))
-    sigma = coalition_degrees(af, spec, list(rows))
+    # A target's attacks hold consecutive bits of the framework's mask, from
+    # the bit of its first attack on, so a shift places its coalition there.
+    sigma = coalition_degrees(af, spec, [(t, mask << shifts[t]) for t, mask in rows])
     values: dict[Attack, float] = {}
     for t, incoming, draws in games:
         if draws is None:

@@ -5,7 +5,10 @@ degree in two reduced frameworks: one where the attacks into the subject set
 from outside are removed, and one where the subject itself (except the
 target) is removed along with every attack touching it.  The original
 variant of that idea instead removes the subject's external attackers, and
-keeps whatever attacks survive among the remaining arguments.
+keeps whatever attacks survive among the remaining arguments.  Each reduced
+framework is a mask over the parent's attacks (``semantics.attack_bits``),
+a removed argument being one whose every attack is dropped, so no query
+builds a framework.
 
 The intensity-based impact sums attack intensities along every directed walk
 from a subject member to the target, with even-length walks counting
@@ -43,7 +46,7 @@ from .errors import (
     UnknownAttackError,
 )
 from .framework import ArgumentationFramework
-from .semantics import SemanticsSpec, counting_norm, degrees
+from .semantics import SemanticsSpec, attack_bits, counting_norm, degrees
 
 POLARITY_TOLERANCE = 1e-9
 GATE_MARGIN = 1e-6
@@ -105,6 +108,7 @@ def _checked_subject(
         raise UnknownArgumentError(target)
     return xs
 
+
 def _shared_norm_spec(
     af: ArgumentationFramework, spec: SemanticsSpec
 ) -> SemanticsSpec:
@@ -117,6 +121,18 @@ def _shared_norm_spec(
     return replace(spec, counting=replace(spec.counting, norm_override=norm))
 
 
+def _deletion_impact(af, spec, target, shielded, deleted) -> ImpactValue:
+    """``target``'s degree once the attacks ``shielded`` picks are dropped,
+    less its degree once ``deleted`` goes with every attack touching it."""
+    scoring = _shared_norm_spec(af, spec)
+    masks = [0, 0]
+    for (s, t), e in attack_bits(af).items():
+        masks[0] |= shielded(s, t) << e
+        masks[1] |= (s in deleted or t in deleted) << e
+    before, after = (degrees(af, scoring, mask)[target] for mask in masks)
+    return ImpactValue(before - after)
+
+
 def imp_dv(
     af: ArgumentationFramework,
     spec: SemanticsSpec,
@@ -124,12 +140,8 @@ def imp_dv(
     target: str,
 ) -> ImpactValue:
     """Deletion-based impact of ``subject`` on ``target``."""
-    xs = _checked_subject(af, subject, target)
-    scoring = _shared_norm_spec(af, spec)
-    shielded = af.delete_attacks(af.external_attacks(xs))
-    without = af.delete_arguments(xs, target)
-    value = degrees(shielded, scoring)[target] - degrees(without, scoring)[target]
-    return ImpactValue(value)
+    xs = set(_checked_subject(af, subject, target))
+    return _deletion_impact(af, spec, target, lambda s, t: t in xs and s not in xs, xs)
 
 
 def imp_dv_original(
@@ -139,18 +151,11 @@ def imp_dv_original(
     target: str,
 ) -> ImpactValue:
     """Original deletion-based impact: removes attackers, keeps induced attacks."""
-    xs = _checked_subject(af, subject, target)
-    scoring = _shared_norm_spec(af, spec)
-    attackers = set(af.external_attackers(xs))
-    shielded = af.restrict(
-        a for a in af.arguments if a == target or a not in attackers
+    xs = set(_checked_subject(af, subject, target))
+    attackers = {s for s, t in af.attacks if t in xs and s not in xs} - {target}
+    return _deletion_impact(
+        af, spec, target, lambda s, t: s in attackers or t in attackers, xs - {target}
     )
-    removed = set(xs)
-    without = af.restrict(
-        a for a in af.arguments if a == target or a not in removed
-    )
-    value = degrees(shielded, scoring)[target] - degrees(without, scoring)[target]
-    return ImpactValue(value)
 
 
 def _intensity_matrix(

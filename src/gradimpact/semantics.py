@@ -28,9 +28,15 @@ which bounds the error of every degree by the tolerance.  A sweep gathers
 every attacker's degree edge by edge and folds them into their targets with
 one ``ufunc.at`` scatter, which applies its indices in order, so each sum
 (or max) runs over the sorted attackers left to right, and every semantics
-has exactly one floating-point result.  ``degrees`` solves one framework;
-``coalition_degrees`` solves many copies of it at once, each with some of
-one target's incoming attacks removed, for the Shapley intensities.
+has exactly one floating-point result.
+
+A framework derived from another by dropping attacks is a mask over the
+parent's attacks: bit e drops the e-th attack in (target, source) order,
+the edge order of a sweep (``attack_bits``).  Deleting arguments is the
+mask that drops every attack touching them; they stay, isolated, and change
+no other degree (a dense ``cs`` solve, one row and column larger for each,
+can round an ulp apart).  ``degrees`` solves one mask of a framework, and
+``coalition_degrees`` many at once, without building the derived frameworks.
 """
 
 from __future__ import annotations
@@ -38,7 +44,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -145,24 +152,32 @@ def _norm_for(top: int, config: CountingConfig) -> float | None:
 
 
 @lru_cache(maxsize=32768)
-def _cached_degrees(af: ArgumentationFramework, spec: SemanticsSpec) -> Weighting:
-    # The unreduced framework is a single row that removes no attack.
-    nothing = np.zeros((1, 1), dtype=bool)
-    solved = _solve_rows(spec, _attackers(af), np.zeros(1, dtype=np.intp), nothing)
+def _cached_degrees(
+    af: ArgumentationFramework, spec: SemanticsSpec, mask: int
+) -> Weighting:
+    graph = _attackers(af)
+    solved = _solve_rows(spec, graph, _unpack([mask], len(graph.sources)))
     return Weighting(dict(zip(af.arguments, solved[:, 0].tolist())))
 
 
-def degrees(af: ArgumentationFramework, spec: SemanticsSpec) -> Weighting:
+def degrees(
+    af: ArgumentationFramework, spec: SemanticsSpec, mask: int = 0
+) -> Weighting:
     """Acceptability degree of every argument under the chosen semantics.
 
-    On frameworks of up to 1,023 arguments ``cs`` solves a linear system, and
+    A nonzero ``mask`` scores a framework derived from ``af``: bit ``e``
+    drops the ``e``-th attack in ``attack_bits`` order.  The result equals,
+    bit for bit, the degrees of ``af.delete_attacks`` of those attacks.  On
+    frameworks of up to 1,023 arguments ``cs`` solves a linear system, and
     ``tolerance`` and ``max_iterations`` play no part; larger ones are swept,
     within ``tolerance`` of the exact degrees, and can raise
     ``NonConvergenceError``.
     """
     if not af.arguments:
         raise ValueError("degrees need at least one argument")
-    return _cached_degrees(af, spec)
+    if mask < 0 or mask >> len(af.attacks):
+        raise ValueError(f"mask {mask:#x} names attacks the framework lacks")
+    return _cached_degrees(af, spec, mask)
 
 
 def coalition_degrees(
@@ -170,34 +185,24 @@ def coalition_degrees(
     spec: SemanticsSpec,
     rows: Sequence[tuple[int, int]],
 ) -> list[float]:
-    """Degree of each row's target once a coalition of its attacks is removed.
+    """Degree of each row's target in a framework derived from ``af``.
 
-    A row is ``(t, mask)``: ``t`` indexes ``af.arguments``, and bit ``i`` of
-    ``mask`` removes the attack from the target's ``i``-th attacker in sorted
-    order.  Each value equals, bit for bit,
-    ``degrees(af.delete_attacks(removed), spec)[af.arguments[t]]``, and a
-    failure raises what that call would raise for the first failing row.  The
-    rows are solved together, in chunks of at most ``COALITION_CELLS`` working
-    cells, without building or caching the reduced frameworks.
+    A row is ``(t, mask)``: ``t`` indexes ``af.arguments``, and ``mask``
+    drops attacks as in ``degrees``.  Each value equals, bit for bit,
+    ``degrees(af, spec, mask)[af.arguments[t]]``, and a failure raises what
+    that call would raise for the first failing row.  Rows with one mask
+    read one solve; the masks are solved together, in chunks of at most
+    ``COALITION_CELLS`` working cells, without building or caching the
+    derived frameworks.
     """
     if not rows:
         return []
     n = len(af.arguments)
     graph = _attackers(af)
-    # Every row that removes nothing solves the unreduced framework, so they
-    # all read one system, placed where the first of them stands.
-    systems: dict[tuple[int, int], int] = {}
-    picks = np.array(
-        [systems.setdefault((t, m) if m else (0, 0), len(systems)) for t, m in rows]
-    )
+    systems: dict[int, int] = {}
+    picks = np.array([systems.setdefault(mask, len(systems)) for _, mask in rows])
     targets = np.array([t for t, _ in rows], dtype=np.intp)
-    heads = np.array([t for t, _ in systems], dtype=np.intp)
-    width = max(1, int(graph.count[heads].max()))
-    nbytes = (width + 7) // 8
-    packed = np.frombuffer(
-        b"".join(m.to_bytes(nbytes, "little") for _, m in systems), dtype=np.uint8
-    ).reshape(len(systems), nbytes)
-    removed = np.unpackbits(packed, axis=1, count=width, bitorder="little") == 1
+    masks = list(systems)
     # Per system, a dense cs solve keeps its matrix and right-hand side; a
     # sweep (cs on larger frameworks too) keeps n cells each of state, totals,
     # sweep, change, attacker counts and solution, and m each of gathered
@@ -206,53 +211,63 @@ def coalition_degrees(
     cells = n * (n + 1) if _dense(spec, n) else 6 * n + 2 * m
     chunk = max(1, COALITION_CELLS // cells)
     values = np.empty(len(rows))
-    for start in range(0, len(systems), chunk):
-        part = slice(start, start + chunk)
-        solved = _solve_rows(spec, graph, heads[part], removed[part])
+    for start in range(0, len(masks), chunk):
+        solved = _solve_rows(spec, graph, _unpack(masks[start : start + chunk], m))
         mine = np.flatnonzero((picks >= start) & (picks < start + chunk))
         values[mine] = solved[targets[mine], picks[mine] - start]
     # Clipped into [0, 1] as ``Weighting`` clips a solver's overshoot.
     return np.clip(values, 0.0, 1.0).tolist()
 
 
-class _Attackers(NamedTuple):
-    """Every argument's attacker indices in sorted-source order, end to end.
+@lru_cache(maxsize=4096)
+def attack_bits(af: ArgumentationFramework) -> Mapping[Attack, int]:
+    """The bit of each attack in the mask of a framework derived from ``af``.
 
-    The attackers of argument ``i`` are ``sources[first[i]:][:count[i]]``, so
-    the whole framework takes O(n + m) memory, however high an in-degree.
-    A sweep gathers ``state[sources]`` and scatters each edge's degree into
-    the total of the argument it attacks, in edge order, so every total runs
-    over that argument's sorted attackers left to right.
+    Attacks are numbered in (target, source) order, so the attacks on one
+    argument hold consecutive bits, in the order of its sorted attackers.
+    """
+    order = sorted(af.attacks, key=lambda attack: attack[::-1])
+    return MappingProxyType({attack: e for e, attack in enumerate(order)})
+
+
+class _Attackers(NamedTuple):
+    """The n arguments and m attacks of a framework, in O(n + m) memory.
+
+    Edge ``e``, the attack of bit ``e`` in ``attack_bits``, runs from
+    ``sources[e]`` to ``heads[e]``.  A sweep gathers ``state[sources]`` and
+    scatters each edge's degree into the total of its head, in edge order,
+    so every total runs over that argument's sorted attackers left to right.
     """
 
-    count: np.ndarray
-    first: np.ndarray
+    n: int
+    heads: np.ndarray
     sources: np.ndarray
 
 
+@lru_cache(maxsize=4096)
 def _attackers(af: ArgumentationFramework) -> _Attackers:
     index = {a: i for i, a in enumerate(af.arguments)}
-    lists = [af.attackers(a) for a in af.arguments]
-    count = np.fromiter(map(len, lists), dtype=np.intp, count=len(lists))
-    sources = np.fromiter(
-        map(index.__getitem__, chain.from_iterable(lists)),
-        dtype=np.intp,
-        count=int(count.sum()),
-    )
-    return _Attackers(count, np.cumsum(count) - count, sources)
+    bits = attack_bits(af)
+    heads = np.fromiter((index[t] for _, t in bits), dtype=np.intp, count=len(bits))
+    sources = np.fromiter((index[s] for s, _ in bits), dtype=np.intp, count=len(bits))
+    return _Attackers(len(index), heads, sources)
+
+
+def _unpack(masks: Sequence[int], m: int) -> np.ndarray:
+    """One row of m flags per mask: ``removed[r, e]`` drops edge e in row r."""
+    nbytes = (m + 7) // 8
+    packed = np.frombuffer(
+        b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8
+    ).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=m, bitorder="little") == 1
 
 
 def _solve_rows(
-    spec: SemanticsSpec, graph: _Attackers, targets: np.ndarray, removed: np.ndarray
+    spec: SemanticsSpec, graph: _Attackers, removed: np.ndarray
 ) -> np.ndarray:
-    """Degree vectors, a column per row, each with its removed attacks gone.
-
-    Row ``r`` drops the attack from the ``j``-th attacker of ``targets[r]``
-    wherever ``removed[r, j]`` is set.
-    """
-    if _dense(spec, len(graph.count)):
-        return _counting_rows(spec, graph, targets, removed)
-    return _picard_rows(spec, graph, targets, removed)
+    """Degree vectors, a column per row, each without its removed edges."""
+    solve = _counting_rows if _dense(spec, graph.n) else _picard_rows
+    return solve(spec, graph, removed)
 
 
 def _dense(spec: SemanticsSpec, n: int) -> bool:
@@ -260,17 +275,19 @@ def _dense(spec: SemanticsSpec, n: int) -> bool:
     return spec.kind == "cs" and n * (n + 1) <= COALITION_CELLS
 
 
+def _kept_counts(graph: _Attackers, removed: np.ndarray) -> np.ndarray:
+    """The attackers each argument keeps in each row, a column per row."""
+    rows = len(removed)
+    bins = graph.heads[:, None] * rows + np.arange(rows)
+    kept = np.bincount(bins[~removed.T], minlength=graph.n * rows)
+    return kept.reshape(-1, rows)
+
+
 def _counting_scales(
-    spec: SemanticsSpec, graph: _Attackers, targets: np.ndarray, removed: np.ndarray
+    spec: SemanticsSpec, count: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each row's largest in-degree and ``damping / N``, 0.0 without a norm."""
-    count = graph.count
-    # Only the target's in-degree changes, so a row's largest in-degree is
-    # the larger of its kept attackers and the top over the other arguments.
-    ranked = np.sort(count)
-    top, runner_up = ranked[-1], (ranked[-2] if len(count) > 1 else 0)
-    others = np.where(count[targets] == top, runner_up, top)
-    tops = np.maximum(others, count[targets] - removed.sum(axis=1))
+    tops = count.max(axis=0)
     norms = [_norm_for(int(t), spec.counting) for t in tops]
     scale = np.array([0.0 if m is None else spec.counting.damping / m for m in norms])
     return tops, scale
@@ -294,22 +311,17 @@ def _update(
 
 
 def _picard_rows(
-    spec: SemanticsSpec, graph: _Attackers, targets: np.ndarray, removed: np.ndarray
+    spec: SemanticsSpec, graph: _Attackers, removed: np.ndarray
 ) -> np.ndarray:
     # state[:, r] is row r's degree vector: a column per row, so each gather
     # copies contiguous runs.  Edge e's degree lands in bin
     # heads[e] * rows + r of the flattened totals.
-    n, rows = len(graph.count), len(targets)
-    heads = np.repeat(np.arange(n), graph.count)
-    bins = (heads[:, None] * rows + np.arange(rows)).ravel()
-    # A removed attack stays in the gather with degree 0.0, which leaves a
-    # sum or a max over degrees as it is; only car's count drops it.
-    count = graph.count[:, None]
-    r, j = np.nonzero(removed)
-    if r.size:
-        dropped = graph.first[targets[r]] + j, r
-        count = count.repeat(rows, axis=1)
-        count[targets, np.arange(rows)] -= removed.sum(axis=1)
+    n, rows = graph.n, len(removed)
+    bins = (graph.heads[:, None] * rows + np.arange(rows)).ravel()
+    # A removed edge stays in the gather with degree 0.0, which leaves a
+    # sum or a max over degrees as it is; only the counts drop it.
+    dropped = np.nonzero(removed.T)
+    count = _kept_counts(graph, removed)
     fold = np.maximum if spec.kind == "max" else np.add
     state = np.ones((n, rows))
     scale, bar = None, np.full(rows, spec.tolerance)
@@ -317,7 +329,7 @@ def _picard_rows(
         # A cs row contracts by q = scale * top in the max norm, so a step of
         # at most tolerance * (1 - q) / q leaves an error of at most
         # tolerance; a row with q = 0 is attack-free and stops at once.
-        tops, scale = _counting_scales(spec, graph, targets, removed)
+        tops, scale = _counting_scales(spec, count)
         q = scale * tops
         with np.errstate(divide="ignore"):
             bar = spec.tolerance * (1.0 - q) / q
@@ -326,8 +338,7 @@ def _picard_rows(
     values = np.empty((n, rows))
     for _ in range(spec.max_iterations):
         gathered = state[graph.sources]
-        if r.size:
-            gathered[dropped] = 0.0
+        gathered[dropped] = 0.0
         # ``ufunc.at`` applies its indices in order, so every total is the
         # left-to-right sum (or max) of the sorted attackers, from 0.0.
         total = np.zeros((n, rows))
@@ -345,22 +356,21 @@ def _picard_rows(
 
 
 def _counting_rows(
-    spec: SemanticsSpec, graph: _Attackers, targets: np.ndarray, removed: np.ndarray
+    spec: SemanticsSpec, graph: _Attackers, removed: np.ndarray
 ) -> np.ndarray:
-    n, count = len(graph.count), graph.count
-    _, scale = _counting_scales(spec, graph, targets, removed)
+    n, rows = graph.n, len(removed)
+    _, scale = _counting_scales(spec, _kept_counts(graph, removed))
     if not scale.any():
         # Attack-free frameworks score 1 everywhere: there is nothing to solve.
-        return np.ones((n, len(targets)))
+        return np.ones((n, rows))
     # Each system I + scale * M is assembled in place, in its one array.
-    systems = np.zeros((len(targets), n, n))
-    systems[:, np.repeat(np.arange(n), count), graph.sources] = scale[:, None]
-    rows, slots = np.nonzero(removed)
-    heads = targets[rows]
-    systems[rows, heads, graph.sources[graph.first[heads] + slots]] = 0.0
+    systems = np.zeros((rows, n, n))
+    systems[:, graph.heads, graph.sources] = scale[:, None]
+    r, e = np.nonzero(removed)
+    systems[r, graph.heads[e], graph.sources[e]] = 0.0
     diagonal = np.arange(n)
     systems[:, diagonal, diagonal] += 1.0
-    solved = np.linalg.solve(systems, np.ones((len(targets), n, 1)))[:, :, 0]
+    solved = np.linalg.solve(systems, np.ones((rows, n, 1)))[:, :, 0]
     solved[scale == 0.0] = 1.0
     return solved.T
 
@@ -368,12 +378,13 @@ def _counting_rows(
 def weighting_payload(
     af: ArgumentationFramework, spec: SemanticsSpec, weighting: Weighting
 ) -> dict:
-    """JSON-ready view of a weighting, with the solver parameters used."""
+    """JSON-ready view of a weighting, with the solver parameters used; ``cs``
+    names ``tolerance`` and ``max_iterations`` only where it sweeps."""
+    params = {"tolerance": spec.tolerance, "max_iterations": spec.max_iterations}
     if spec.kind == "cs":
         norm = counting_norm(af, spec.counting)
-        params: dict = {"alpha": spec.counting.damping, "norm": norm}
-    else:
-        params = {"tolerance": spec.tolerance, "max_iterations": spec.max_iterations}
+        counting = {"alpha": spec.counting.damping, "norm": norm}
+        params = counting if _dense(spec, len(af.arguments)) else counting | params
     return {
         "semantics": spec.kind,
         "params": params,
@@ -474,11 +485,13 @@ def check_attack_removal_monotonicity(
 def _removal_trials(spec, corpus):
     for af in corpus:
         base = degrees(af, spec)
+        bits = attack_bits(af)
         for a in af.arguments:
             incoming = af.attacks_on(a)
             for size in range(1, min(REMOVAL_CAP, len(incoming)) + 1):
                 for removed in combinations(incoming, size):
-                    after = degrees(af.delete_attacks(removed), spec)
+                    mask = sum(1 << bits[attack] for attack in removed)
+                    after = degrees(af, spec, mask)
                     yield trial(
                         base[a],
                         after[a],

@@ -146,17 +146,19 @@ def test_rows_split_across_chunks_give_the_same_values(
 
 
 def _all_coalitions(af):
-    """Every (target, mask) row over every subset of each target's attackers."""
-    return [
-        (t, mask)
-        for t, a in enumerate(af.arguments)
-        for mask in range(1 << len(af.attackers(a)))
-    ]
+    """Every (target, mask) row over every subset of each target's attacks."""
+    bits = semantics.attack_bits(af)
+    rows = []
+    for t, a in enumerate(af.arguments):
+        incoming = af.attacks_on(a)
+        for local in range(1 << len(incoming)):
+            dropped = (c for i, c in enumerate(incoming) if local >> i & 1)
+            rows.append((t, sum(1 << bits[c] for c in dropped)))
+    return rows
 
 
-def _removed(af, t, mask):
-    target = af.arguments[t]
-    return [(b, target) for i, b in enumerate(af.attackers(target)) if mask >> i & 1]
+def _removed(af, mask):
+    return [c for c, e in semantics.attack_bits(af).items() if mask >> e & 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,15 +175,15 @@ def test_swept_counting_solve_agrees_with_the_dense_one(af, norm):
     spec = SemanticsSpec("cs", counting=CountingConfig(norm_override=norm))
     rows = _all_coalitions(af)
     dense = semantics.coalition_degrees(af, spec, rows)
-    dense_whole = semantics._cached_degrees.__wrapped__(af, spec)
+    dense_whole = semantics._cached_degrees.__wrapped__(af, spec, 0)
     with pytest.MonkeyPatch.context() as patch:
         # Every framework is swept, its rows batched at the usual budget.
         patch.setattr(semantics, "_dense", lambda spec, n: False)
         swept = semantics.coalition_degrees(af, spec, rows)
-        swept_whole = semantics._cached_degrees.__wrapped__(af, spec)
+        swept_whole = semantics._cached_degrees.__wrapped__(af, spec, 0)
         reduced = [
             semantics._cached_degrees.__wrapped__(
-                af.delete_attacks(_removed(af, t, mask)), spec
+                af.delete_attacks(_removed(af, mask)), spec, 0
             )[af.arguments[t]]
             for t, mask in rows
         ]
@@ -191,7 +193,7 @@ def test_swept_counting_solve_agrees_with_the_dense_one(af, norm):
     for a in af.arguments:
         assert abs(swept_whole[a] - dense_whole[a]) <= bound
     for (t, mask), s, d in zip(rows, swept, dense):
-        sub = af.delete_attacks(_removed(af, t, mask))
+        sub = af.delete_attacks(_removed(af, mask))
         top = norm if norm is not None else sub.max_in_degree()
         series = (
             counting_series(sub.arguments, sub.attacks, spec.counting.damping, top)

@@ -240,20 +240,39 @@ def test_exhausted_iteration_budget_exits_3(tmp_path, capsys):
     )
 
 
-def test_large_counting_graphs_are_swept_on_the_iteration_budget(tmp_path, capsys):
-    # Past 1,023 arguments cs is swept, so the budget applies: a ring's
-    # first sweep moves every degree from 1 to 1 - alpha.
-    names = [f"a{i}" for i in range(1100)]
+def _ring_tgf(tmp_path, n):
+    names = [f"a{i}" for i in range(n)]
     ring = "\n".join(f"{a} {b}" for a, b in zip(names, names[1:] + names[:1]))
     path = tmp_path / "ring.tgf"
     path.write_text("\n".join(names) + "\n#\n" + ring + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_large_counting_graphs_are_swept_on_the_iteration_budget(tmp_path, capsys):
+    # Past 1,023 arguments cs is swept, so the budget applies: a ring's
+    # first sweep moves every degree from 1 to 1 - alpha.
+    path = _ring_tgf(tmp_path, 1100)
     rc = main(
-        ["degrees", str(path), "--semantics", "cs", "--max-iterations", "1"]
+        ["degrees", path, "--semantics", "cs", "--max-iterations", "1"]
     )
     assert rc == 3
     assert capsys.readouterr().err == (
         "error: no fixed point after 1 iterations (residual 9.800e-01)\n"
     )
+
+
+@pytest.mark.parametrize("n, swept", [(1023, False), (1100, True)])
+def test_counting_parameters_name_the_sweep_budget_only_when_swept(
+    tmp_path, capsys, n, swept
+):
+    argv = ["degrees", _ring_tgf(tmp_path, n), "--semantics", "cs",
+            "--tolerance", "1e-10", "--max-iterations", "5000"]
+    assert main(argv) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    expected = {"alpha": 0.98, "norm": 1.0}
+    if swept:
+        expected.update(tolerance=1e-10, max_iterations=5000)
+    assert params == expected
 
 
 def test_small_counting_graphs_ignore_the_iteration_budget(triangle_apx, capsys):

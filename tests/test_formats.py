@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gradimpact import (
     ArgumentationFramework,
@@ -10,6 +10,7 @@ from gradimpact import (
     FormatSyntaxError,
     InconsistentAnnotationError,
     MissingSeparatorError,
+    ParseError,
     parse,
     parse_apx,
     parse_tgf,
@@ -152,3 +153,25 @@ def test_empty_framework_serializes():
     assert parse_tgf("#\n") == empty
     assert serialize(empty, "apx") == ""
     assert parse_apx("") == empty
+
+
+# Pieces of both formats and of awkward text, so that drawn texts get past
+# the first line of either parser.
+FRAGMENTS = (
+    "#", "a", "b", "a b", "a b c", "arg(a).", "att(a,b).", "att(b,a).",
+    "arg(", "att(a,", ")", ",", ".", "%", " ", "\t", "\n", "\r\n", "\x0b",
+    "\u2028", "\x00", "\ufeff", "é",
+)
+hostile_texts = st.one_of(
+    st.text(), st.lists(st.sampled_from(FRAGMENTS)).map("".join)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_texts, st.sampled_from([parse_tgf, parse_apx]))
+def test_arbitrary_text_parses_or_raises_a_parse_error(text, parser):
+    try:
+        af = parser(text)
+    except ParseError:
+        return
+    assert af == ArgumentationFramework.of(af.arguments, af.attacks)

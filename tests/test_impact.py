@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -176,6 +177,71 @@ def test_counting_reductions_reuse_the_parent_normalisation(showcase):
     assert shared.counting.norm_override == 3.0
     assert _shared_norm_spec(showcase, HBS) is HBS
     assert imp_dv(showcase, spec, ["a8"], "a4").value == pytest.approx(-0.327, abs=0.002)
+
+
+def _deletion_reference(af, spec, subject, target, original):
+    """dv or dv-original from the reduced frameworks that define it."""
+    scoring = _shared_norm_spec(af, spec)
+    xs = set(subject)
+    if original:
+        attackers = set(af.external_attackers(xs))
+        shielded = af.restrict(
+            a for a in af.arguments if a == target or a not in attackers
+        )
+        without = af.restrict(a for a in af.arguments if a == target or a not in xs)
+    else:
+        shielded = af.delete_attacks(af.external_attacks(xs))
+        without = af.delete_arguments(xs, target)
+    return degrees(shielded, scoring)[target] - degrees(without, scoring)[target]
+
+
+# A dense cs solve rounds differently once deleted arguments stay in its
+# system as isolated rows: the LU runs on a larger matrix.
+DENSE_ROUNDING = 2 * math.ulp(1.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_deletion_impacts_equal_their_reduced_frameworks(property_corpus, kind):
+    spec = SemanticsSpec(kind)
+    for af in property_corpus:
+        pairs = combinations(af.arguments, 2)
+        subjects = [()] + [(a,) for a in af.arguments] + list(pairs)
+        for target in af.arguments:
+            for xs in subjects:
+                for measure, original in ((imp_dv, False), (imp_dv_original, True)):
+                    value = measure(af, spec, xs, target).value
+                    expected = _deletion_reference(af, spec, xs, target, original)
+                    if kind == "cs":
+                        assert abs(value - expected) <= DENSE_ROUNDING
+                    else:
+                        assert value == expected
+
+
+def test_counting_reductions_past_the_cutoff_stay_within_tolerance():
+    # A ring of 1,023 arguments and one more, x, that attacks it: 1,024
+    # arguments are swept, and so is every mask over them, while deleting x
+    # leaves the bare ring, which the reference solves dense.
+    names = [f"a{i:04d}" for i in range(1023)]
+    ring = list(zip(names, names[1:] + names[:1]))
+    af = ArgumentationFramework.of(names + ["x"], ring + [("x", "a0000")])
+    spec = SemanticsSpec("cs")
+    for xs in (["x"], ["x", "a0500"]):
+        for measure, original in ((imp_dv, False), (imp_dv_original, True)):
+            value = measure(af, spec, xs, "a0007").value
+            expected = _deletion_reference(af, spec, xs, "a0007", original)
+            assert abs(value - expected) <= spec.tolerance
+
+
+def test_deletion_impacts_build_no_framework(showcase, monkeypatch):
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a framework was built")
+
+    monkeypatch.setattr(ArgumentationFramework, "of", classmethod(refuse))
+    for kind in KINDS:
+        spec = SemanticsSpec(kind)
+        for measure in (imp_dv, imp_dv_original):
+            for xs in (["a8"], ["a1", "a4"], showcase.arguments):
+                measure(showcase, spec, xs, "a4")
 
 
 def test_impact_queries_validate_their_arguments(showcase):

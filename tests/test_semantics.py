@@ -181,17 +181,23 @@ def test_hub_degrees_equal_the_reference_loop(kind):
 def test_hub_coalitions_equal_their_reduced_frameworks(kind):
     # Rows removing one to three of the 58 attacks on the first hub, from its
     # first, middle and last slots, so the dropped edges sit inside long sums.
+    # The last mask also drops attacks on the second hub, so it spans two
+    # targets' bits; every mask is read for both hubs.
     af = _two_hubs()
     spec = SemanticsSpec(kind)
-    hub = af.arguments[0]
+    hub, other = af.arguments[:2]
     incoming = af.attacks_on(hub)
     assert len(incoming) == 58
     coalitions = [(0,), (29,), (57,), (0, 57), (0, 29), (28, 29, 57), (0, 1, 2)]
-    rows = [(0, sum(1 << i for i in slots)) for slots in coalitions]
-    values = semantics.coalition_degrees(af, spec, rows)
-    for slots, value in zip(coalitions, values):
-        reduced = af.delete_attacks([incoming[i] for i in slots])
-        assert value == degrees(reduced, spec)[hub]
+    removals = [[incoming[i] for i in slots] for slots in coalitions]
+    removals.append([incoming[5], incoming[40]] + list(af.attacks_on(other)[3:7]))
+    bits = semantics.attack_bits(af)
+    masks = [sum(1 << bits[c] for c in removed) for removed in removals]
+    rows = [(t, mask) for mask in masks for t in (0, 1)]
+    values = iter(semantics.coalition_degrees(af, spec, rows))
+    for removed in removals:
+        reduced = degrees(af.delete_attacks(removed), spec)
+        assert (next(values), next(values)) == (reduced[hub], reduced[other])
 
 
 def _traced_peak(af, spec):
