@@ -9,7 +9,8 @@ change caused by removing (b, a) at its turn.
 Targets with at most ``exact_indegree_cap`` attackers are enumerated exactly;
 beyond the cap a seeded permutation sample estimates the same average.
 Every coalition score a call needs is solved in one batched
-``coalition_degrees`` call.
+``coalition_degrees`` call, and ``prefetch_intensities`` stacks the
+coalitions of many frameworks in one solve.
 """
 
 from __future__ import annotations
@@ -18,12 +19,21 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .errors import ExactModeRequiredError, UnknownAttackError
+from .errors import ExactModeRequiredError, GradimpactError, UnknownAttackError
 from .framework import ArgumentationFramework, Attack
-from .semantics import SemanticsSpec, attack_bits, coalition_degrees, degrees
+from .semantics import (
+    SemanticsSpec,
+    Store,
+    System,
+    attack_bits,
+    coalition_degrees,
+    degrees,
+    prefetch_degrees,
+    row_degrees,
+)
 from .verdicts import PrincipleVerdict, exceeds, falsify, trial
 
 EXACT_MODE = "exact"
@@ -59,6 +69,15 @@ class ShapleyMeasure(Mapping[Attack, float]):
     @cached_property
     def _lookup(self) -> dict[Attack, float]:
         return dict(self.entries)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.entries, self.mode))
+
+    def __hash__(self) -> int:
+        # The dataclass's hash, computed once: a measure keys the resolvent
+        # store, which every ``si`` query reads.
+        return self._hash
 
     def __getitem__(self, attack: Attack) -> float:
         try:
@@ -125,13 +144,19 @@ def _draws(
     return draws
 
 
-def _intensities(
-    af: ArgumentationFramework,
-    spec: SemanticsSpec,
-    config: ShapleyConfig,
-    targets: tuple[str, ...],
-) -> dict[Attack, float]:
-    """Intensities of the attacks on ``targets``, from one batched coalition solve.
+class _Game(NamedTuple):
+    """The coalitional game on the attacks of argument ``t``: exact, or
+    sampled by the ``draws`` of each attack."""
+
+    t: int
+    incoming: tuple[Attack, ...]
+    draws: dict[Attack, list[tuple[int, int]]] | None
+
+
+def _plan(
+    af: ArgumentationFramework, config: ShapleyConfig
+) -> tuple[list[tuple[int, int]], list[_Game]]:
+    """The ``(t, mask)`` coalition rows every attacked target's game scores.
 
     Exact targets enumerate every mask; sampled ones draw every incoming
     attack.  Rows appear in the order of first use, so a failing solve
@@ -139,51 +164,96 @@ def _intensities(
     """
     index = {a: i for i, a in enumerate(af.arguments)}
     bits = attack_bits(af)
-    rows: dict[tuple[int, int], int] = {}
-    shifts: dict[int, int] = {}
+    rows: dict[tuple[int, int], None] = {}
     games = []
-    for target in targets:
-        t = index[target]
+    for target in af.arguments:
         incoming = af.attacks_on(target)
-        shifts[t] = bits[incoming[0]] if incoming else 0
+        if not incoming:
+            continue
+        t = index[target]
+        # A target's attacks hold consecutive bits of the framework's mask,
+        # from the bit of its first attack on, so a shift places its
+        # coalition there.
+        shift = bits[incoming[0]]
         if len(incoming) <= config.exact_indegree_cap:
             masks = range(1 << len(incoming))
-            games.append((t, incoming, None))
+            games.append(_Game(t, incoming, None))
         else:
             draws = {attack: _draws(incoming, attack, config) for attack in incoming}
             masks = (mask for pairs in draws.values() for pair in pairs for mask in pair)
-            games.append((t, incoming, draws))
+            games.append(_Game(t, incoming, draws))
         for mask in masks:
-            rows.setdefault((t, mask), len(rows))
-    # A target's attacks hold consecutive bits of the framework's mask, from
-    # the bit of its first attack on, so a shift places its coalition there.
-    sigma = coalition_degrees(af, spec, [(t, mask << shifts[t]) for t, mask in rows])
+            rows[(t, mask << shift)] = None
+    return list(rows), games
+
+
+def _measure(
+    af: ArgumentationFramework,
+    rows: list[tuple[int, int]],
+    games: list[_Game],
+    sigma: list[float],
+) -> ShapleyMeasure:
+    """The intensities of every attack, from the degree of each planned row."""
+    bits = attack_bits(af)
+    position = {row: i for i, row in enumerate(rows)}
     values: dict[Attack, float] = {}
+    sampled = False
     for t, incoming, draws in games:
+        shift = bits[incoming[0]]
         if draws is None:
-            start = rows[(t, 0)]
+            start = position[(t, 0)]
             scores = sigma[start : start + (1 << len(incoming))]
             values.update(_exact_values(incoming, scores))
             continue
+        sampled = True
         for attack, pairs in draws.items():
             total = 0.0
             for with_, without in pairs:
-                total += sigma[rows[(t, with_)]] - sigma[rows[(t, without)]]
-            values[attack] = total / config.sample_count
-    return values
+                total += (
+                    sigma[position[(t, with_ << shift)]]
+                    - sigma[position[(t, without << shift)]]
+                )
+            values[attack] = total / len(pairs)
+    entries = tuple(sorted(values.items(), key=lambda kv: (kv[0][1], kv[0][0])))
+    return ShapleyMeasure(entries=entries, mode=SAMPLED_MODE if sampled else EXACT_MODE)
 
 
-@lru_cache(maxsize=4096)
-def _cached_shapley_all(
+def _solve_measure(
     af: ArgumentationFramework, spec: SemanticsSpec, config: ShapleyConfig
 ) -> ShapleyMeasure:
-    targets = tuple(a for a in af.arguments if af.in_degree(a))
-    values = _intensities(af, spec, config, targets)
-    sampled = any(af.in_degree(a) > config.exact_indegree_cap for a in targets)
-    entries = tuple(sorted(values.items(), key=lambda kv: (kv[0][1], kv[0][0])))
-    return ShapleyMeasure(
-        entries=entries, mode=SAMPLED_MODE if sampled else EXACT_MODE
-    )
+    rows, games = _plan(af, config)
+    return _measure(af, rows, games, coalition_degrees(af, spec, rows))
+
+
+_cached_shapley_all = Store(_solve_measure, maxsize=4096)
+
+
+def prefetch_intensities(
+    frameworks: Iterable[ArgumentationFramework],
+    spec: SemanticsSpec,
+    config: ShapleyConfig = ShapleyConfig(),
+    degree_systems: Iterable[System] = (),
+) -> None:
+    """Solve the coalitions of every framework whose intensities are not
+    stored yet, stacked with the ``degree_systems`` that
+    ``semantics.prefetch_degrees`` files, and store each measure whose
+    coalitions all solved.  Its ``shapley_all`` call then reads it; one that
+    failed is solved again there, and raises."""
+    plans = {}
+    for af in dict.fromkeys(frameworks):
+        if (af, spec, config) not in _cached_shapley_all:
+            rows, games = _plan(af, config)
+            plans[af] = rows, games, list(dict.fromkeys(mask for _, mask in rows))
+    coalitions = [
+        (af, spec, mask) for af, (_, _, masks) in plans.items() for mask in masks
+    ]
+    solved = iter(prefetch_degrees(degree_systems, coalitions))
+    for af, (rows, games, masks) in plans.items():
+        try:
+            sigma = row_degrees(af, rows, {mask: next(solved) for mask in masks})
+        except GradimpactError:
+            continue
+        _cached_shapley_all.put((af, spec, config), _measure(af, rows, games, sigma))
 
 
 def shapley_all(

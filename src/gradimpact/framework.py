@@ -51,6 +51,16 @@ class ArgumentationFramework:
     # -- cached adjacency ------------------------------------------------
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.arguments, self.attacks))
+
+    def __hash__(self) -> int:
+        # The dataclass's hash, computed once: frameworks key the degree and
+        # intensity stores, which every impact query reads.
+        return self._hash
+
+
+    @cached_property
     def _argument_set(self) -> frozenset[str]:
         return frozenset(self.arguments)
 
@@ -95,6 +105,11 @@ class ArgumentationFramework:
         self._require(argument)
         return self._attackers[argument]
 
+    def attacked_by(self, argument: str) -> tuple[str, ...]:
+        """All arguments that ``argument`` attacks, sorted."""
+        self._require(argument)
+        return self._successors[argument]
+
     def attacks_on(self, argument: str) -> tuple[Attack, ...]:
         """All attacks whose target is ``argument``, sorted."""
         return tuple((s, argument) for s in self.attackers(argument))
@@ -119,34 +134,45 @@ class ArgumentationFramework:
         xs = set(self._require_all(subject))
         return tuple(sorted((s, t) for s, t in self.attacks if t in xs and s not in xs))
 
+    @cached_property
+    def _downstream(self) -> dict[str, frozenset[str]]:
+        # The arguments a path of length >= 1 from each argument reaches,
+        # filled in one argument at a time, when first asked for.
+        return {}
+
+    @cached_property
+    def _upstream(self) -> dict[str, frozenset[str]]:
+        # The arguments with a path of length >= 1 into each argument.
+        return {}
+
+    @staticmethod
+    def _reached(
+        table: dict[str, frozenset[str]],
+        step: Mapping[str, tuple[str, ...]],
+        start: str,
+    ) -> frozenset[str]:
+        if start not in table:
+            seen: set[str] = set()
+            queue = deque(step[start])
+            while queue:
+                node = queue.popleft()
+                if node not in seen:
+                    seen.add(node)
+                    queue.extend(step[node])
+            table[start] = frozenset(seen)
+        return table[start]
+
     def has_path(self, source: str, target: str) -> bool:
         """True iff a directed path of length >= 1 leads from source to target."""
         self._require(source)
         self._require(target)
-        seen: set[str] = set()
-        queue = deque(self._successors[source])
-        while queue:
-            node = queue.popleft()
-            if node == target:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            queue.extend(self._successors[node])
-        return False
+        return target in self._reached(self._downstream, self._successors, source)
 
     def attack_structure(self, argument: str) -> tuple[str, ...]:
         """``argument`` plus every argument with a directed path into it."""
         self._require(argument)
-        reached = {argument}
-        queue = deque(self._attackers[argument])
-        while queue:
-            node = queue.popleft()
-            if node in reached:
-                continue
-            reached.add(node)
-            queue.extend(self._attackers[node])
-        return tuple(sorted(reached))
+        upstream = self._reached(self._upstream, self._attackers, argument)
+        return tuple(sorted(upstream | {argument}))
 
     # -- derived frameworks ----------------------------------------------
 

@@ -7,8 +7,9 @@ target) is removed along with every attack touching it.  The original
 variant of that idea instead removes the subject's external attackers, and
 keeps whatever attacks survive among the remaining arguments.  Each reduced
 framework is a mask over the parent's attacks (``semantics.attack_bits``),
-a removed argument being one whose every attack is dropped, so no query
-builds a framework.
+ORed from the masks of the attacks on and by the arguments involved
+(``semantics.attack_masks``), a removed argument being one whose every
+attack is dropped, so no query builds a framework.
 
 The intensity-based impact sums attack intensities along every directed walk
 from a subject member to the target, with even-length walks counting
@@ -34,11 +35,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .attribution import ShapleyConfig, ShapleyMeasure, shapley_all
+from .attribution import (
+    ShapleyConfig,
+    ShapleyMeasure,
+    prefetch_intensities,
+    shapley_all,
+)
 from .errors import (
     DivergenceError,
     InconsistentAnnotationError,
@@ -46,7 +52,7 @@ from .errors import (
     UnknownAttackError,
 )
 from .framework import ArgumentationFramework
-from .semantics import SemanticsSpec, attack_bits, counting_norm, degrees
+from .semantics import SemanticsSpec, attack_masks, counting_norm, degrees
 
 POLARITY_TOLERANCE = 1e-9
 GATE_MARGIN = 1e-6
@@ -113,24 +119,54 @@ def _shared_norm_spec(
     af: ArgumentationFramework, spec: SemanticsSpec
 ) -> SemanticsSpec:
     # Reduced frameworks are scored with the parent's normalisation.
-    if spec.kind != "cs":
-        return spec
+    return _counting_norm_spec(af, spec) if spec.kind == "cs" else spec
+
+
+@lru_cache(maxsize=4096)
+def _counting_norm_spec(
+    af: ArgumentationFramework, spec: SemanticsSpec
+) -> SemanticsSpec:
+    # One spec object per framework, so the degree store finds it by identity.
     norm = counting_norm(af, spec.counting)
     if norm is None:
         return spec
     return replace(spec, counting=replace(spec.counting, norm_override=norm))
 
 
-def _deletion_impact(af, spec, target, shielded, deleted) -> ImpactValue:
-    """``target``'s degree once the attacks ``shielded`` picks are dropped,
-    less its degree once ``deleted`` goes with every attack touching it."""
-    scoring = _shared_norm_spec(af, spec)
-    masks = [0, 0]
-    for (s, t), e in attack_bits(af).items():
-        masks[0] |= shielded(s, t) << e
-        masks[1] |= (s in deleted or t in deleted) << e
-    before, after = (degrees(af, scoring, mask)[target] for mask in masks)
-    return ImpactValue(before - after)
+def _deletion_masks(af, spec, measure, subject, target):
+    """The spec and the two masks a deletion-based impact compares: the
+    attacks it shields ``target`` from, and the attacks touching the
+    arguments it deletes."""
+    xs = set(_checked_subject(af, subject, target))
+    if measure == "dv":
+        # Attacks into the subject from outside it, and every attack touching it.
+        into, out = attack_masks(af, xs)
+        shielded, deleted = into & ~out, into | out
+    else:
+        # Every attack touching an external attacker of the subject other
+        # than the target, and every attack touching the subject but it.
+        attackers = {s for x in xs for s in af.attackers(x)} - xs - {target}
+        shielded = _touching(af, attackers)
+        deleted = _touching(af, xs - {target})
+    return _shared_norm_spec(af, spec), shielded, deleted
+
+
+def _touching(af: ArgumentationFramework, arguments: set[str]) -> int:
+    into, out = attack_masks(af, arguments)
+    return into | out
+
+
+def _deletion_impact(af, spec, measure, subject, target) -> ImpactValue:
+    plan = _deletion_masks(af, spec, measure, subject, target)
+    return ImpactValue(_planned_impact(af, target, plan))
+
+
+def _planned_impact(af, target, plan) -> float:
+    """``target``'s degree once the shielded attacks are dropped, less its
+    degree once the deleted arguments go with every attack touching them."""
+    scoring, shielded, deleted = plan
+    before = degrees(af, scoring, shielded)[target]
+    return before - degrees(af, scoring, deleted)[target]
 
 
 def imp_dv(
@@ -140,8 +176,7 @@ def imp_dv(
     target: str,
 ) -> ImpactValue:
     """Deletion-based impact of ``subject`` on ``target``."""
-    xs = set(_checked_subject(af, subject, target))
-    return _deletion_impact(af, spec, target, lambda s, t: t in xs and s not in xs, xs)
+    return _deletion_impact(af, spec, "dv", subject, target)
 
 
 def imp_dv_original(
@@ -151,11 +186,7 @@ def imp_dv_original(
     target: str,
 ) -> ImpactValue:
     """Original deletion-based impact: removes attackers, keeps induced attacks."""
-    xs = set(_checked_subject(af, subject, target))
-    attackers = {s for s, t in af.attacks if t in xs and s not in xs} - {target}
-    return _deletion_impact(
-        af, spec, target, lambda s, t: s in attackers or t in attackers, xs - {target}
-    )
+    return _deletion_impact(af, spec, "dv-original", subject, target)
 
 
 def _intensity_matrix(
@@ -304,6 +335,62 @@ def evaluate_impact(
             shapley_config=shapley_config, series=series,
         )
     raise ValueError(f"unknown impact measure {measure_name!r}")
+
+
+class ImpactQuery(NamedTuple):
+    """One impact to evaluate: ``measure`` of ``subject`` on ``target`` in ``af``."""
+
+    measure: str
+    af: ArgumentationFramework
+    subject: tuple[str, ...]
+    target: str
+
+
+def prefetch_impacts(
+    spec: SemanticsSpec, queries: Sequence[ImpactQuery]
+) -> list[tuple[SemanticsSpec, int, int] | None]:
+    """Solve ahead, in one stack, every degree the queries will read.
+
+    These are the two masks of each deletion-based query and the coalitions
+    of each framework whose intensities an ``si`` query needs, with default
+    configurations, as ``evaluate_impact`` uses them.  Returns each query's
+    plan for ``impact_value``: the spec and masks of a deletion-based query,
+    None for the others.  Nothing is raised: a query that cannot be
+    evaluated, or whose systems fail, raises when it is evaluated.
+    """
+    plans: list[tuple[SemanticsSpec, int, int] | None] = []
+    frameworks = {}
+    for measure, af, subject, target in queries:
+        plan = None
+        if measure in ("dv", "dv-original"):
+            try:
+                plan = _deletion_masks(af, spec, measure, subject, target)
+            except UnknownArgumentError:
+                pass
+        elif measure == "si" and subject:
+            frameworks[id(af)] = af
+        plans.append(plan)
+    deletions = [
+        (query.af, plan[0], mask)
+        for query, plan in zip(queries, plans)
+        if plan is not None
+        for mask in plan[1:]
+    ]
+    prefetch_intensities(frameworks.values(), spec, ShapleyConfig(), deletions)
+    return plans
+
+
+def impact_value(
+    spec: SemanticsSpec,
+    query: ImpactQuery,
+    plan: tuple[SemanticsSpec, int, int] | None = None,
+) -> float:
+    """The value ``evaluate_impact`` gives the query; a deletion-based one
+    with a plan from ``prefetch_impacts`` reads the degrees of its masks."""
+    measure, af, subject, target = query
+    if plan is None:
+        return evaluate_impact(measure, af, spec, subject, target).value
+    return _planned_impact(af, target, plan)
 
 
 def impact_payload(

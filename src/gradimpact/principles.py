@@ -33,15 +33,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .automorphisms import DEFAULT_CAP, find_automorphisms
 from .errors import IncompleteMatrixError, UnsupportedInstanceError
 from .fixtures import chain_pair, disjoint_pair, fixture_frameworks, showcase_af
 from .framework import ArgumentationFramework, Attack
 from .generate import GeneratorConfig, random_af
-from .impact import MEASURES, evaluate_impact
+from .impact import MEASURES, ImpactQuery, impact_value, prefetch_impacts
 from .semantics import CHECK_TOLERANCE, KINDS, SemanticsSpec, degrees
 from .verdicts import (
     COUNTEREXAMPLE,
@@ -50,7 +51,6 @@ from .verdicts import (
     Relation,
     differs,
     falsify,
-    probe,
     trial,
 )
 
@@ -150,6 +150,17 @@ def fixture_entries(principle: str) -> tuple[ArgumentationFramework | tuple, ...
 # -- evaluation context --------------------------------------------------
 
 
+class _Combined(NamedTuple):
+    """A comparison side computed from several impacts, which ``combine``
+    reads lazily, in order, from an iterator of their values.  It always
+    reads the first ``ahead``, which are solved ahead; a later one is solved
+    only if it is read."""
+
+    queries: tuple[ImpactQuery, ...]
+    combine: Callable[[Iterator[float]], float]
+    ahead: int
+
+
 @dataclass(frozen=True)
 class _Context:
     measure: str
@@ -159,8 +170,28 @@ class _Context:
 
     def value(
         self, af: ArgumentationFramework, subject: Iterable[str], target: str
-    ) -> float:
-        return evaluate_impact(self.measure, af, self.spec, subject, target).value
+    ) -> ImpactQuery:
+        return ImpactQuery(self.measure, af, tuple(subject), target)
+
+    def resolve(self, sides: list) -> Callable[[object], float]:
+        """Solve ahead what a window's impact queries read; the returned
+        function evaluates one side from the warm stores."""
+        queries: list[ImpactQuery] = []
+        for side in sides:
+            if isinstance(side, _Combined):
+                queries.extend(side.queries[: side.ahead])
+            elif isinstance(side, ImpactQuery):
+                queries.append(side)
+        # Planned by query object: the sides hold these very objects.
+        plans = dict(zip(map(id, queries), prefetch_impacts(self.spec, queries)))
+        return partial(self._evaluate, plans)
+
+    def _evaluate(self, plans: dict, side) -> float:
+        if isinstance(side, _Combined):
+            return side.combine(map(partial(self._evaluate, plans), side.queries))
+        if isinstance(side, ImpactQuery):
+            return impact_value(self.spec, side, plans.get(id(side)))
+        return side
 
     def rng(self, label: str, index: int) -> random.Random:
         return random.Random(f"{self.seed}:{label}:{index}")
@@ -207,7 +238,8 @@ def _attacked_first(af: ArgumentationFramework) -> list[str]:
 # -- per-principle trial streams -----------------------------------------
 #
 # Each stream yields the trials of one principle in search order, one probe
-# per trial, for ``falsify`` to compare.  Shaped instances are the corpus
+# per trial, whose sides are impact queries that ``falsify`` resolves a
+# window at a time and then compares.  Shaped instances are the corpus
 # entries besides plain frameworks that a principle accepts.
 
 
@@ -305,14 +337,19 @@ def _balanced(ctx, plain, shaped):
             instances.append((af, subject, rng.choice(pool), target))
     for af, subject, extra, target in instances:
         union = tuple(sorted(subject + (extra,)))
+        split = (ctx.value(af, subject, target), ctx.value(af, (extra,), target))
         yield trial(
-            ctx.value(af, subject, target) + ctx.value(af, (extra,), target),
+            _Combined(split, _sum_of_two, 2),
             ctx.value(af, union, target),
             frameworks=(af,),
             subjects=(subject, (extra,), union),
             targets=(target,),
             description="impact of the union differs from the sum of the split",
         )
+
+
+def _sum_of_two(values: Iterator[float]) -> float:
+    return next(values) + next(values)
 
 
 def _void(ctx, plain, shaped):
@@ -459,7 +496,7 @@ def _symmetry(ctx, plain, shaped):
     return {"notes": notes}
 
 
-def _existence_probes(ctx, af, target):
+def _existence_probe(ctx, af, target):
     if ctx.measure in ("dv", "dv-original"):
         candidates = [tuple(af.arguments)]
         attackers = af.attackers(target)
@@ -469,10 +506,14 @@ def _existence_probes(ctx, af, target):
     else:
         # Set impacts decompose over members, so vanishing singletons decide.
         candidates = [(x,) for x in af.arguments]
-    # The left side is the first nonzero impact found, or 0.0 if none is.
-    values = (ctx.value(af, subject, target) for subject in candidates)
-    yield probe(
-        next((v for v in values if abs(v) > ctx.tolerance), 0.0),
+
+    def first_nonzero(values: Iterator[float]) -> float:
+        # The first nonzero impact found, or 0.0 if none is.
+        return next((v for v in values if abs(v) > ctx.tolerance), 0.0)
+
+    queries = tuple(ctx.value(af, subject, target) for subject in candidates)
+    return trial(
+        _Combined(queries, first_nonzero, 1),
         0.0,
         frameworks=(af,),
         subjects=tuple(candidates),
@@ -491,13 +532,12 @@ def _has_shared_max_indegree(af: ArgumentationFramework) -> bool:
 
 
 def _premises(ctx, frameworks):
-    # Every argument scored below one is a premise; its probe stays a lazy
-    # generator so that premises counted after a witness are not evaluated.
+    # Every argument scored below one is a premise.
     for af in frameworks:
         scores = degrees(af, ctx.spec)
         for target in af.arguments:
             if scores[target] < 1.0 - ctx.tolerance:
-                yield _existence_probes(ctx, af, target)
+                yield _existence_probe(ctx, af, target)
 
 
 def _existence(ctx, plain, shaped):
@@ -511,6 +551,7 @@ def _existence(ctx, plain, shaped):
         _premises(ctx, [af for af in plain if not _has_shared_max_indegree(af)]),
         relation=_vanishes,
         count_all=True,
+        resolve=ctx.resolve,
     )
     yield from _premises(ctx, [af for af in plain if _has_shared_max_indegree(af)])
     side_status = "no counterexample" if side.passed else "counterexample found"
@@ -587,6 +628,7 @@ def check_principle(
         relation=check.relation,
         count_all=check.count_all,
         measure=measure,
+        resolve=ctx.resolve,
     )
 
 

@@ -15,20 +15,24 @@ in-degree and damping factor alpha, the degree vector solves
 any alpha below 1, and a user-supplied normalisation below the largest
 in-degree is rejected because the guarantee is lost.
 
-Every solve runs on one of two kernels: a Picard loop over a state with one
-column per framework, or a stack of dense linear systems.  ``cs`` takes the
-dense solve while one n x (n + 1) system fits ``COALITION_CELLS`` (n up to
-1,023); there it is far cheaper, since a sweep can need over a thousand
-steps when alpha * M / N contracts slowly.  Larger frameworks sweep
-``cs`` as one more Picard rule, sigma(a) = 1 - (alpha / N) * (sum of
-attacker degrees) from the all-ones vector, in O(n + m) memory.  With
-q = alpha * (largest in-degree) / N, a sweep contracts the error by q in
-the max norm, so it stops once a step is at most tolerance * (1 - q) / q,
-which bounds the error of every degree by the tolerance.  A sweep gathers
-every attacker's degree edge by edge and folds them into their targets with
-one ``ufunc.at`` scatter, which applies its indices in order, so each sum
-(or max) runs over the sorted attackers left to right, and every semantics
-has exactly one floating-point result.
+A solve is a stack of systems, each a (framework, mask) pair, on one of two
+kernels.  The Picard kernel lays the systems out as disjoint blocks of one
+flat state, block after block, each block holding its framework's
+arguments and only the attacks its mask keeps; every block stops on its own
+residual, and a block that never gets there fails alone.  The other kernel
+solves dense linear systems, a batch of blocks of one size.  ``cs`` takes
+the dense solve while one n x (n + 1) system fits ``COALITION_CELLS`` (n up
+to 1,023); there it is far cheaper, since a sweep can need over a thousand
+steps when alpha * M / N contracts slowly.  Larger frameworks sweep ``cs``
+as one more Picard rule, sigma(a) = 1 - (alpha / N) * (sum of attacker
+degrees) from the all-ones vector, in O(n + m) memory.  With q = alpha *
+(largest in-degree) / N, a sweep contracts the error by q in the max norm,
+so it stops once a step is at most tolerance * (1 - q) / q, which bounds
+the error of every degree by the tolerance.  A sweep gathers every kept
+attacker's degree edge by edge and folds them into their targets with one
+``ufunc.at`` scatter, which applies its indices in order, so each sum (or
+max) runs over the sorted attackers left to right, and every semantics has
+exactly one floating-point result, whatever else shares the stack.
 
 A framework derived from another by dropping attacks is a mask over the
 parent's attacks: bit e drops the e-th attack in (target, source) order,
@@ -36,21 +40,29 @@ the edge order of a sweep (``attack_bits``).  Deleting arguments is the
 mask that drops every attack touching them; they stay, isolated, and change
 no other degree (a dense ``cs`` solve, one row and column larger for each,
 can round an ulp apart).  ``degrees`` solves one mask of a framework, and
-``coalition_degrees`` many at once, without building the derived frameworks.
+``coalition_degrees`` many at once, without building the derived frameworks;
+``solve_systems`` stacks masks of many frameworks, and ``prefetch_degrees``
+files its results where ``degrees`` reads them.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DivergentSeriesError, NonConvergenceError, UnknownArgumentError
+from .errors import (
+    DivergentSeriesError,
+    GradimpactError,
+    NonConvergenceError,
+    UnknownArgumentError,
+)
 from .framework import ArgumentationFramework, Attack
 from .verdicts import PrincipleVerdict, exceeds, falsify, probe, trial
 
@@ -62,8 +74,8 @@ DEFAULT_MAX_ITERATIONS = 10**6
 CHECK_TOLERANCE = 1e-7
 # Attacks on one argument that the monotonicity check removes at most at once.
 REMOVAL_CAP = 3
-# Float cells one chunk of coalition rows may keep in its working arrays
-# (about 8 MB); larger frameworks get fewer rows per chunk.
+# Float cells one chunk of a stacked solve may keep in its working arrays
+# (about 8 MB); larger frameworks get fewer systems per chunk.
 COALITION_CELLS = 1 << 20
 
 
@@ -90,6 +102,16 @@ class SemanticsSpec:
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     counting: CountingConfig = field(default_factory=CountingConfig)
+
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.tolerance, self.max_iterations, self.counting))
+
+    def __hash__(self) -> int:
+        # The dataclass's hash, computed once: specs key the degree and
+        # intensity stores, which every impact query reads.
+        return self._hash
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -151,13 +173,74 @@ def _norm_for(top: int, config: CountingConfig) -> float | None:
     return float(top) if top > 0 else None
 
 
-@lru_cache(maxsize=32768)
-def _cached_degrees(
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class Store:
+    """A bounded least-recently-used store of solved results, keyed by the
+    solver's arguments.
+
+    It caches as ``functools.lru_cache`` does, with ``cache_info``,
+    ``cache_clear`` and ``__wrapped__``, and also takes results solved
+    elsewhere: ``put`` files one and counts it as a miss, so ``misses``
+    counts every result solved for the store.
+    """
+
+    def __init__(self, solve: Callable, maxsize: int):
+        self.__wrapped__ = solve
+        self.maxsize = maxsize
+        self._items: OrderedDict = OrderedDict()
+        self._hits = self._misses = 0
+
+    def __call__(self, *key):
+        try:
+            value = self._items[key]
+        except KeyError:
+            self._misses += 1
+            return self._file(key, self.__wrapped__(*key))
+        self._hits += 1
+        self._items.move_to_end(key)
+        return value
+
+    def __contains__(self, key: tuple) -> bool:
+        return key in self._items
+
+    def put(self, key: tuple, value):
+        self._misses += 1
+        return self._file(key, value)
+
+    def _file(self, key: tuple, value):
+        self._items[key] = value
+        if len(self._items) > self.maxsize:
+            self._items.popitem(last=False)
+        return value
+
+    def cache_info(self) -> CacheInfo:
+        return CacheInfo(self._hits, self._misses, self.maxsize, len(self._items))
+
+    def cache_clear(self) -> None:
+        self._items.clear()
+        self._hits = self._misses = 0
+
+
+def _solve_weighting(
     af: ArgumentationFramework, spec: SemanticsSpec, mask: int
 ) -> Weighting:
-    graph = _attackers(af)
-    solved = _solve_rows(spec, graph, _unpack([mask], len(graph.sources)))
-    return Weighting(dict(zip(af.arguments, solved[:, 0].tolist())))
+    (solved,) = solve_systems([(af, spec, mask)])
+    if isinstance(solved, GradimpactError):
+        raise solved
+    return _weighting(af, solved)
+
+
+def _weighting(af: ArgumentationFramework, solved: np.ndarray) -> Weighting:
+    return Weighting(dict(zip(af.arguments, solved.tolist())))
+
+
+_cached_degrees = Store(_solve_weighting, maxsize=32768)
 
 
 def degrees(
@@ -180,6 +263,28 @@ def degrees(
     return _cached_degrees(af, spec, mask)
 
 
+System = tuple[ArgumentationFramework, SemanticsSpec, int]
+
+
+def prefetch_degrees(
+    systems: Iterable[System], extra: Sequence[System] = ()
+) -> list[np.ndarray | GradimpactError]:
+    """Solve the ``systems`` the degree store lacks, and file them there.
+
+    Each system is the ``(af, spec, mask)`` of a ``degrees`` call.  They are
+    solved together with the ``extra`` systems, whose results are returned,
+    as ``solve_systems`` gives them, and not stored.  A system that fails
+    stays out of the store, so its ``degrees`` call solves it again and
+    raises.
+    """
+    fresh = [key for key in dict.fromkeys(systems) if key not in _cached_degrees]
+    solved = solve_systems(fresh + list(extra))
+    for (af, spec, mask), result in zip(fresh, solved):
+        if not isinstance(result, GradimpactError):
+            _cached_degrees.put((af, spec, mask), _weighting(af, result))
+    return solved[len(fresh) :]
+
+
 def coalition_degrees(
     af: ArgumentationFramework,
     spec: SemanticsSpec,
@@ -191,32 +296,87 @@ def coalition_degrees(
     drops attacks as in ``degrees``.  Each value equals, bit for bit,
     ``degrees(af, spec, mask)[af.arguments[t]]``, and a failure raises what
     that call would raise for the first failing row.  Rows with one mask
-    read one solve; the masks are solved together, in chunks of at most
-    ``COALITION_CELLS`` working cells, without building or caching the
-    derived frameworks.
+    read one solve; the masks are solved together, without building or
+    caching the derived frameworks.
     """
+    masks = list(dict.fromkeys(mask for _, mask in rows))
+    solved = solve_systems([(af, spec, mask) for mask in masks])
+    return row_degrees(af, rows, dict(zip(masks, solved)))
+
+
+def row_degrees(
+    af: ArgumentationFramework,
+    rows: Sequence[tuple[int, int]],
+    solved: Mapping[int, np.ndarray | GradimpactError],
+) -> list[float]:
+    """Each ``(t, mask)`` row's degree of argument ``t``, read from the
+    ``solve_systems`` result of its mask, clipped into [0, 1] as ``Weighting``
+    clips a solver's overshoot.  Raises the error of the first failing mask,
+    in the order of ``solved``."""
+    for result in solved.values():
+        if isinstance(result, GradimpactError):
+            raise result
     if not rows:
         return []
     n = len(af.arguments)
-    graph = _attackers(af)
-    systems: dict[int, int] = {}
-    picks = np.array([systems.setdefault(mask, len(systems)) for _, mask in rows])
-    targets = np.array([t for t, _ in rows], dtype=np.intp)
-    masks = list(systems)
-    # Per system, a dense cs solve keeps its matrix and right-hand side; a
-    # sweep (cs on larger frameworks too) keeps n cells each of state, totals,
-    # sweep, change, attacker counts and solution, and m each of gathered
-    # attacker degrees and their ``bins`` index (8 bytes, as a float).
-    m = len(graph.sources)
-    cells = n * (n + 1) if _dense(spec, n) else 6 * n + 2 * m
-    chunk = max(1, COALITION_CELLS // cells)
-    values = np.empty(len(rows))
-    for start in range(0, len(masks), chunk):
-        solved = _solve_rows(spec, graph, _unpack(masks[start : start + chunk], m))
-        mine = np.flatnonzero((picks >= start) & (picks < start + chunk))
-        values[mine] = solved[targets[mine], picks[mine] - start]
-    # Clipped into [0, 1] as ``Weighting`` clips a solver's overshoot.
-    return np.clip(values, 0.0, 1.0).tolist()
+    position = {mask: i * n for i, mask in enumerate(solved)}
+    picks = np.fromiter(
+        (position[mask] + t for t, mask in rows), dtype=np.intp, count=len(rows)
+    )
+    return np.clip(np.concatenate(list(solved.values()))[picks], 0.0, 1.0).tolist()
+
+
+def solve_systems(systems: Sequence[System]) -> list[np.ndarray | GradimpactError]:
+    """The degree vector of each ``(af, spec, mask)`` system, in the order of
+    ``af.arguments``, or the error ``degrees(af, spec, mask)`` would raise.
+
+    Systems of one spec share one Picard stack, and dense ``cs`` systems of
+    one spec and size one batch of linear systems; each stack is cut into chunks
+    of at most ``COALITION_CELLS`` working cells.  A system's result does not
+    depend on what else is solved with it.
+    """
+    frameworks: dict[tuple[int, int], list[int]] = {}
+    for i, (af, spec, _) in enumerate(systems):
+        # By identity: hashing a framework walks all its attacks.
+        frameworks.setdefault((id(af), id(spec)), []).append(i)
+    stacks: dict[tuple, list] = {}
+    for members in frameworks.values():
+        af, spec, _ = systems[members[0]]
+        graph = _attackers(af)
+        # Per system, a dense cs solve keeps its matrix and right-hand side,
+        # and a sweep (cs on larger frameworks too) n cells each of state,
+        # totals, sweep, change, attacker counts and solution; both keep m
+        # each of heads, sources, and gathered degrees or matrix indices, and
+        # cut them from a copy of the padded edges (8 bytes, as a float).
+        n, dense = graph.n, _dense(spec, graph.n)
+        cells = (n * (n + 1) if dense else 6 * n) + 4 * graph.m
+        stacks.setdefault((spec, n if dense else 0), []).append((graph, cells, members))
+    results: list = [None] * len(systems)
+    for (spec, dense_n), parts in stacks.items():
+        solve = _counting_rows if dense_n else _picard_rows
+        for chunk in _chunks(parts):
+            graphs = [graph for graph, _ in chunk]
+            values, starts, errors = solve(spec, graphs, [systems[i][2] for _, i in chunk])
+            for b, (graph, i) in enumerate(chunk):
+                start = starts[b]
+                results[i] = errors.get(b, values[start : start + graph.n])
+    return results
+
+
+def _chunks(parts: list) -> Iterator[list[tuple[_Attackers, int]]]:
+    """The (graph, system) pairs of a stack, in chunks of at most
+    ``COALITION_CELLS`` working cells (at least one system each)."""
+    chunk: list[tuple[_Attackers, int]] = []
+    cells = 0
+    for graph, size, members in parts:
+        for i in members:
+            if chunk and cells + size > COALITION_CELLS:
+                yield chunk
+                chunk, cells = [], 0
+            chunk.append((graph, i))
+            cells += size
+    if chunk:
+        yield chunk
 
 
 @lru_cache(maxsize=4096)
@@ -230,16 +390,34 @@ def attack_bits(af: ArgumentationFramework) -> Mapping[Attack, int]:
     return MappingProxyType({attack: e for e, attack in enumerate(order)})
 
 
+def attack_masks(
+    af: ArgumentationFramework, arguments: Iterable[str]
+) -> tuple[int, int]:
+    """The masks, numbered as in ``attack_bits``, of the attacks on
+    ``arguments`` and of the attacks they make."""
+    bits = attack_bits(af)
+    into = out = 0
+    for a in arguments:
+        attackers = af.attackers(a)
+        if attackers:
+            # The attacks on one argument hold consecutive bits.
+            into |= ((1 << len(attackers)) - 1) << bits[(attackers[0], a)]
+        for t in af.attacked_by(a):
+            out |= 1 << bits[(a, t)]
+    return into, out
+
+
 class _Attackers(NamedTuple):
     """The n arguments and m attacks of a framework, in O(n + m) memory.
 
     Edge ``e``, the attack of bit ``e`` in ``attack_bits``, runs from
-    ``sources[e]`` to ``heads[e]``.  A sweep gathers ``state[sources]`` and
-    scatters each edge's degree into the total of its head, in edge order,
-    so every total runs over that argument's sorted attackers left to right.
+    ``sources[e]`` to ``heads[e]``, so the edges run over the targets in
+    order, and over each target's sorted attackers.  Both arrays are padded
+    with unused edges to a whole number of bytes of mask.
     """
 
     n: int
+    m: int
     heads: np.ndarray
     sources: np.ndarray
 
@@ -248,26 +426,40 @@ class _Attackers(NamedTuple):
 def _attackers(af: ArgumentationFramework) -> _Attackers:
     index = {a: i for i, a in enumerate(af.arguments)}
     bits = attack_bits(af)
-    heads = np.fromiter((index[t] for _, t in bits), dtype=np.intp, count=len(bits))
-    sources = np.fromiter((index[s] for s, _ in bits), dtype=np.intp, count=len(bits))
-    return _Attackers(len(index), heads, sources)
+    m = len(bits)
+    heads = np.zeros(8 * ((m + 7) // 8), dtype=np.intp)
+    sources = np.zeros_like(heads)
+    heads[:m] = [index[t] for _, t in bits]
+    sources[:m] = [index[s] for s, _ in bits]
+    return _Attackers(len(index), m, heads, sources)
 
 
-def _unpack(masks: Sequence[int], m: int) -> np.ndarray:
-    """One row of m flags per mask: ``removed[r, e]`` drops edge e in row r."""
-    nbytes = (m + 7) // 8
-    packed = np.frombuffer(
-        b"".join(mask.to_bytes(nbytes, "little") for mask in masks), dtype=np.uint8
-    ).reshape(len(masks), nbytes)
-    return np.unpackbits(packed, axis=1, count=m, bitorder="little") == 1
+def _blocks(
+    graphs: Sequence[_Attackers], masks: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One flat layout of a stack of (graph, mask) blocks.
 
-
-def _solve_rows(
-    spec: SemanticsSpec, graph: _Attackers, removed: np.ndarray
-) -> np.ndarray:
-    """Degree vectors, a column per row, each without its removed edges."""
-    solve = _counting_rows if _dense(spec, graph.n) else _picard_rows
-    return solve(spec, graph, removed)
+    Block b holds ``sizes[b]`` arguments from ``starts[b]`` on; an edge kept
+    by its block's mask runs from ``sources`` to ``heads`` in the flat
+    numbering.  The kept edges stay in block order, and in edge order within
+    a block, so every argument's attackers stay sorted.
+    """
+    sizes = np.fromiter((graph.n for graph in graphs), dtype=np.intp, count=len(graphs))
+    starts = np.cumsum(sizes) - sizes
+    # A block keeps the edges its mask leaves, and none of its padding.
+    keeps = [(1 << graph.m) - 1 ^ mask for graph, mask in zip(graphs, masks)]
+    packed = b"".join(
+        keep.to_bytes(len(graph.heads) // 8, "little")
+        for keep, graph in zip(keeps, graphs)
+    )
+    kept = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+    kept = kept.view(bool)
+    shift = np.repeat(starts, [keep.bit_count() for keep in keeps])
+    heads = np.concatenate([graph.heads for graph in graphs])[kept]
+    heads += shift
+    sources = np.concatenate([graph.sources for graph in graphs])[kept]
+    sources += shift
+    return sizes, starts, heads, sources
 
 
 def _dense(spec: SemanticsSpec, n: int) -> bool:
@@ -275,21 +467,23 @@ def _dense(spec: SemanticsSpec, n: int) -> bool:
     return spec.kind == "cs" and n * (n + 1) <= COALITION_CELLS
 
 
-def _kept_counts(graph: _Attackers, removed: np.ndarray) -> np.ndarray:
-    """The attackers each argument keeps in each row, a column per row."""
-    rows = len(removed)
-    bins = graph.heads[:, None] * rows + np.arange(rows)
-    kept = np.bincount(bins[~removed.T], minlength=graph.n * rows)
-    return kept.reshape(-1, rows)
-
-
 def _counting_scales(
-    spec: SemanticsSpec, count: np.ndarray
+    spec: SemanticsSpec, count: np.ndarray, starts: np.ndarray, errors: dict
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's largest in-degree and ``damping / N``, 0.0 without a norm."""
-    tops = count.max(axis=0)
-    norms = [_norm_for(int(t), spec.counting) for t in tops]
-    scale = np.array([0.0 if m is None else spec.counting.damping / m for m in norms])
+    """Each block's largest in-degree and ``damping / N``, 0.0 without a norm.
+
+    A block whose norm is refused gets its error in ``errors``.
+    """
+    tops = np.maximum.reduceat(count, starts)
+    scale = np.zeros(len(starts))
+    for b, top in enumerate(tops.tolist()):
+        try:
+            norm = _norm_for(top, spec.counting)
+        except DivergentSeriesError as error:
+            errors[b] = error
+            continue
+        if norm is not None:
+            scale[b] = spec.counting.damping / norm
     return tops, scale
 
 
@@ -300,7 +494,7 @@ def _update(
 
     ``total`` is the sum of the attacker degrees (their max for ``max``),
     ``count`` the attacker count, which ``car`` divides by, and ``scale``
-    each row's ``damping / N`` for ``cs``.
+    each argument's ``damping / N`` for ``cs``.
     """
     if kind == "cs":
         return 1.0 - scale * total
@@ -311,68 +505,80 @@ def _update(
 
 
 def _picard_rows(
-    spec: SemanticsSpec, graph: _Attackers, removed: np.ndarray
-) -> np.ndarray:
-    # state[:, r] is row r's degree vector: a column per row, so each gather
-    # copies contiguous runs.  Edge e's degree lands in bin
-    # heads[e] * rows + r of the flattened totals.
-    n, rows = graph.n, len(removed)
-    bins = (graph.heads[:, None] * rows + np.arange(rows)).ravel()
-    # A removed edge stays in the gather with degree 0.0, which leaves a
-    # sum or a max over degrees as it is; only the counts drop it.
-    dropped = np.nonzero(removed.T)
-    count = _kept_counts(graph, removed)
-    fold = np.maximum if spec.kind == "max" else np.add
-    state = np.ones((n, rows))
-    scale, bar = None, np.full(rows, spec.tolerance)
+    spec: SemanticsSpec, graphs: Sequence[_Attackers], masks: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, dict[int, GradimpactError]]:
+    """Sweep a stack of blocks until each block's step passes its bar.
+
+    Returns the flat degrees, each block's start in them, and the error of
+    each block that failed.
+    """
+    sizes, starts, heads, sources = _blocks(graphs, masks)
+    width = int(sizes.sum())
+    count = np.bincount(heads, minlength=width)
+    errors: dict[int, GradimpactError] = {}
+    scale, bar = None, np.full(len(starts), spec.tolerance)
     if spec.kind == "cs":
-        # A cs row contracts by q = scale * top in the max norm, so a step of
-        # at most tolerance * (1 - q) / q leaves an error of at most
-        # tolerance; a row with q = 0 is attack-free and stops at once.
-        tops, scale = _counting_scales(spec, count)
-        q = scale * tops
+        # A cs block contracts by q = scale * top in the max norm, so a step
+        # of at most tolerance * (1 - q) / q leaves an error of at most
+        # tolerance; an attack-free block, or one whose norm was refused,
+        # has q = 0 and stops at once.
+        tops, block_scale = _counting_scales(spec, count, starts, errors)
+        q = block_scale * tops
         with np.errstate(divide="ignore"):
             bar = spec.tolerance * (1.0 - q) / q
-    # A solved row keeps sweeping, but its bar drops below any residual, so
-    # only its first solution counts.
-    values = np.empty((n, rows))
+        scale = np.repeat(block_scale, sizes)
+    fold = np.maximum if spec.kind == "max" else np.add
+    state = np.ones(width)
+    # A solved block keeps sweeping, but its bar drops below any residual,
+    # so only its first solution counts.
+    values = np.empty(width)
     for _ in range(spec.max_iterations):
-        gathered = state[graph.sources]
-        gathered[dropped] = 0.0
         # ``ufunc.at`` applies its indices in order, so every total is the
         # left-to-right sum (or max) of the sorted attackers, from 0.0.
-        total = np.zeros((n, rows))
-        fold.at(total.reshape(-1), bins, gathered.reshape(-1))
+        total = np.zeros(width)
+        fold.at(total, heads, state[sources])
         swept = _update(spec.kind, total, count, scale)
-        residual = np.abs(swept - state).max(axis=0)
+        residual = np.maximum.reduceat(np.abs(swept - state), starts)
         solved = residual <= bar
         if solved.any():
-            values[:, solved] = swept[:, solved]
+            np.copyto(values, swept, where=np.repeat(solved, sizes))
             bar[solved] = -1.0
             if bar.max() < 0.0:
-                return values
+                return values, starts, errors
         state = swept
-    raise NonConvergenceError(spec.max_iterations, float(residual[bar >= 0.0][0]))
+    for b in np.flatnonzero(bar >= 0.0).tolist():
+        errors[b] = NonConvergenceError(spec.max_iterations, float(residual[b]))
+    return values, starts, errors
 
 
 def _counting_rows(
-    spec: SemanticsSpec, graph: _Attackers, removed: np.ndarray
-) -> np.ndarray:
-    n, rows = graph.n, len(removed)
-    _, scale = _counting_scales(spec, _kept_counts(graph, removed))
+    spec: SemanticsSpec, graphs: Sequence[_Attackers], masks: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, dict[int, GradimpactError]]:
+    """Solve one dense system per block, all of one size, as ``_picard_rows``
+    returns its blocks."""
+    sizes, starts, heads, sources = _blocks(graphs, masks)
+    n, rows = graphs[0].n, len(graphs)
+    errors: dict[int, GradimpactError] = {}
+    _, scale = _counting_scales(
+        spec, np.bincount(heads, minlength=n * rows), starts, errors
+    )
     if not scale.any():
         # Attack-free frameworks score 1 everywhere: there is nothing to solve.
-        return np.ones((n, rows))
+        return np.ones(n * rows), starts, errors
     # Each system I + scale * M is assembled in place, in its one array.
+    # Both ends of a block's edge count from b * n, so its entry (b, h, s)
+    # lies at h * n + s % n of the flat systems.
     systems = np.zeros((rows, n, n))
-    systems[:, graph.heads, graph.sources] = scale[:, None]
-    r, e = np.nonzero(removed)
-    systems[r, graph.heads[e], graph.sources[e]] = 0.0
+    values = scale[heads // n]
+    np.remainder(sources, n, out=sources)
+    heads *= n
+    heads += sources
+    systems.reshape(-1)[heads] = values
     diagonal = np.arange(n)
     systems[:, diagonal, diagonal] += 1.0
     solved = np.linalg.solve(systems, np.ones((rows, n, 1)))[:, :, 0]
     solved[scale == 0.0] = 1.0
-    return solved.T
+    return solved.reshape(-1), starts, errors
 
 
 def weighting_payload(

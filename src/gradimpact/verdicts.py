@@ -96,6 +96,10 @@ class PrincipleVerdict:
 # probes, most often a single one.
 Probe = tuple[float, float, dict]
 Relation = Callable[[float, float, float], bool]
+# Trials ``falsify`` draws before its first comparison; each window doubles.
+# A cell that stops at an early witness still solves the rest of its window,
+# so the first window is small.
+WINDOW = 8
 
 
 def probe(lhs: float, rhs: float, **fields) -> Probe:
@@ -117,6 +121,21 @@ def exceeds(lhs: float, rhs: float, tolerance: float) -> bool:
     return lhs > rhs + tolerance
 
 
+def _as_given(sides: list) -> Callable[[float], float]:
+    return lambda side: side
+
+
+def _drawn(probes: Iterable[Probe]) -> list:
+    """A trial's probes, with an error raised while drawing them kept in
+    place of the rest, to raise when the search reaches it."""
+    drawn: list = []
+    try:
+        drawn.extend(probes)
+    except Exception as error:  # re-raised where a lazy search would meet it
+        drawn.append(error)
+    return drawn
+
+
 def falsify(
     principle: str,
     semantics: str,
@@ -126,36 +145,75 @@ def falsify(
     relation: Relation = differs,
     count_all: bool = False,
     measure: str | None = None,
+    resolve: Callable[[list], Callable[[object], float]] = _as_given,
 ) -> PrincipleVerdict:
     """Search a stream of trials for the first counterexample.
 
     Each trial counts once; the first of its probes on which
     ``relation(lhs, rhs, tolerance)`` holds becomes the witness, and the
-    search stops there, so nothing after it is evaluated.  With
-    ``count_all`` the later trials are still counted, but their probes are
-    not drawn.  A generator stream may return a mapping of further verdict
-    fields (``scope``, ``notes``); they are kept when the stream is read to
-    its end, that is when the search passes or counts every trial.
+    search stops there.  With ``count_all`` the later trials are still
+    counted, but their probes are not drawn.  A generator stream may return
+    a mapping of further verdict fields (``scope``, ``notes``); they are
+    kept when the stream is read to its end, that is when the search passes
+    or counts every trial.
+
+    Trials are drawn in windows of 8, 16, 32, ... trials.  ``resolve`` sees
+    every side of a window's probes before any is compared, and returns the
+    function that turns a side into a float, so a caller can evaluate a
+    window's sides together.  The comparisons still run one at a time in
+    stream order, and an error raised while drawing a trial or evaluating a
+    side surfaces only when the search reaches it, so the verdict is the one
+    a search that evaluates one trial at a time reaches.
     """
     stream = iter(trials)
     tried = 0
     witness: Witness | None = None
     annotations: dict = {}
-    while True:
+    size = WINDOW
+    ended = False
+    while not ended:
+        window: list = []
+        read: dict | None = None
         try:
-            probes = next(stream)
+            while len(window) < size:
+                probes = next(stream)
+                window.append(probes if witness is not None else _drawn(probes))
         except StopIteration as end:
-            annotations = end.value or {}
-            break
-        tried += 1
-        if witness is not None:
-            continue
-        for lhs, rhs, fields in probes:
-            if relation(lhs, rhs, tolerance):
-                witness = Witness(lhs=lhs, rhs=rhs, **fields)
+            read = end.value or {}
+            ended = True
+        except Exception as error:  # re-raised where a lazy search would meet it
+            window.append(error)
+            ended = True
+        value = resolve(
+            [
+                side
+                for probes in window
+                if witness is None and isinstance(probes, list)
+                for entry in probes
+                if isinstance(entry, tuple)
+                for side in entry[:2]
+            ]
+        )
+        for probes in window:
+            if isinstance(probes, Exception):
+                raise probes
+            tried += 1
+            if witness is not None:
+                continue
+            for entry in probes:
+                if isinstance(entry, Exception):
+                    raise entry
+                lhs, rhs, fields = entry
+                lhs, rhs = value(lhs), value(rhs)
+                if relation(lhs, rhs, tolerance):
+                    witness = Witness(lhs=lhs, rhs=rhs, **fields)
+                    break
+            if witness is not None and not count_all:
+                ended, read = True, None
                 break
-        if witness is not None and not count_all:
-            break
+        if read is not None:
+            annotations = read
+        size *= 2
     return PrincipleVerdict(
         principle=principle,
         semantics=semantics,

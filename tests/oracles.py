@@ -269,3 +269,43 @@ def automorphism_brute_force(
         ):
             found.append(mapping)
     return found
+
+
+def one_at_a_time_search(
+    trials: Iterable,
+    value: Callable[[object], float],
+    relation: Callable[[float, float, float], bool],
+    tolerance: float,
+    count_all: bool = False,
+) -> tuple[int, tuple | None, dict]:
+    """The search a verdict records, evaluating one side at a time.
+
+    Each trial is an iterable of ``(lhs, rhs, fields)`` probes; ``value``
+    turns a side into a float, and runs only when that side is compared, so
+    an error it raises surfaces exactly where the search meets it.  The
+    first probe on which ``relation`` holds is the witness, and the search
+    stops there, or with ``count_all`` only counts the later trials.
+    Returns the trials counted, the witness as ``(lhs, rhs, fields)`` or
+    None, and the stream's returned mapping if it was read to its end.
+    """
+    stream = iter(trials)
+    tried = 0
+    witness = None
+    annotations: dict = {}
+    while True:
+        try:
+            probes = next(stream)
+        except StopIteration as end:
+            annotations = end.value or {}
+            break
+        tried += 1
+        if witness is not None:
+            continue
+        for lhs, rhs, fields in probes:
+            lhs, rhs = value(lhs), value(rhs)
+            if relation(lhs, rhs, tolerance):
+                witness = (lhs, rhs, fields)
+                break
+        if witness is not None and not count_all:
+            break
+    return tried, witness, annotations

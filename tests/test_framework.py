@@ -46,6 +46,8 @@ def test_adjacency_queries(showcase):
     assert not showcase.has_attack("a4", "a3")
     assert showcase.attackers("a4") == ("a3", "a5", "a8")
     assert showcase.attacks_on("a4") == (("a3", "a4"), ("a5", "a4"), ("a8", "a4"))
+    assert showcase.attacked_by("a1") == ("a2", "a3")
+    assert showcase.attacked_by("a4") == ()
     assert showcase.in_degree("a4") == 3
     assert showcase.in_degree("a6") == 0
     assert showcase.max_in_degree() == 3
@@ -56,6 +58,8 @@ def test_adjacency_queries(showcase):
 def test_queries_reject_unknown_arguments(showcase):
     with pytest.raises(UnknownArgumentError):
         showcase.attackers("nope")
+    with pytest.raises(UnknownArgumentError):
+        showcase.attacked_by("nope")
     with pytest.raises(UnknownArgumentError):
         showcase.external_attackers(["a4", "nope"])
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -23,10 +24,14 @@ from gradimpact import (
     fixture_entries,
     imp_dv,
 )
+from gradimpact import NonConvergenceError, attribution, principles, semantics
 from gradimpact.fixtures import chain_pair, disjoint_pair, showcase_af
 from gradimpact.impact import MEASURES
 from gradimpact.principles import PRINCIPLES, RESTRICTED_SCOPE
-from gradimpact.verdicts import COUNTEREXAMPLE, NO_COUNTEREXAMPLE
+from gradimpact.semantics import CHECK_TOLERANCE
+from gradimpact.verdicts import COUNTEREXAMPLE, NO_COUNTEREXAMPLE, WINDOW, Witness
+
+from oracles import one_at_a_time_search
 
 HBS = SemanticsSpec("hbs")
 CS = SemanticsSpec("cs")
@@ -327,6 +332,122 @@ def test_audit_trials_and_witnesses_match_the_golden_file():
                     want["witness"].pop(side), abs=1e-9
                 ), label
         assert got == want, label
+
+
+# sha256 of the default ``gradimpact audit --report json`` output.
+DEFAULT_AUDIT_SHA256 = "7d336bc3749c44bcbb48a938c4746643ecd94b593f7e0a2804f9a95c1907d4aa"
+
+
+def test_default_audit_report_keeps_its_digest(audit_result):
+    # The report as ``cmd_audit`` assembles it from the default audit.
+    payload = audit_result.to_dict()
+    payload["implication_issues"] = crosscheck_implications(audit_result)
+    report = json.dumps(payload, sort_keys=True) + "\n"
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == DEFAULT_AUDIT_SHA256
+
+
+def _one_at_a_time(principle, measure, spec, corpus, seed=0):
+    """``check_principle``'s search with every side evaluated on its own,
+    when compared, from cold degree and intensity stores."""
+    semantics._cached_degrees.cache_clear()
+    attribution._cached_shapley_all.cache_clear()
+    check = principles._CHECKS[principle]
+    plain, shaped = principles._split_corpus(principle, check.fits, corpus)
+    ctx = principles._Context(measure, spec, CHECK_TOLERANCE, seed)
+    return one_at_a_time_search(
+        check.trials(ctx, plain, shaped),
+        # No plans: every impact is evaluated on its own.
+        lambda side: ctx._evaluate({}, side),
+        check.relation,
+        CHECK_TOLERANCE,
+        check.count_all,
+    )
+
+
+def _assert_same_search(verdict, search):
+    tried, witness, annotations = search
+    assert verdict.trials == tried
+    if witness is None:
+        assert verdict.witness is None
+    else:
+        lhs, rhs, fields = witness
+        assert verdict.witness == Witness(lhs=lhs, rhs=rhs, **fields)
+    assert verdict.scope == annotations.get("scope", "all")
+    assert verdict.notes == annotations.get("notes", "")
+
+
+def test_windowed_cells_equal_the_one_at_a_time_search():
+    base = corpus_frameworks(GOLDEN_CONFIG)
+    for principle in PRINCIPLES:
+        entries = fixture_entries(principle) + base
+        for semantics_name in GOLDEN_CONFIG.semantics:
+            spec = SemanticsSpec(semantics_name)
+            for measure in GOLDEN_CONFIG.measures:
+                search = _one_at_a_time(
+                    principle, measure, spec, entries, GOLDEN_CONFIG.seed
+                )
+                verdict = check_principle(
+                    principle, measure, spec, entries, seed=GOLDEN_CONFIG.seed
+                )
+                _assert_same_search(verdict, search)
+
+
+# An acyclic framework whose first balanced trial is a witness under dv,
+# and cycles whose hbs solves need more than TIGHT's 12 sweeps.
+BALANCED_WITNESS = ArgumentationFramework.of(
+    ["a1", "a2", "a3", "a4", "a5"],
+    [("a2", "a3"), ("a2", "a4"), ("a5", "a2"), ("a5", "a4")],
+)
+TWO_CYCLE = ArgumentationFramework.of(["b1", "b2"], [("b1", "b2"), ("b2", "b1")])
+ATTACKED_CYCLE = ArgumentationFramework.of(
+    ["c1", "c2", "c3", "c4"],
+    [("c1", "c2"), ("c2", "c3"), ("c3", "c1"), ("c4", "c1")],
+)
+TIGHT = SemanticsSpec("hbs", max_iterations=12)
+
+
+def test_a_failure_after_the_witness_in_its_window_stays_silent():
+    corpus = [BALANCED_WITNESS, TWO_CYCLE]
+    # The cycle's trials follow the witness inside the first window, and
+    # alone they raise.
+    ctx = principles._Context("dv", TIGHT, CHECK_TOLERANCE, 0)
+    assert len(list(principles._balanced(ctx, corpus, []))) <= WINDOW
+    with pytest.raises(NonConvergenceError):
+        _one_at_a_time("balanced", "dv", TIGHT, corpus[1:])
+    search = _one_at_a_time("balanced", "dv", TIGHT, corpus)
+    assert search[1] is not None
+    verdict = check_principle("balanced", "dv", TIGHT, corpus)
+    assert verdict.status == COUNTEREXAMPLE
+    _assert_same_search(verdict, search)
+
+
+def test_an_instance_error_after_the_witness_in_its_window_stays_silent():
+    # Joining the pair doubles the cs norm of the self-attacker, so one of
+    # its two trials is a counterexample; the overlapping pair after it
+    # raises when drawn, inside the first window.
+    loop = ArgumentationFramework.of(["p"], [("p", "p")])
+    fan = ArgumentationFramework.of(["q1", "q2", "q3"], [("q1", "q3"), ("q2", "q3")])
+    af = showcase_af()
+    corpus = [(loop, fan), (af, af)]
+    with pytest.raises(UnsupportedInstanceError):
+        check_principle("independence", "dv", CS, corpus[1:])
+    search = _one_at_a_time("independence", "dv", CS, corpus)
+    assert search[1] is not None and search[0] < WINDOW
+    _assert_same_search(check_principle("independence", "dv", CS, corpus), search)
+
+
+def test_a_failing_window_raises_the_first_failure_a_lazy_search_meets():
+    corpus = [ATTACKED_CYCLE, TWO_CYCLE]
+    with pytest.raises(NonConvergenceError) as lazy:
+        _one_at_a_time("void", "dv", TIGHT, corpus)
+    with pytest.raises(NonConvergenceError) as batched:
+        check_principle("void", "dv", TIGHT, corpus)
+    got, want = batched.value, lazy.value
+    assert (got.iterations, got.residual) == (want.iterations, want.residual)
+    # The two cycles stop at different residuals, so the order shows.
+    with pytest.raises(NonConvergenceError) as other:
+        imp_dv(TWO_CYCLE, TIGHT, [], "b1")
+    assert other.value.residual != want.residual
 
 
 if __name__ == "__main__":

@@ -200,6 +200,79 @@ def test_hub_coalitions_equal_their_reduced_frameworks(kind):
         assert (next(values), next(values)) == (reduced[hub], reduced[other])
 
 
+def _stacked_blocks():
+    """Frameworks of 1 to 14 arguments, with a few masks each: chains settle
+    in a sweep per argument, cycles take dozens of sweeps."""
+    frameworks = [random_af(GeneratorConfig(n, 0.3, seed=n)) for n in range(1, 15)]
+    frameworks += [
+        ArgumentationFramework.of(
+            [f"c{i:02d}" for i in range(n)],
+            [(f"c{i:02d}", f"c{(i + 1) % n:02d}") for i in range(n if cyclic else n - 1)],
+        )
+        for n, cyclic in ((2, True), (9, False), (14, True))
+    ]
+    blocks = []
+    for i, af in enumerate(frameworks):
+        m = len(af.attacks)
+        blocks += [(af, 0), (af, (1 << m) - 1), (af, (0x5A5A5A5A >> i) % (1 << m))]
+    return blocks
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_blocks_equal_their_one_block_solves(kind):
+    # The Picard kernel directly, so cs is swept on small frameworks too;
+    # a 1,100-argument ring joins the cs stack past the dense cutoff.
+    spec = SemanticsSpec(kind)
+    blocks = _stacked_blocks()
+    if kind == "cs":
+        names = [f"r{i:04d}" for i in range(1100)]
+        blocks.append((ArgumentationFramework.of(names, zip(names, names[1:] + names[:1])), 0))
+    graphs = [semantics._attackers(af) for af, _ in blocks]
+    masks = [mask for _, mask in blocks]
+    values, starts, errors = semantics._picard_rows(spec, graphs, masks)
+    assert errors == {}
+    sweeps = set()
+    for (af, mask), graph, start in zip(blocks, graphs, starts):
+        alone, _, _ = semantics._picard_rows(spec, [graph], [mask])
+        assert values[start : start + graph.n].tolist() == alone.tolist()
+        if kind != "cs":
+            reduced = af.delete_attacks(
+                c for c, e in semantics.attack_bits(af).items() if mask >> e & 1
+            )
+            scores, count, _ = picard_scores(reduced.arguments, reduced.attacks, kind)
+            assert dict(zip(af.arguments, alone.tolist())) == scores
+            sweeps.add(count)
+    assert kind == "cs" or len(sweeps) > 5
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_stacked_systems_equal_their_degrees(kind):
+    # Blocks of many frameworks share one stack, and dense cs ones a batch
+    # per size.  Each result is the degrees call's, bit for bit.
+    spec = SemanticsSpec(kind)
+    blocks = _stacked_blocks()
+    solved = semantics.solve_systems([(af, spec, mask) for af, mask in blocks])
+    semantics._cached_degrees.cache_clear()
+    for (af, mask), result in zip(blocks, solved):
+        assert dict(zip(af.arguments, result.tolist())) == degrees(af, spec, mask).as_dict()
+
+
+def test_a_stack_reports_each_failing_block_alone():
+    spec = SemanticsSpec("hbs", max_iterations=12)
+    chain = ArgumentationFramework.of(["a", "b"], [("a", "b")])
+    cycle = ArgumentationFramework.of(["x", "y"], [("x", "y"), ("y", "x")])
+    solved = semantics.solve_systems([(cycle, spec, 0), (chain, spec, 0), (cycle, spec, 1)])
+    with pytest.raises(NonConvergenceError) as err:
+        degrees(cycle, spec)
+    assert isinstance(solved[0], NonConvergenceError)
+    assert (solved[0].iterations, solved[0].residual) == (
+        err.value.iterations,
+        err.value.residual,
+    )
+    assert dict(zip(chain.arguments, solved[1].tolist())) == degrees(chain, spec).as_dict()
+    assert solved[2].tolist() == list(degrees(cycle, spec, 1).values())
+
+
 def _traced_peak(af, spec):
     """Peak bytes of the numpy arrays and Python objects one cold solve allocates."""
     semantics._cached_degrees.cache_clear()
