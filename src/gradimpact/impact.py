@@ -338,31 +338,33 @@ def evaluate_impact(
 
 
 class ImpactQuery(NamedTuple):
-    """One impact to evaluate: ``measure`` of ``subject`` on ``target`` in ``af``."""
+    """The impact of ``subject`` on ``target`` in ``af``, under a measure
+    and semantics the evaluation names."""
 
-    measure: str
     af: ArgumentationFramework
     subject: tuple[str, ...]
     target: str
 
 
 def prefetch_impacts(
-    spec: SemanticsSpec, queries: Sequence[ImpactQuery]
+    measure: str, spec: SemanticsSpec, queries: Sequence[ImpactQuery]
 ) -> list[tuple[SemanticsSpec, int, int] | None]:
     """Solve ahead, in one stack, every degree the queries will read.
 
-    These are the two masks of each deletion-based query and the coalitions
-    of each framework whose intensities an ``si`` query needs, with default
-    configurations, as ``evaluate_impact`` uses them.  Returns each query's
-    plan for ``impact_value``: the spec and masks of a deletion-based query,
-    None for the others.  Nothing is raised: a query that cannot be
-    evaluated, or whose systems fail, raises when it is evaluated.
+    These are the two masks of each query when ``measure`` is deletion-based,
+    and otherwise the coalitions of each framework whose intensities an
+    ``si`` query needs, with default configurations, as ``evaluate_impact``
+    uses them.  Returns each query's plan for ``impact_value``: the spec and
+    masks of a deletion-based query, None for the others.  Nothing is
+    raised: a query that cannot be evaluated, or whose systems fail, raises
+    when it is evaluated.
     """
     plans: list[tuple[SemanticsSpec, int, int] | None] = []
     frameworks = {}
-    for measure, af, subject, target in queries:
+    deleting = measure in ("dv", "dv-original")
+    for af, subject, target in queries:
         plan = None
-        if measure in ("dv", "dv-original"):
+        if deleting:
             try:
                 plan = _deletion_masks(af, spec, measure, subject, target)
             except UnknownArgumentError:
@@ -381,13 +383,15 @@ def prefetch_impacts(
 
 
 def impact_value(
+    measure: str,
     spec: SemanticsSpec,
     query: ImpactQuery,
     plan: tuple[SemanticsSpec, int, int] | None = None,
 ) -> float:
-    """The value ``evaluate_impact`` gives the query; a deletion-based one
-    with a plan from ``prefetch_impacts`` reads the degrees of its masks."""
-    measure, af, subject, target = query
+    """The value ``evaluate_impact`` gives the query under ``measure``; a
+    deletion-based one with a plan from ``prefetch_impacts`` reads the
+    degrees of its masks."""
+    af, subject, target = query
     if plan is None:
         return evaluate_impact(measure, af, spec, subject, target).value
     return _planned_impact(af, target, plan)

@@ -26,12 +26,22 @@ The principles:
 A membership test, renaming instance or path premise treats each argument
 as trivially reaching itself, so reflexive corner cases are excluded where
 the statements would otherwise contradict the expected satisfaction pattern.
+
+The instances of every principle but existence depend only on the corpus and
+the seed, and name impacts without a measure or semantics.  An audit draws
+each such principle's trials once, lazily, and its eight measure ×
+semantics cells read them in search order, each evaluating the impacts
+under its own measure and semantics.  Existence reads a cell's degrees to
+pick its premises and its measure to pick its candidate sets, so each cell
+draws its own.  A standalone ``check_principle`` draws its own trials too.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import combinations
@@ -49,6 +59,7 @@ from .verdicts import (
     NO_COUNTEREXAMPLE,
     PrincipleVerdict,
     Relation,
+    _drawn,
     differs,
     falsify,
     trial,
@@ -163,15 +174,11 @@ class _Combined(NamedTuple):
 
 @dataclass(frozen=True)
 class _Context:
+    """What one cell evaluates its trials' impacts under."""
+
     measure: str
     spec: SemanticsSpec
     tolerance: float
-    seed: int
-
-    def value(
-        self, af: ArgumentationFramework, subject: Iterable[str], target: str
-    ) -> ImpactQuery:
-        return ImpactQuery(self.measure, af, tuple(subject), target)
 
     def resolve(self, sides: list) -> Callable[[object], float]:
         """Solve ahead what a window's impact queries read; the returned
@@ -183,18 +190,20 @@ class _Context:
             elif isinstance(side, ImpactQuery):
                 queries.append(side)
         # Planned by query object: the sides hold these very objects.
-        plans = dict(zip(map(id, queries), prefetch_impacts(self.spec, queries)))
+        plans = prefetch_impacts(self.measure, self.spec, queries)
+        plans = dict(zip(map(id, queries), plans))
         return partial(self._evaluate, plans)
 
     def _evaluate(self, plans: dict, side) -> float:
         if isinstance(side, _Combined):
             return side.combine(map(partial(self._evaluate, plans), side.queries))
         if isinstance(side, ImpactQuery):
-            return impact_value(self.spec, side, plans.get(id(side)))
+            return impact_value(self.measure, self.spec, side, plans.get(id(side)))
         return side
 
-    def rng(self, label: str, index: int) -> random.Random:
-        return random.Random(f"{self.seed}:{label}:{index}")
+
+def _rng(seed: int, label: str, index: int) -> random.Random:
+    return random.Random(f"{seed}:{label}:{index}")
 
 
 def _random_subset(
@@ -239,13 +248,16 @@ def _attacked_first(af: ArgumentationFramework) -> list[str]:
 #
 # Each stream yields the trials of one principle in search order, one probe
 # per trial, whose sides are impact queries that ``falsify`` resolves a
-# window at a time and then compares.  Shaped instances are the corpus
-# entries besides plain frameworks that a principle accepts.
+# window at a time, under the cell's measure and semantics, and then
+# compares.  Every stream but existence's reads only the seed's rngs, so a
+# cell's measure and semantics never change what it draws.  Shaped
+# instances are the corpus entries besides plain frameworks that a
+# principle accepts.
 
 
-def _anonymity(ctx, plain, shaped):
+def _anonymity(seed, plain, shaped):
     for i, af in enumerate(plain):
-        rng = ctx.rng("anonymity", i)
+        rng = _rng(seed, "anonymity", i)
         order = list(af.arguments)
         rng.shuffle(order)
         mapping = {original: f"m{j}" for j, original in enumerate(order)}
@@ -255,8 +267,8 @@ def _anonymity(ctx, plain, shaped):
             subject = _random_subset(rng, af.arguments)
             image = tuple(sorted(mapping[x] for x in subject))
             yield trial(
-                ctx.value(af, subject, target),
-                ctx.value(renamed, image, mapping[target]),
+                ImpactQuery(af, subject, target),
+                ImpactQuery(renamed, image, mapping[target]),
                 frameworks=(af, renamed),
                 subjects=(subject, image),
                 targets=(target, mapping[target]),
@@ -271,7 +283,7 @@ def _is_framework_pair(entry: tuple) -> bool:
     )
 
 
-def _independence(ctx, plain, shaped):
+def _independence(seed, plain, shaped):
     pairs: list[tuple[ArgumentationFramework, ArgumentationFramework]] = list(shaped)
     for i in range(0, len(plain) - 1, 2):
         left, right = plain[i], plain[i + 1]
@@ -282,12 +294,12 @@ def _independence(ctx, plain, shaped):
                 "independence pairs must have disjoint arguments"
             )
         combined = left.union(right)
-        rng = ctx.rng("independence", i)
+        rng = _rng(seed, "independence", i)
         for target in _attacked_first(left)[:QUERIES]:
             for subject in _subject_candidates(left, target, rng, SUBSET_CAP):
                 yield trial(
-                    ctx.value(left, subject, target),
-                    ctx.value(combined, subject, target),
+                    ImpactQuery(left, subject, target),
+                    ImpactQuery(combined, subject, target),
                     frameworks=(left, right),
                     subjects=(subject,),
                     targets=(target,),
@@ -299,7 +311,7 @@ def _is_balanced_instance(entry: tuple) -> bool:
     return len(entry) == 4 and isinstance(entry[0], ArgumentationFramework)
 
 
-def _balanced(ctx, plain, shaped):
+def _balanced(seed, plain, shaped):
     instances: list[tuple[ArgumentationFramework, tuple[str, ...], str, str]] = []
     for af, subject, extra, target in shaped:
         subject = tuple(sorted(set(subject)))
@@ -313,7 +325,7 @@ def _balanced(ctx, plain, shaped):
             raise UnsupportedInstanceError("balanced instance is not well-formed")
         instances.append((af, subject, extra, target))
     for i, af in enumerate(plain):
-        rng = ctx.rng("balanced", i)
+        rng = _rng(seed, "balanced", i)
         anchor = _attacked_first(af)[0]
         attackers = af.attackers(anchor)
         if attackers:
@@ -337,10 +349,13 @@ def _balanced(ctx, plain, shaped):
             instances.append((af, subject, rng.choice(pool), target))
     for af, subject, extra, target in instances:
         union = tuple(sorted(subject + (extra,)))
-        split = (ctx.value(af, subject, target), ctx.value(af, (extra,), target))
+        split = (
+            ImpactQuery(af, subject, target),
+            ImpactQuery(af, (extra,), target),
+        )
         yield trial(
             _Combined(split, _sum_of_two, 2),
-            ctx.value(af, union, target),
+            ImpactQuery(af, union, target),
             frameworks=(af,),
             subjects=(subject, (extra,), union),
             targets=(target,),
@@ -352,11 +367,11 @@ def _sum_of_two(values: Iterator[float]) -> float:
     return next(values) + next(values)
 
 
-def _void(ctx, plain, shaped):
+def _void(seed, plain, shaped):
     for af in plain:
         for target in af.arguments:
             yield trial(
-                ctx.value(af, (), target),
+                ImpactQuery(af, (), target),
                 0.0,
                 frameworks=(af,),
                 subjects=((),),
@@ -374,7 +389,7 @@ def _is_attack_addition(entry: tuple) -> bool:
     )
 
 
-def _directionality(ctx, plain, shaped):
+def _directionality(seed, plain, shaped):
     instances: list[tuple[ArgumentationFramework, Attack]] = list(shaped)
     for af in plain:
         if not af.attacks:
@@ -390,7 +405,7 @@ def _directionality(ctx, plain, shaped):
                 "directionality instance needs an addable attack"
             )
         augmented = ArgumentationFramework.of(base.arguments, base.attacks + (attack,))
-        rng = ctx.rng("directionality", i)
+        rng = _rng(seed, "directionality", i)
         eligible = [
             y
             for y in base.arguments
@@ -399,8 +414,8 @@ def _directionality(ctx, plain, shaped):
         for y in eligible[:QUERIES]:
             for subject in _subject_candidates(augmented, y, rng, SUBSET_CAP):
                 yield trial(
-                    ctx.value(base, subject, y),
-                    ctx.value(augmented, subject, y),
+                    ImpactQuery(base, subject, y),
+                    ImpactQuery(augmented, subject, y),
                     frameworks=(base, augmented),
                     subjects=(subject,),
                     targets=(y,),
@@ -409,9 +424,9 @@ def _directionality(ctx, plain, shaped):
                 )
 
 
-def _minimisation(ctx, plain, shaped):
+def _minimisation(seed, plain, shaped):
     for i, af in enumerate(plain):
-        rng = ctx.rng("minimisation", i)
+        rng = _rng(seed, "minimisation", i)
         eligible = [
             (a, x)
             for a in af.arguments
@@ -426,8 +441,8 @@ def _minimisation(ctx, plain, shaped):
             for subject in dict.fromkeys(((x,), tuple(sorted(padding + (x,))))):
                 reduced = tuple(c for c in subject if c != x)
                 yield trial(
-                    ctx.value(af, subject, a),
-                    ctx.value(af, reduced, a),
+                    ImpactQuery(af, subject, a),
+                    ImpactQuery(af, reduced, a),
                     frameworks=(af,),
                     subjects=(subject, reduced),
                     targets=(a,),
@@ -435,7 +450,7 @@ def _minimisation(ctx, plain, shaped):
                 )
 
 
-def _zero(ctx, plain, shaped):
+def _zero(seed, plain, shaped):
     for af in plain:
         eligible = [
             (x, a)
@@ -445,7 +460,7 @@ def _zero(ctx, plain, shaped):
         ]
         for x, a in eligible[: 2 * QUERIES + 2]:
             yield trial(
-                ctx.value(af, (x,), a),
+                ImpactQuery(af, (x,), a),
                 0.0,
                 frameworks=(af,),
                 subjects=((x,),),
@@ -454,11 +469,11 @@ def _zero(ctx, plain, shaped):
             )
 
 
-def _symmetry(ctx, plain, shaped):
+def _symmetry(seed, plain, shaped):
     instances = 0
     skipped = 0
     for i, af in enumerate(plain):
-        rng = ctx.rng("symmetry", i)
+        rng = _rng(seed, "symmetry", i)
         used_here = 0
         for a, b in combinations(af.arguments, 2):
             shared = sorted(
@@ -479,8 +494,8 @@ def _symmetry(ctx, plain, shaped):
                     sorted({f[u] for u in subject if u in members})
                 )
                 yield trial(
-                    ctx.value(af, subject, a),
-                    ctx.value(af, projected, b),
+                    ImpactQuery(af, subject, a),
+                    ImpactQuery(af, projected, b),
                     frameworks=(af,),
                     subjects=(subject, projected),
                     targets=(a, b),
@@ -511,7 +526,7 @@ def _existence_probe(ctx, af, target):
         # The first nonzero impact found, or 0.0 if none is.
         return next((v for v in values if abs(v) > ctx.tolerance), 0.0)
 
-    queries = tuple(ctx.value(af, subject, target) for subject in candidates)
+    queries = tuple(ImpactQuery(af, subject, target) for subject in candidates)
     return trial(
         _Combined(queries, first_nonzero, 1),
         0.0,
@@ -565,10 +580,11 @@ def _existence(ctx, plain, shaped):
 
 
 class _Check(NamedTuple):
-    trials: Callable
+    trials: Callable  # (seed, plain, shaped), or (ctx, ...) when per_cell
     fits: Callable[[tuple], bool] | None = None  # shaped instances accepted
     relation: Relation = differs
     count_all: bool = False
+    per_cell: bool = False  # the stream reads the cell's measure or degrees
 
 
 _CHECKS = {
@@ -581,7 +597,9 @@ _CHECKS = {
     "zero": _Check(_zero),
     "symmetry": _Check(_symmetry),
     # Existence counts every premise, also those after its first witness.
-    "existence": _Check(_existence, relation=_vanishes, count_all=True),
+    "existence": _Check(
+        _existence, relation=_vanishes, count_all=True, per_cell=True
+    ),
 }
 
 
@@ -602,6 +620,79 @@ def _split_corpus(
     return plain, shaped
 
 
+# -- shared trials -------------------------------------------------------
+
+
+class _Replay:
+    """A stream of trials, drawn lazily and once for any number of readers.
+
+    A trial is drawn when some reader first reaches it, and its probes are
+    kept.  Every reader sees the same trials, the error the stream raised at
+    the position where it raised it, and the stream's returned annotations
+    when it reads to the end.
+    """
+
+    def __init__(self, stream: Iterator) -> None:
+        self._stream = stream
+        self._trials: list[list] = []
+        self._end: tuple[dict | None, Exception | None] | None = None
+
+    def read(self) -> Iterator[list]:
+        position = 0
+        while True:
+            if position == len(self._trials):
+                if self._end is None:
+                    self._draw()
+                    continue
+                annotations, error = self._end
+                if error is not None:
+                    raise error
+                return annotations
+            yield self._trials[position]
+            position += 1
+
+    def _draw(self) -> None:
+        try:
+            probes = next(self._stream)
+        except StopIteration as end:
+            self._end = (end.value, None)
+        except Exception as error:  # re-raised to every reader that reaches it
+            self._end = (None, error)
+        else:
+            self._trials.append(_drawn(probes))
+
+
+# The replays an audit's cells share, by principle, each with the seed and
+# corpus it was drawn from; set only while ``audit`` runs.
+_SHARED: ContextVar[dict | None] = ContextVar("shared_trials", default=None)
+
+
+@contextmanager
+def _sharing() -> Iterator[dict]:
+    """Share replays between the cells run inside; unset on leaving."""
+    store: dict = {}
+    token = _SHARED.set(store)
+    try:
+        yield store
+    finally:
+        _SHARED.reset(token)
+
+
+def _replay(principle: str, check: _Check, seed: int, plain, shaped) -> _Replay:
+    """The audit's replay of a principle's stream over this corpus, or a
+    replay of its own outside an audit."""
+    store = _SHARED.get()
+    source = (seed, plain, shaped)
+    if store is not None and principle in store:
+        drawn_from, replay = store[principle]
+        if drawn_from == source:
+            return replay
+    replay = _Replay(check.trials(seed, plain, shaped))
+    if store is not None:
+        store[principle] = (source, replay)
+    return replay
+
+
 def check_principle(
     principle: str,
     measure: str,
@@ -611,7 +702,10 @@ def check_principle(
     tolerance: float = CHECK_TOLERANCE,
     seed: int = 0,
 ) -> PrincipleVerdict:
-    """Search a corpus for counterexamples to one principle."""
+    """Search a corpus for counterexamples to one principle.
+
+    Inside ``audit`` the cells of a principle other than existence read one
+    shared draw of its trials; otherwise the call draws its own."""
     if principle not in PRINCIPLES:
         raise ValueError(f"unknown principle {principle!r}")
     if measure not in MEASURES:
@@ -619,12 +713,16 @@ def check_principle(
     _check_tolerance(tolerance)
     check = _CHECKS[principle]
     plain, shaped = _split_corpus(principle, check.fits, corpus)
-    ctx = _Context(measure, spec, tolerance, seed)
+    ctx = _Context(measure, spec, tolerance)
+    if check.per_cell:
+        trials = check.trials(ctx, plain, shaped)
+    else:
+        trials = _replay(principle, check, seed, plain, shaped).read()
     return falsify(
         principle,
         spec.kind,
         tolerance,
-        check.trials(ctx, plain, shaped),
+        trials,
         relation=check.relation,
         count_all=check.count_all,
         measure=measure,
@@ -691,26 +789,32 @@ class AuditResult:
 
 
 def audit(config: AuditConfig = AuditConfig()) -> AuditResult:
-    """Run every configured principle, measure and semantics over one corpus."""
+    """Run every configured principle, measure and semantics over one corpus.
+
+    Each principle's trials are drawn once and shared by its cells, which
+    read them through ``check_principle``; the store holds one principle's
+    trials at a time and is gone when the audit returns or raises."""
     base = corpus_frameworks(config)
     verdicts = []
-    for principle in PRINCIPLES:
-        entries = base
-        if config.include_fixtures:
-            entries = fixture_entries(principle) + base
-        for semantics in config.semantics:
-            spec = SemanticsSpec(semantics)
-            for measure in config.measures:
-                verdicts.append(
-                    check_principle(
-                        principle,
-                        measure,
-                        spec,
-                        entries,
-                        tolerance=config.tolerance,
-                        seed=config.seed,
+    with _sharing() as store:
+        for principle in PRINCIPLES:
+            store.clear()
+            entries = base
+            if config.include_fixtures:
+                entries = fixture_entries(principle) + base
+            for semantics in config.semantics:
+                spec = SemanticsSpec(semantics)
+                for measure in config.measures:
+                    verdicts.append(
+                        check_principle(
+                            principle,
+                            measure,
+                            spec,
+                            entries,
+                            tolerance=config.tolerance,
+                            seed=config.seed,
+                        )
                     )
-                )
     return AuditResult(config=config, verdicts=tuple(verdicts))
 
 

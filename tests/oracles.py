@@ -280,9 +280,11 @@ def one_at_a_time_search(
 ) -> tuple[int, tuple | None, dict]:
     """The search a verdict records, evaluating one side at a time.
 
-    Each trial is an iterable of ``(lhs, rhs, fields)`` probes; ``value``
-    turns a side into a float, and runs only when that side is compared, so
-    an error it raises surfaces exactly where the search meets it.  The
+    Each trial is an iterable of ``(lhs, rhs, fields)`` probes whose sides
+    name impacts without a measure or semantics; ``value`` turns a side
+    into a float under the cell's, and runs only when that side is
+    compared, so an error it raises surfaces exactly where the search meets
+    it.  The
     first probe on which ``relation`` holds is the witness, and the search
     stops there, or with ``count_all`` only counts the later trials.
     Returns the trials counted, the witness as ``(lhs, rhs, fields)`` or

@@ -353,10 +353,13 @@ def _one_at_a_time(principle, measure, spec, corpus, seed=0):
     attribution._cached_shapley_all.cache_clear()
     check = principles._CHECKS[principle]
     plain, shaped = principles._split_corpus(principle, check.fits, corpus)
-    ctx = principles._Context(measure, spec, CHECK_TOLERANCE, seed)
+    ctx = principles._Context(measure, spec, CHECK_TOLERANCE)
+    # Drawn straight from the principle's own stream, not through a replay.
+    drawing = ctx if check.per_cell else seed
     return one_at_a_time_search(
-        check.trials(ctx, plain, shaped),
-        # No plans: every impact is evaluated on its own.
+        check.trials(drawing, plain, shaped),
+        # No plans: every impact is evaluated on its own, under the cell's
+        # measure and semantics.
         lambda side: ctx._evaluate({}, side),
         check.relation,
         CHECK_TOLERANCE,
@@ -410,8 +413,7 @@ def test_a_failure_after_the_witness_in_its_window_stays_silent():
     corpus = [BALANCED_WITNESS, TWO_CYCLE]
     # The cycle's trials follow the witness inside the first window, and
     # alone they raise.
-    ctx = principles._Context("dv", TIGHT, CHECK_TOLERANCE, 0)
-    assert len(list(principles._balanced(ctx, corpus, []))) <= WINDOW
+    assert len(list(principles._balanced(0, corpus, []))) <= WINDOW
     with pytest.raises(NonConvergenceError):
         _one_at_a_time("balanced", "dv", TIGHT, corpus[1:])
     search = _one_at_a_time("balanced", "dv", TIGHT, corpus)
@@ -448,6 +450,152 @@ def test_a_failing_window_raises_the_first_failure_a_lazy_search_meets():
     with pytest.raises(NonConvergenceError) as other:
         imp_dv(TWO_CYCLE, TIGHT, [], "b1")
     assert other.value.residual != want.residual
+
+
+# -- trials shared across the cells of an audit --------------------------
+
+
+def test_audit_cells_equal_standalone_cells():
+    # Each audit cell reads its principle's shared trials; a standalone
+    # call draws its own, and must reach the very same verdict.
+    base = corpus_frameworks(GOLDEN_CONFIG)
+    for verdict in audit(GOLDEN_CONFIG).verdicts:
+        alone = check_principle(
+            verdict.principle,
+            verdict.measure,
+            SemanticsSpec(verdict.semantics),
+            fixture_entries(verdict.principle) + base,
+            seed=GOLDEN_CONFIG.seed,
+        )
+        label = (verdict.principle, verdict.measure, verdict.semantics)
+        assert verdict.to_dict() == alone.to_dict(), label
+
+
+def _count_draws(monkeypatch, principle):
+    """Count the trials the principle's stream yields from now on."""
+    check = principles._CHECKS[principle]
+    drawn = []
+
+    def counted(seed, plain, shaped):
+        stream = check.trials(seed, plain, shaped)
+        while True:
+            try:
+                probes = next(stream)
+            except StopIteration as end:
+                return end.value
+            drawn.append(probes)
+            yield probes
+
+    monkeypatch.setitem(principles._CHECKS, principle, check._replace(trials=counted))
+    return drawn
+
+
+def test_cells_sharing_a_stream_meet_its_error_where_they_read_it(monkeypatch):
+    # As in the instance-error test above: under cs the first pair yields a
+    # witness among its two trials, under hbs it yields none, and the
+    # overlapping pair raises when the stream reaches it.
+    loop = ArgumentationFramework.of(["p"], [("p", "p")])
+    fan = ArgumentationFramework.of(["q1", "q2", "q3"], [("q1", "q3"), ("q2", "q3")])
+    af = showcase_af()
+    corpus = [(loop, fan), (af, af)]
+    drawn = _count_draws(monkeypatch, "independence")
+    alone = check_principle("independence", "dv", CS, corpus)
+    assert alone.status == COUNTEREXAMPLE and len(drawn) == 2
+    for order in ((CS, HBS, SemanticsSpec("max")), (HBS, CS, SemanticsSpec("max"))):
+        drawn.clear()
+        errors = []
+        with principles._sharing():
+            for spec in order:
+                if spec is CS:
+                    verdict = check_principle("independence", "dv", spec, corpus)
+                    assert verdict.to_dict() == alone.to_dict()
+                    continue
+                with pytest.raises(UnsupportedInstanceError) as raised:
+                    check_principle("independence", "dv", spec, corpus)
+                errors.append(raised.value)
+        # Two trials and the error, drawn once and re-raised to each reader.
+        assert len(drawn) == 2
+        assert errors[0] is errors[1]
+
+
+def test_symmetry_notes_reach_every_cell(small_corpus, monkeypatch):
+    drawn = _count_draws(monkeypatch, "symmetry")
+    alone = check_principle("symmetry", "dv", HBS, small_corpus)
+    assert alone.passed and alone.notes.startswith("automorphism instances: ")
+    assert len(drawn) == alone.trials
+    drawn.clear()
+    with principles._sharing():
+        cells = [
+            check_principle("symmetry", measure, SemanticsSpec(kind), small_corpus)
+            for kind in ("hbs", "car", "max", "cs")
+            for measure in ("dv", "si")
+        ]
+    assert all(cell.notes == alone.notes for cell in cells)
+    assert len(drawn) == alone.trials
+
+
+def test_shared_trials_are_drawn_only_as_far_as_some_cell_reads(
+    small_corpus, monkeypatch
+):
+    # Under dv the first trial is a witness, so the cell reads one window;
+    # si is balanced, so its cell reads the whole stream.
+    corpus = [BALANCED_WITNESS] + list(small_corpus)
+    drawn = _count_draws(monkeypatch, "balanced")
+    total = check_principle("balanced", "si", HBS, corpus).trials
+    assert len(drawn) == total > 2 * WINDOW
+    drawn.clear()
+    with principles._sharing():
+        first = check_principle("balanced", "dv", HBS, corpus)
+        assert (first.status, first.trials, len(drawn)) == (COUNTEREXAMPLE, 1, WINDOW)
+        check_principle("balanced", "dv", CS, corpus)
+        assert len(drawn) == WINDOW
+        assert check_principle("balanced", "si", HBS, corpus).trials == total
+        assert len(drawn) == total
+        check_principle("balanced", "si", CS, corpus)
+        assert len(drawn) == total
+    drawn.clear()
+    with principles._sharing():
+        check_principle("balanced", "si", HBS, corpus)
+        check_principle("balanced", "dv", HBS, corpus)
+        assert len(drawn) == total
+
+
+def test_the_shared_store_lives_only_inside_an_audit(monkeypatch):
+    stores = []
+    check = principles._CHECKS["void"]
+
+    def observed(seed, plain, shaped):
+        # The principles whose trials the store holds while this one draws.
+        store = principles._SHARED.get()
+        stores.append(None if store is None else sorted(store))
+        return (yield from check.trials(seed, plain, shaped))
+
+    monkeypatch.setitem(principles._CHECKS, "void", check._replace(trials=observed))
+    config = AuditConfig(graph_count=2, seed=1)
+    audit(config)
+    # One draw for the principle's eight cells, from a store that holds
+    # no earlier principle's trials.
+    assert stores == [["void"]]
+    assert principles._SHARED.get() is None
+    stores.clear()
+    check_principle("void", "dv", HBS, corpus_frameworks(config))
+    assert stores == [None]
+    assert principles._SHARED.get() is None
+
+    calls = []
+    cell = principles.check_principle
+
+    def failing_cell(*args, **kwargs):
+        calls.append(principles._SHARED.get())
+        if len(calls) == 12:
+            raise RuntimeError("cell failed")
+        return cell(*args, **kwargs)
+
+    monkeypatch.setattr(principles, "check_principle", failing_cell)
+    with pytest.raises(RuntimeError, match="cell failed"):
+        audit(config)
+    assert all(store is not None for store in calls)
+    assert principles._SHARED.get() is None
 
 
 if __name__ == "__main__":
