@@ -27,12 +27,11 @@ from .framework import ArgumentationFramework, Attack
 from .semantics import (
     SemanticsSpec,
     Store,
-    System,
     attack_bits,
     coalition_degrees,
     degrees,
-    prefetch_degrees,
     row_degrees,
+    solve_systems,
 )
 from .verdicts import PrincipleVerdict, exceeds, falsify, trial
 
@@ -232,28 +231,37 @@ def prefetch_intensities(
     frameworks: Iterable[ArgumentationFramework],
     spec: SemanticsSpec,
     config: ShapleyConfig = ShapleyConfig(),
-    degree_systems: Iterable[System] = (),
-) -> None:
-    """Solve the coalitions of every framework whose intensities are not
-    stored yet, stacked with the ``degree_systems`` that
-    ``semantics.prefetch_degrees`` files, and store each measure whose
-    coalitions all solved.  Its ``shapley_all`` call then reads it; one that
-    failed is solved again there, and raises."""
+) -> dict[ArgumentationFramework, ShapleyMeasure | GradimpactError]:
+    """Each framework's intensities, read from their store or solved there.
+
+    The coalitions of every framework whose measure is not stored are solved
+    in one stack, and each measure whose coalitions all solved is stored.
+    Returns each framework's measure, or the error its ``shapley_all`` call
+    would raise; a measure that failed stays out of the store.
+    """
+    measures: dict = {}
     plans = {}
-    for af in dict.fromkeys(frameworks):
-        if (af, spec, config) not in _cached_shapley_all:
+    for af in frameworks:
+        if af in measures:
+            continue
+        measures[af] = _cached_shapley_all.get((af, spec, config))
+        if measures[af] is None:
             rows, games = _plan(af, config)
             plans[af] = rows, games, list(dict.fromkeys(mask for _, mask in rows))
-    coalitions = [
-        (af, spec, mask) for af, (_, _, masks) in plans.items() for mask in masks
-    ]
-    solved = iter(prefetch_degrees(degree_systems, coalitions))
+    solved = iter(
+        solve_systems(
+            [(af, spec, mask) for af, (_, _, masks) in plans.items() for mask in masks]
+        )
+    )
     for af, (rows, games, masks) in plans.items():
         try:
             sigma = row_degrees(af, rows, {mask: next(solved) for mask in masks})
-        except GradimpactError:
+        except GradimpactError as error:
+            measures[af] = error
             continue
-        _cached_shapley_all.put((af, spec, config), _measure(af, rows, games, sigma))
+        measure = _measure(af, rows, games, sigma)
+        measures[af] = _cached_shapley_all.put((af, spec, config), measure)
+    return measures
 
 
 def shapley_all(

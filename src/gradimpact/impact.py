@@ -47,12 +47,19 @@ from .attribution import (
 )
 from .errors import (
     DivergenceError,
+    GradimpactError,
     InconsistentAnnotationError,
     UnknownArgumentError,
     UnknownAttackError,
 )
 from .framework import ArgumentationFramework
-from .semantics import SemanticsSpec, attack_masks, counting_norm, degrees
+from .semantics import (
+    SemanticsSpec,
+    attack_masks,
+    counting_norm,
+    degree_vector,
+    prefetch_degrees,
+)
 
 POLARITY_TOLERANCE = 1e-9
 GATE_MARGIN = 1e-6
@@ -133,22 +140,21 @@ def _counting_norm_spec(
     return replace(spec, counting=replace(spec.counting, norm_override=norm))
 
 
-def _deletion_masks(af, spec, measure, subject, target):
-    """The spec and the two masks a deletion-based impact compares: the
-    attacks it shields ``target`` from, and the attacks touching the
-    arguments it deletes."""
-    xs = set(_checked_subject(af, subject, target))
+def _deletion_masks(
+    af: ArgumentationFramework, measure: str, xs: Sequence[str], target: str
+) -> tuple[int, int]:
+    """The two masks a deletion-based impact of the checked subject ``xs``
+    compares: the attacks it shields ``target`` from, and the attacks
+    touching the arguments it deletes."""
+    xs = set(xs)
     if measure == "dv":
         # Attacks into the subject from outside it, and every attack touching it.
         into, out = attack_masks(af, xs)
-        shielded, deleted = into & ~out, into | out
-    else:
-        # Every attack touching an external attacker of the subject other
-        # than the target, and every attack touching the subject but it.
-        attackers = {s for x in xs for s in af.attackers(x)} - xs - {target}
-        shielded = _touching(af, attackers)
-        deleted = _touching(af, xs - {target})
-    return _shared_norm_spec(af, spec), shielded, deleted
+        return into & ~out, into | out
+    # Every attack touching an external attacker of the subject other than
+    # the target, and every attack touching the subject but it.
+    attackers = {s for x in xs for s in af.attackers(x)} - xs - {target}
+    return _touching(af, attackers), _touching(af, xs - {target})
 
 
 def _touching(af: ArgumentationFramework, arguments: set[str]) -> int:
@@ -157,16 +163,14 @@ def _touching(af: ArgumentationFramework, arguments: set[str]) -> int:
 
 
 def _deletion_impact(af, spec, measure, subject, target) -> ImpactValue:
-    plan = _deletion_masks(af, spec, measure, subject, target)
-    return ImpactValue(_planned_impact(af, target, plan))
-
-
-def _planned_impact(af, target, plan) -> float:
     """``target``'s degree once the shielded attacks are dropped, less its
     degree once the deleted arguments go with every attack touching them."""
-    scoring, shielded, deleted = plan
-    before = degrees(af, scoring, shielded)[target]
-    return before - degrees(af, scoring, deleted)[target]
+    xs = _checked_subject(af, subject, target)
+    shielded, deleted = _deletion_masks(af, measure, xs, target)
+    scoring = _shared_norm_spec(af, spec)
+    t = af.arguments.index(target)
+    before = degree_vector(af, scoring, shielded)[t]
+    return ImpactValue(before - degree_vector(af, scoring, deleted)[t])
 
 
 def imp_dv(
@@ -236,6 +240,15 @@ def _cached_resolvent(
     return _Resolvent(index, matrix, norm, closed)
 
 
+def _closed_sum(row: np.ndarray, members: Iterable[int]) -> float:
+    """The closed-form impact of a subject: ``row``, the target's row of the
+    resolvent, summed over the members' indices in their given order."""
+    total = 0.0
+    for member in members:
+        total += float(row[member])
+    return total
+
+
 def _series_converges(norm: float, series: SeriesConfig) -> bool:
     """Whether ``norm`` = ‖M‖∞ proves that the walk series converges.
 
@@ -298,12 +311,10 @@ def imp_si(
     resolvent = _cached_resolvent(af, measure)
     index = resolvent.index
     goal = index[target]
-    total = 0.0
     if _series_converges(resolvent.norm, series):
-        row = resolvent.closed[goal]
-        for member in xs:
-            total += float(row[index[member]])
-        return ImpactValue(total)
+        members = [index[x] for x in xs]
+        return ImpactValue(_closed_sum(resolvent.closed[goal], members))
+    total = 0.0
     converged = True
     for member in xs:
         value, ok = _walk_series(resolvent.matrix, index[member], goal, series)
@@ -346,55 +357,118 @@ class ImpactQuery(NamedTuple):
     target: str
 
 
+# What evaluating a query under one measure needs, whatever the semantics:
+# the target's index, then the two masks of a deletion-based measure or the
+# indices of the sorted subject for ``si``; or the error an unknown argument
+# raises.
+Plan = tuple[int, int, int] | tuple[int, tuple[int, ...]] | UnknownArgumentError
+
+
+def _query_plan(measure: str, query: ImpactQuery) -> Plan:
+    af, subject, target = query
+    try:
+        xs = _checked_subject(af, subject, target)
+    except UnknownArgumentError as error:
+        return error
+    position = af.arguments.index
+    if measure == "si":
+        return position(target), tuple(map(position, xs))
+    return (position(target),) + _deletion_masks(af, measure, xs, target)
+
+
 def prefetch_impacts(
-    measure: str, spec: SemanticsSpec, queries: Sequence[ImpactQuery]
-) -> list[tuple[SemanticsSpec, int, int] | None]:
-    """Solve ahead, in one stack, every degree the queries will read.
-
-    These are the two masks of each query when ``measure`` is deletion-based,
-    and otherwise the coalitions of each framework whose intensities an
-    ``si`` query needs, with default configurations, as ``evaluate_impact``
-    uses them.  Returns each query's plan for ``impact_value``: the spec and
-    masks of a deletion-based query, None for the others.  Nothing is
-    raised: a query that cannot be evaluated, or whose systems fail, raises
-    when it is evaluated.
-    """
-    plans: list[tuple[SemanticsSpec, int, int] | None] = []
-    frameworks = {}
-    deleting = measure in ("dv", "dv-original")
-    for af, subject, target in queries:
-        plan = None
-        if deleting:
-            try:
-                plan = _deletion_masks(af, spec, measure, subject, target)
-            except UnknownArgumentError:
-                pass
-        elif measure == "si" and subject:
-            frameworks[id(af)] = af
-        plans.append(plan)
-    deletions = [
-        (query.af, plan[0], mask)
-        for query, plan in zip(queries, plans)
-        if plan is not None
-        for mask in plan[1:]
-    ]
-    prefetch_intensities(frameworks.values(), spec, ShapleyConfig(), deletions)
-    return plans
-
-
-def impact_value(
     measure: str,
     spec: SemanticsSpec,
-    query: ImpactQuery,
-    plan: tuple[SemanticsSpec, int, int] | None = None,
-) -> float:
-    """The value ``evaluate_impact`` gives the query under ``measure``; a
-    deletion-based one with a plan from ``prefetch_impacts`` reads the
-    degrees of its masks."""
+    queries: Sequence[ImpactQuery],
+    plans: dict[ImpactQuery, Plan],
+) -> list[float | Exception | None]:
+    """The value ``evaluate_impact`` gives each query, from one stacked solve.
+
+    ``plans`` holds the plans of queries under ``measure``, which any
+    semantics shares; a query missing there is planned and added.  A
+    deletion-based query reads its target's degree in its two masks, and an
+    ``si`` query sums its target's row of the closed-form resolvent over its
+    sorted members, from intensities with the default configuration, as
+    ``evaluate_impact`` computes them.  The degree and intensity stores
+    answer what they hold; the rest is solved in one stack and filed there.
+    A query whose evaluation raises gets that error in place of its value,
+    and nothing is raised here.  None marks an ``si`` query whose walk
+    series must run, which ``impact_value`` evaluates.
+    """
+    chosen = []
+    for query in queries:
+        plan = plans.get(query)
+        if plan is None:
+            plan = plans[query] = _query_plan(measure, query)
+        chosen.append(plan)
+    if measure == "si":
+        return _intensity_values(spec, queries, chosen)
+    return _deletion_values(spec, queries, chosen)
+
+
+def _deletion_values(spec, queries, plans) -> list[float | Exception]:
+    scorings: list[SemanticsSpec | Exception] = []
+    systems = []
+    for query, plan in zip(queries, plans):
+        if isinstance(plan, Exception):
+            scorings.append(plan)
+            continue
+        try:
+            scoring = _shared_norm_spec(query.af, spec)
+        except GradimpactError as error:
+            scorings.append(error)
+            continue
+        scorings.append(scoring)
+        systems += [(query.af, scoring, plan[1]), (query.af, scoring, plan[2])]
+    vectors = iter(prefetch_degrees(systems))
+    values: list[float | Exception] = []
+    for plan, scoring in zip(plans, scorings):
+        if isinstance(scoring, Exception):
+            values.append(scoring)
+            continue
+        # The shielded degree is read first, so its error comes first.
+        before, after = next(vectors), next(vectors)
+        if isinstance(before, Exception):
+            values.append(before)
+        elif isinstance(after, Exception):
+            values.append(after)
+        else:
+            values.append(before[plan[0]] - after[plan[0]])
+    return values
+
+
+def _intensity_values(spec, queries, plans) -> list[float | Exception | None]:
+    needed = [
+        query.af
+        for query, plan in zip(queries, plans)
+        if not isinstance(plan, Exception) and plan[1]
+    ]
+    measures = prefetch_intensities(needed, spec, ShapleyConfig())
+    closed: dict[ArgumentationFramework, np.ndarray | Exception | None] = {}
+    for af, measure in measures.items():
+        if isinstance(measure, Exception):
+            closed[af] = measure
+            continue
+        resolvent = _cached_resolvent(af, measure)
+        converges = _series_converges(resolvent.norm, SeriesConfig())
+        closed[af] = resolvent.closed if converges else None
+    values: list[float | Exception | None] = []
+    for query, plan in zip(queries, plans):
+        if isinstance(plan, Exception) or not plan[1]:
+            values.append(plan if isinstance(plan, Exception) else 0.0)
+            continue
+        matrix = closed[query.af]
+        if matrix is None or isinstance(matrix, Exception):
+            values.append(matrix)
+            continue
+        values.append(_closed_sum(matrix[plan[0]], plan[1]))
+    return values
+
+
+def impact_value(measure: str, spec: SemanticsSpec, query: ImpactQuery) -> float:
+    """The value ``evaluate_impact`` gives the query under ``measure``."""
     af, subject, target = query
-    if plan is None:
-        return evaluate_impact(measure, af, spec, subject, target).value
-    return _planned_impact(af, target, plan)
+    return evaluate_impact(measure, af, spec, subject, target).value
 
 
 def impact_payload(

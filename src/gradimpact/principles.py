@@ -33,7 +33,11 @@ each such principle's trials once, lazily, and its eight measure ×
 semantics cells read them in search order, each evaluating the impacts
 under its own measure and semantics.  Existence reads a cell's degrees to
 pick its premises and its measure to pick its candidate sets, so each cell
-draws its own.  A standalone ``check_principle`` draws its own trials too.
+draws its own.  What an impact query needs under a measure whatever the
+semantics (its checked subject, target index and deletion masks) is planned
+by the first cell of the principle that evaluates it, and kept for the
+principle's other cells.  A standalone ``check_principle`` draws and plans
+its own.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import math
 import random
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -53,7 +57,7 @@ from .fixtures import chain_pair, disjoint_pair, fixture_frameworks, showcase_af
 from .framework import ArgumentationFramework, Attack
 from .generate import GeneratorConfig, random_af
 from .impact import MEASURES, ImpactQuery, impact_value, prefetch_impacts
-from .semantics import CHECK_TOLERANCE, KINDS, SemanticsSpec, degrees
+from .semantics import CHECK_TOLERANCE, KINDS, SemanticsSpec, degree_vector
 from .verdicts import (
     COUNTEREXAMPLE,
     NO_COUNTEREXAMPLE,
@@ -174,32 +178,40 @@ class _Combined(NamedTuple):
 
 @dataclass(frozen=True)
 class _Context:
-    """What one cell evaluates its trials' impacts under."""
+    """What one cell evaluates its trials' impacts under, with the plans of
+    impact queries under its measure that it shares with the principle's
+    other cells."""
 
     measure: str
     spec: SemanticsSpec
     tolerance: float
+    plans: dict
 
     def resolve(self, sides: list) -> Callable[[object], float]:
-        """Solve ahead what a window's impact queries read; the returned
-        function evaluates one side from the warm stores."""
+        """Evaluate ahead, in one stacked solve, a window's impact queries;
+        the returned function evaluates one side from their values."""
         queries: list[ImpactQuery] = []
         for side in sides:
             if isinstance(side, _Combined):
                 queries.extend(side.queries[: side.ahead])
             elif isinstance(side, ImpactQuery):
                 queries.append(side)
-        # Planned by query object: the sides hold these very objects.
-        plans = prefetch_impacts(self.measure, self.spec, queries)
-        plans = dict(zip(map(id, queries), plans))
-        return partial(self._evaluate, plans)
+        values = prefetch_impacts(self.measure, self.spec, queries, self.plans)
+        # By query object: the sides hold these very objects.
+        return partial(self._evaluate, dict(zip(map(id, queries), values)))
 
-    def _evaluate(self, plans: dict, side) -> float:
+    def _evaluate(self, values: dict, side) -> float:
         if isinstance(side, _Combined):
-            return side.combine(map(partial(self._evaluate, plans), side.queries))
-        if isinstance(side, ImpactQuery):
-            return impact_value(self.measure, self.spec, side, plans.get(id(side)))
-        return side
+            return side.combine(map(partial(self._evaluate, values), side.queries))
+        if not isinstance(side, ImpactQuery):
+            return side
+        value = values.get(id(side))
+        if value is None:
+            # Not evaluated ahead, or a walk series to run.
+            return impact_value(self.measure, self.spec, side)
+        if isinstance(value, Exception):
+            raise value
+        return value
 
 
 def _rng(seed: int, label: str, index: int) -> random.Random:
@@ -549,9 +561,8 @@ def _has_shared_max_indegree(af: ArgumentationFramework) -> bool:
 def _premises(ctx, frameworks):
     # Every argument scored below one is a premise.
     for af in frameworks:
-        scores = degrees(af, ctx.spec)
-        for target in af.arguments:
-            if scores[target] < 1.0 - ctx.tolerance:
+        for target, score in zip(af.arguments, degree_vector(af, ctx.spec)):
+            if score < 1.0 - ctx.tolerance:
                 yield _existence_probe(ctx, af, target)
 
 
@@ -662,35 +673,48 @@ class _Replay:
             self._trials.append(_drawn(probes))
 
 
-# The replays an audit's cells share, by principle, each with the seed and
-# corpus it was drawn from; set only while ``audit`` runs.
+@dataclass
+class _Shared:
+    """What the cells of one principle share: the replay of its trials drawn
+    from ``source`` (None when each cell draws its own), and the plans of
+    its impact queries, by measure."""
+
+    source: tuple
+    replay: _Replay | None
+    plans: dict[str, dict] = field(default_factory=dict)
+
+
+# What an audit's cells share, by principle; set only while ``audit`` runs.
 _SHARED: ContextVar[dict | None] = ContextVar("shared_trials", default=None)
 
 
 @contextmanager
 def _sharing() -> Iterator[dict]:
-    """Share replays between the cells run inside; unset on leaving."""
+    """Share replays and plans between the cells run inside; drop them on
+    leaving."""
     store: dict = {}
     token = _SHARED.set(store)
     try:
         yield store
     finally:
+        store.clear()
         _SHARED.reset(token)
 
 
-def _replay(principle: str, check: _Check, seed: int, plain, shaped) -> _Replay:
-    """The audit's replay of a principle's stream over this corpus, or a
-    replay of its own outside an audit."""
+def _shared(principle: str, check: _Check, seed: int, plain, shaped) -> _Shared:
+    """What the audit's cells of a principle share over this corpus, or a
+    fresh share of its own outside an audit."""
     store = _SHARED.get()
     source = (seed, plain, shaped)
     if store is not None and principle in store:
-        drawn_from, replay = store[principle]
-        if drawn_from == source:
-            return replay
-    replay = _Replay(check.trials(seed, plain, shaped))
+        shared = store[principle]
+        if shared.source == source:
+            return shared
+    replay = None if check.per_cell else _Replay(check.trials(seed, plain, shaped))
+    shared = _Shared(source, replay)
     if store is not None:
-        store[principle] = (source, replay)
-    return replay
+        store[principle] = shared
+    return shared
 
 
 def check_principle(
@@ -705,7 +729,9 @@ def check_principle(
     """Search a corpus for counterexamples to one principle.
 
     Inside ``audit`` the cells of a principle other than existence read one
-    shared draw of its trials; otherwise the call draws its own."""
+    shared draw of its trials, and every cell of a principle plans each
+    impact query once per measure; otherwise the call draws and plans its
+    own."""
     if principle not in PRINCIPLES:
         raise ValueError(f"unknown principle {principle!r}")
     if measure not in MEASURES:
@@ -713,11 +739,12 @@ def check_principle(
     _check_tolerance(tolerance)
     check = _CHECKS[principle]
     plain, shaped = _split_corpus(principle, check.fits, corpus)
-    ctx = _Context(measure, spec, tolerance)
+    shared = _shared(principle, check, seed, plain, shaped)
+    ctx = _Context(measure, spec, tolerance, shared.plans.setdefault(measure, {}))
     if check.per_cell:
         trials = check.trials(ctx, plain, shaped)
     else:
-        trials = _replay(principle, check, seed, plain, shaped).read()
+        trials = shared.replay.read()
     return falsify(
         principle,
         spec.kind,
@@ -792,9 +819,13 @@ def audit(config: AuditConfig = AuditConfig()) -> AuditResult:
     """Run every configured principle, measure and semantics over one corpus.
 
     Each principle's trials are drawn once and shared by its cells, which
-    read them through ``check_principle``; the store holds one principle's
-    trials at a time and is gone when the audit returns or raises."""
+    read them through ``check_principle`` and plan each impact query once
+    per measure; the store holds one principle's trials and plans at a time
+    and is gone when the audit returns or raises."""
     base = corpus_frameworks(config)
+    # One spec object per semantics: the degree store compares keys by
+    # identity first.
+    specs = [SemanticsSpec(semantics) for semantics in config.semantics]
     verdicts = []
     with _sharing() as store:
         for principle in PRINCIPLES:
@@ -802,8 +833,7 @@ def audit(config: AuditConfig = AuditConfig()) -> AuditResult:
             entries = base
             if config.include_fixtures:
                 entries = fixture_entries(principle) + base
-            for semantics in config.semantics:
-                spec = SemanticsSpec(semantics)
+            for spec in specs:
                 for measure in config.measures:
                     verdicts.append(
                         check_principle(

@@ -42,7 +42,8 @@ no other degree (a dense ``cs`` solve, one row and column larger for each,
 can round an ulp apart).  ``degrees`` solves one mask of a framework, and
 ``coalition_degrees`` many at once, without building the derived frameworks;
 ``solve_systems`` stacks masks of many frameworks, and ``prefetch_degrees``
-files its results where ``degrees`` reads them.
+reads many systems from the degree store, solving the ones it lacks in one
+stack and filing them there.
 """
 
 from __future__ import annotations
@@ -122,39 +123,62 @@ class SemanticsSpec:
             raise ValueError("max_iterations must be at least 1")
 
 
-class Weighting(Mapping[str, float]):
-    """Total map from arguments to acceptability degrees in [0, 1]."""
+def _clipped(argument: str, value: float) -> float:
+    # Tolerate float overshoot from the solvers, nothing more.
+    if not -1e-9 <= value <= 1.0 + 1e-9:
+        raise ValueError(f"degree {value!r} for {argument!r} outside [0, 1]")
+    return min(1.0, max(0.0, value))
 
-    __slots__ = ("_degrees",)
+
+class Weighting(Mapping[str, float]):
+    """Total map from arguments to acceptability degrees in [0, 1].
+
+    It keeps the degrees as a tuple in the order of its arguments, and
+    builds the map from argument to degree on its first read.
+    """
+
+    __slots__ = ("_arguments", "_values", "_degrees")
 
     def __init__(self, degrees: Mapping[str, float]):
-        cleaned: dict[str, float] = {}
-        for a, raw in degrees.items():
-            value = float(raw)
-            # Tolerate float overshoot from the solvers, nothing more.
-            if not -1e-9 <= value <= 1.0 + 1e-9:
-                raise ValueError(f"degree {value!r} for {a!r} outside [0, 1]")
-            cleaned[a] = min(1.0, max(0.0, value))
+        cleaned = {a: _clipped(a, float(raw)) for a, raw in degrees.items()}
         self._degrees = dict(sorted(cleaned.items()))
+        self._arguments = tuple(self._degrees)
+        self._values = tuple(self._degrees.values())
+
+    @classmethod
+    def _solved(cls, arguments: tuple[str, ...], solved: np.ndarray) -> Weighting:
+        """The weighting of a solved degree vector in the order of
+        ``arguments``, checked and clipped as the constructor does."""
+        weighting = cls.__new__(cls)
+        weighting._arguments = arguments
+        weighting._values = tuple(map(_clipped, arguments, solved.tolist()))
+        weighting._degrees = None
+        return weighting
+
+    @property
+    def _by_argument(self) -> dict[str, float]:
+        if self._degrees is None:
+            self._degrees = dict(sorted(zip(self._arguments, self._values)))
+        return self._degrees
 
     def __getitem__(self, argument: str) -> float:
         try:
-            return self._degrees[argument]
+            return self._by_argument[argument]
         except KeyError:
             raise UnknownArgumentError(argument) from None
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._degrees)
+        return iter(self._by_argument)
 
     def __len__(self) -> int:
-        return len(self._degrees)
+        return len(self._values)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{a}: {d:.6f}" for a, d in self._degrees.items())
+        inner = ", ".join(f"{a}: {d:.6f}" for a, d in self._by_argument.items())
         return f"Weighting({{{inner}}})"
 
     def as_dict(self) -> dict[str, float]:
-        return dict(self._degrees)
+        return dict(self._by_argument)
 
 
 def counting_norm(af: ArgumentationFramework, config: CountingConfig) -> float | None:
@@ -187,7 +211,10 @@ class Store:
     It caches as ``functools.lru_cache`` does, with ``cache_info``,
     ``cache_clear`` and ``__wrapped__``, and also takes results solved
     elsewhere: ``put`` files one and counts it as a miss, so ``misses``
-    counts every result solved for the store.
+    counts every result solved for the store, and ``get`` reads one, if
+    stored, as a hit.  The degree store holds one ``Weighting`` per solved
+    system: the clipped degree vector, whose map from argument to degree is
+    built only when first read by name.
     """
 
     def __init__(self, solve: Callable, maxsize: int):
@@ -206,8 +233,13 @@ class Store:
         self._items.move_to_end(key)
         return value
 
-    def __contains__(self, key: tuple) -> bool:
-        return key in self._items
+    def get(self, key: tuple):
+        """The stored result for ``key``, counted as a hit, or None."""
+        value = self._items.get(key)
+        if value is not None:
+            self._hits += 1
+            self._items.move_to_end(key)
+        return value
 
     def put(self, key: tuple, value):
         self._misses += 1
@@ -233,11 +265,7 @@ def _solve_weighting(
     (solved,) = solve_systems([(af, spec, mask)])
     if isinstance(solved, GradimpactError):
         raise solved
-    return _weighting(af, solved)
-
-
-def _weighting(af: ArgumentationFramework, solved: np.ndarray) -> Weighting:
-    return Weighting(dict(zip(af.arguments, solved.tolist())))
+    return Weighting._solved(af.arguments, solved)
 
 
 _cached_degrees = Store(_solve_weighting, maxsize=32768)
@@ -255,6 +283,11 @@ def degrees(
     ``tolerance`` and ``max_iterations`` play no part; larger ones are swept,
     within ``tolerance`` of the exact degrees, and can raise
     ``NonConvergenceError``.
+
+    Results come from the degree store, which keeps each solved vector,
+    checked and clipped into [0, 1], in a ``Weighting`` that builds its map
+    from argument to degree on its first read; ``degree_vector`` reads the
+    vector without it.
     """
     if not af.arguments:
         raise ValueError("degrees need at least one argument")
@@ -263,26 +296,45 @@ def degrees(
     return _cached_degrees(af, spec, mask)
 
 
+def degree_vector(
+    af: ArgumentationFramework, spec: SemanticsSpec, mask: int = 0
+) -> tuple[float, ...]:
+    """The degrees ``degrees`` gives, in the order of ``af.arguments``,
+    read without building the weighting's map."""
+    return degrees(af, spec, mask)._values
+
+
 System = tuple[ArgumentationFramework, SemanticsSpec, int]
 
 
 def prefetch_degrees(
-    systems: Iterable[System], extra: Sequence[System] = ()
-) -> list[np.ndarray | GradimpactError]:
-    """Solve the ``systems`` the degree store lacks, and file them there.
+    systems: Sequence[System],
+) -> list[tuple[float, ...] | Exception]:
+    """Each system's ``degree_vector``, read from the degree store or solved.
 
-    Each system is the ``(af, spec, mask)`` of a ``degrees`` call.  They are
-    solved together with the ``extra`` systems, whose results are returned,
-    as ``solve_systems`` gives them, and not stored.  A system that fails
-    stays out of the store, so its ``degrees`` call solves it again and
-    raises.
+    Each system is the ``(af, spec, mask)`` of a ``degrees`` call.  The ones
+    the store lacks are solved in one stack and filed there.  A system that
+    fails gets the error its ``degrees`` call would raise in place of its
+    degrees, and stays out of the store.
     """
-    fresh = [key for key in dict.fromkeys(systems) if key not in _cached_degrees]
-    solved = solve_systems(fresh + list(extra))
-    for (af, spec, mask), result in zip(fresh, solved):
+    found: dict[System, tuple[float, ...] | Exception] = {}
+    fresh = []
+    for key in dict.fromkeys(systems):
+        stored = _cached_degrees.get(key)
+        if stored is None:
+            fresh.append(key)
+        else:
+            found[key] = stored._values
+    for key, result in zip(fresh, solve_systems(fresh)):
         if not isinstance(result, GradimpactError):
-            _cached_degrees.put((af, spec, mask), _weighting(af, result))
-    return solved[len(fresh) :]
+            try:
+                result = Weighting._solved(key[0].arguments, result)
+            except ValueError as error:
+                result = error
+            else:
+                result = _cached_degrees.put(key, result)._values
+        found[key] = result
+    return [found[key] for key in systems]
 
 
 def coalition_degrees(

@@ -1,8 +1,11 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import weakref
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,19 +17,21 @@ from gradimpact import (
     IncompleteMatrixError,
     PrincipleVerdict,
     SemanticsSpec,
+    UnknownArgumentError,
     UnsupportedInstanceError,
     audit,
     check_principle,
     compare_with_expected,
     corpus_frameworks,
     crosscheck_implications,
+    evaluate_impact,
     expected_status,
     fixture_entries,
     imp_dv,
 )
-from gradimpact import NonConvergenceError, attribution, principles, semantics
+from gradimpact import NonConvergenceError, attribution, impact, principles, semantics
 from gradimpact.fixtures import chain_pair, disjoint_pair, showcase_af
-from gradimpact.impact import MEASURES
+from gradimpact.impact import MEASURES, ImpactQuery
 from gradimpact.principles import PRINCIPLES, RESTRICTED_SCOPE
 from gradimpact.semantics import CHECK_TOLERANCE
 from gradimpact.verdicts import COUNTEREXAMPLE, NO_COUNTEREXAMPLE, WINDOW, Witness
@@ -334,16 +339,31 @@ def test_audit_trials_and_witnesses_match_the_golden_file():
         assert got == want, label
 
 
-# sha256 of the default ``gradimpact audit --report json`` output.
+# sha256 of the default ``gradimpact audit --report json`` output, and of
+# ``--report both``.
 DEFAULT_AUDIT_SHA256 = "7d336bc3749c44bcbb48a938c4746643ecd94b593f7e0a2804f9a95c1907d4aa"
+DEFAULT_BOTH_SHA256 = "dbfe851ab853fc45b73b9f2df02a52be1154ea91fc9d41668c5904b431285adb"
 
 
 def test_default_audit_report_keeps_its_digest(audit_result):
-    # The report as ``cmd_audit`` assembles it from the default audit.
+    # The reports as ``cmd_audit`` assembles them from the default audit.
     payload = audit_result.to_dict()
     payload["implication_issues"] = crosscheck_implications(audit_result)
     report = json.dumps(payload, sort_keys=True) + "\n"
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == DEFAULT_AUDIT_SHA256
+    both = audit_result.render_text() + report
+    assert hashlib.sha256(both.encode("utf-8")).hexdigest() == DEFAULT_BOTH_SHA256
+
+
+def _evaluated(measure, spec, side):
+    """A side's value as ``evaluate_impact`` gives it, one impact at a time;
+    a combined side reads its impacts lazily, in order."""
+    if isinstance(side, principles._Combined):
+        return side.combine(_evaluated(measure, spec, query) for query in side.queries)
+    if isinstance(side, ImpactQuery):
+        af, subject, target = side
+        return evaluate_impact(measure, af, spec, subject, target).value
+    return side
 
 
 def _one_at_a_time(principle, measure, spec, corpus, seed=0):
@@ -353,14 +373,14 @@ def _one_at_a_time(principle, measure, spec, corpus, seed=0):
     attribution._cached_shapley_all.cache_clear()
     check = principles._CHECKS[principle]
     plain, shaped = principles._split_corpus(principle, check.fits, corpus)
-    ctx = principles._Context(measure, spec, CHECK_TOLERANCE)
+    ctx = principles._Context(measure, spec, CHECK_TOLERANCE, {})
     # Drawn straight from the principle's own stream, not through a replay.
     drawing = ctx if check.per_cell else seed
     return one_at_a_time_search(
         check.trials(drawing, plain, shaped),
-        # No plans: every impact is evaluated on its own, under the cell's
-        # measure and semantics.
-        lambda side: ctx._evaluate({}, side),
+        # Every impact is evaluated on its own, under the cell's measure and
+        # semantics, without the driver's windows or plans.
+        lambda side: _evaluated(measure, spec, side),
         check.relation,
         CHECK_TOLERANCE,
         check.count_all,
@@ -596,6 +616,124 @@ def test_the_shared_store_lives_only_inside_an_audit(monkeypatch):
         audit(config)
     assert all(store is not None for store in calls)
     assert principles._SHARED.get() is None
+
+
+# -- impact queries planned once per principle ---------------------------
+
+
+def test_each_impact_query_is_planned_once_per_principle(monkeypatch):
+    planned = Counter()
+    principle = []
+    query_plan = impact._query_plan
+
+    def counted(measure, query):
+        planned[(principle[-1], measure, query)] += 1
+        return query_plan(measure, query)
+
+    monkeypatch.setattr(impact, "_query_plan", counted)
+    shares = []
+    cell = principles.check_principle
+
+    def observed_cell(*args, **kwargs):
+        principle.append(args[0])
+        store = principles._SHARED.get()
+        # Every earlier principle's share, with its plans, is gone.
+        assert set(store) <= {args[0]}
+        gc.collect()
+        assert all(share() is None for name, share in shares if name != args[0])
+        verdict = cell(*args, **kwargs)
+        shares.append((args[0], weakref.ref(store[args[0]])))
+        if len(shares) == fail_at:
+            raise RuntimeError("cell failed")
+        return verdict
+
+    monkeypatch.setattr(principles, "check_principle", observed_cell)
+    fail_at = 0
+    audit(GOLDEN_CONFIG)
+    assert {key[0] for key in planned} == set(PRINCIPLES)
+    assert {key[1] for key in planned} == set(MEASURES)
+    assert max(planned.values()) == 1
+    gc.collect()
+    assert all(share() is None for _, share in shares)
+
+    # Nor does any plan outlive an audit that raises.
+    shares.clear()
+    fail_at = 20
+    with pytest.raises(RuntimeError, match="cell failed") as raised:
+        audit(GOLDEN_CONFIG)
+    gc.collect()
+    assert len(shares) == fail_at
+    # Even while the error's traceback still holds the audit's frame.
+    assert raised.traceback
+    assert all(share() is None for _, share in shares)
+
+
+def _shared_sides(config):
+    """Every side the shared principle streams draw over the config's corpus."""
+    base = corpus_frameworks(config)
+    sides = []
+    for principle in PRINCIPLES:
+        check = principles._CHECKS[principle]
+        if check.per_cell:
+            continue
+        corpus = fixture_entries(principle) + base
+        plain, shaped = principles._split_corpus(principle, check.fits, corpus)
+        for probes in check.trials(config.seed, plain, shaped):
+            sides += [
+                side
+                for lhs, rhs, _ in probes
+                for side in (lhs, rhs)
+                if isinstance(side, (ImpactQuery, principles._Combined))
+            ]
+    return base, sides
+
+
+@pytest.mark.parametrize("kind", ("hbs", "car", "max", "cs"))
+def test_window_values_equal_each_impact_evaluated_alone(kind):
+    base, sides = _shared_sides(GOLDEN_CONFIG)
+    af = base[0]
+    unknown = [
+        ImpactQuery(af, ("nowhere",), af.arguments[0]),
+        ImpactQuery(af, af.arguments[:1], "nowhere"),
+    ]
+    spec = SemanticsSpec(kind)
+    for measure in MEASURES:
+        semantics._cached_degrees.cache_clear()
+        attribution._cached_shapley_all.cache_clear()
+        alone = [_evaluated(measure, spec, side) for side in sides]
+        semantics._cached_degrees.cache_clear()
+        attribution._cached_shapley_all.cache_clear()
+        ctx = principles._Context(measure, spec, CHECK_TOLERANCE, {})
+        # The window solves every side ahead, and raises nothing.
+        value = ctx.resolve(sides + unknown)
+        for side, want in zip(sides, alone):
+            assert value(side) == want, (measure, side)
+        for side in unknown:
+            with pytest.raises(UnknownArgumentError):
+                value(side)
+
+
+def test_a_query_whose_two_solves_fail_raises_the_one_read_first():
+    # Both reduced frameworks keep a two-cycle that TIGHT's 12 sweeps do not
+    # settle, each at its own residual.
+    af = ArgumentationFramework.of(
+        ["x1", "x2", "y1", "y2"],
+        [("x1", "x2"), ("x2", "x1"), ("y1", "x1"), ("y1", "y2"), ("y2", "y1")],
+    )
+    query = ImpactQuery(af, ("y1",), "x1")
+    semantics._cached_degrees.cache_clear()
+    with pytest.raises(NonConvergenceError) as alone:
+        imp_dv(af, TIGHT, query.subject, query.target)
+    semantics._cached_degrees.cache_clear()
+    value = principles._Context("dv", TIGHT, CHECK_TOLERANCE, {}).resolve([query])
+    with pytest.raises(NonConvergenceError) as windowed:
+        value(query)
+    assert windowed.value.residual == alone.value.residual
+    # Deleting y1 leaves the x cycle alone, which stops at another residual.
+    cycle = ArgumentationFramework.of(af.arguments, [("x1", "x2"), ("x2", "x1")])
+    with pytest.raises(NonConvergenceError) as deleted:
+        semantics.degrees(cycle, TIGHT)
+    assert deleted.value.residual != alone.value.residual
 
 
 if __name__ == "__main__":
