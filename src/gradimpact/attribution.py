@@ -10,7 +10,13 @@ Targets with at most ``exact_indegree_cap`` attackers are enumerated exactly;
 beyond the cap a seeded permutation sample estimates the same average.
 Every coalition score a call needs is solved in one batched
 ``coalition_degrees`` call, and ``prefetch_intensities`` stacks the
-coalitions of many frameworks in one solve.
+coalitions of many frameworks in one ``prefetch_coalitions`` call.  Under
+``hbs``, ``car``, ``max`` and swept ``cs`` each score is its derived
+framework's degree bit for bit.  Under dense ``cs`` (up to 1,023
+arguments) each score is a rank-one update of one solve per framework and
+norm, within 1e-14 of a dense solve of the derived framework, so an
+intensity, whose marginal weights sum to 1, lies within 2e-14 of one
+computed from dense solves.
 """
 
 from __future__ import annotations
@@ -30,8 +36,7 @@ from .semantics import (
     attack_bits,
     coalition_degrees,
     degrees,
-    row_degrees,
-    solve_systems,
+    prefetch_coalitions,
 )
 from .verdicts import PrincipleVerdict, exceeds, falsify, trial
 
@@ -246,18 +251,11 @@ def prefetch_intensities(
             continue
         measures[af] = _cached_shapley_all.get((af, spec, config))
         if measures[af] is None:
-            rows, games = _plan(af, config)
-            plans[af] = rows, games, list(dict.fromkeys(mask for _, mask in rows))
-    solved = iter(
-        solve_systems(
-            [(af, spec, mask) for af, (_, _, masks) in plans.items() for mask in masks]
-        )
-    )
-    for af, (rows, games, masks) in plans.items():
-        try:
-            sigma = row_degrees(af, rows, {mask: next(solved) for mask in masks})
-        except GradimpactError as error:
-            measures[af] = error
+            plans[af] = _plan(af, config)
+    solved = prefetch_coalitions([(af, spec, rows) for af, (rows, _) in plans.items()])
+    for (af, (rows, games)), sigma in zip(plans.items(), solved):
+        if isinstance(sigma, GradimpactError):
+            measures[af] = sigma
             continue
         measure = _measure(af, rows, games, sigma)
         measures[af] = _cached_shapley_all.put((af, spec, config), measure)

@@ -57,7 +57,6 @@ from .semantics import (
     SemanticsSpec,
     attack_masks,
     counting_norm,
-    degree_vector,
     prefetch_degrees,
 )
 
@@ -164,13 +163,14 @@ def _touching(af: ArgumentationFramework, arguments: set[str]) -> int:
 
 def _deletion_impact(af, spec, measure, subject, target) -> ImpactValue:
     """``target``'s degree once the shielded attacks are dropped, less its
-    degree once the deleted arguments go with every attack touching them."""
+    degree once the deleted arguments go with every attack touching them,
+    both solved in one stack as an audit window solves them."""
     xs = _checked_subject(af, subject, target)
-    shielded, deleted = _deletion_masks(af, measure, xs, target)
-    scoring = _shared_norm_spec(af, spec)
-    t = af.arguments.index(target)
-    before = degree_vector(af, scoring, shielded)[t]
-    return ImpactValue(before - degree_vector(af, scoring, deleted)[t])
+    plan = (af.arguments.index(target),) + _deletion_masks(af, measure, xs, target)
+    (value,) = _deletion_values(spec, [ImpactQuery(af, xs, target)], [plan])
+    if isinstance(value, Exception):
+        raise value
+    return ImpactValue(value)
 
 
 def imp_dv(

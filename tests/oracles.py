@@ -72,6 +72,50 @@ def counting_series(
     return dict(zip(order, total))
 
 
+def counting_coalition_degree(
+    nodes: Sequence[str],
+    edges: Iterable[Edge],
+    alpha: float,
+    norm_override: float | None,
+    target: str,
+    removed: Iterable[Edge],
+) -> float:
+    """The counting score of ``target`` once ``removed`` is gone, by a dense
+    LU solve of the reduced system.
+
+    The reduced framework keeps the other attacks; its norm is the override
+    or else its largest in-degree, and it scores 1 everywhere when it has no
+    attack.  Otherwise (I + alpha / norm * M) x = 1 is solved by Gaussian
+    elimination with partial pivoting on lists of lists.
+    """
+    gone = set(removed)
+    kept = [edge for edge in edges if edge not in gone]
+    if not kept:
+        return 1.0
+    indegree: dict[str, int] = {n: 0 for n in nodes}
+    for _, t in kept:
+        indegree[t] += 1
+    norm = norm_override if norm_override is not None else max(indegree.values())
+    order = list(nodes)
+    position = {n: i for i, n in enumerate(order)}
+    size = len(order)
+    rows = [[1.0 if i == j else 0.0 for j in range(size)] + [1.0] for i in range(size)]
+    for s, t in kept:
+        rows[position[t]][position[s]] += alpha / norm
+    for col in range(size):
+        pivot = max(range(col, size), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(col + 1, size):
+            factor = rows[r][col] / rows[col][col]
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    solution = [0.0] * size
+    for r in reversed(range(size)):
+        tail = sum(rows[r][j] * solution[j] for j in range(r + 1, size))
+        solution[r] = (rows[r][size] - tail) / rows[r][r]
+    return solution[position[target]]
+
+
 def picard_scores(
     nodes: Sequence[str],
     edges: Iterable[Edge],

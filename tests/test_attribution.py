@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,7 +23,14 @@ from gradimpact.attribution import EXACT_MODE, SAMPLED_MODE
 from gradimpact.fixtures import fan_af
 from gradimpact.semantics import KINDS
 
-from oracles import counting_series, permutation_shapley, reference_shapley
+from oracles import (
+    counting_coalition_degree,
+    counting_series,
+    permutation_shapley,
+    reference_shapley,
+)
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # The default config, and one that samples every target with two or more
 # attackers.
@@ -114,7 +127,16 @@ def test_batched_solve_equals_the_one_by_one_reference(af, kind, config):
         config.seed,
     )
     measure = shapley_all(af, spec, config)
-    assert (measure.entries, measure.mode) == expected
+    if kind != "cs":
+        assert (measure.entries, measure.mode) == expected
+        return
+    # Dense cs coalitions are rank-one updates, each within 1e-14 of its
+    # dense solve, and an intensity's marginal weights sum to 1.
+    entries, mode = expected
+    assert measure.mode == mode
+    assert [attack for attack, _ in measure.entries] == [attack for attack, _ in entries]
+    for (_, value), (_, reference) in zip(measure.entries, entries):
+        assert abs(value - reference) <= 2e-14
 
 
 @pytest.mark.parametrize("cells", [1, 200])
@@ -131,6 +153,22 @@ def test_rows_split_across_chunks_give_the_same_values(
     monkeypatch.setattr(semantics, "_dense", lambda spec, n: solver == "_counting_rows")
     unsplit = attribution._cached_shapley_all.__wrapped__
     whole = unsplit(showcase, spec, ShapleyConfig())
+    if solver == "_counting_rows":
+        # Dense cs coalitions are rank-one updates of one LU per (framework,
+        # norm) pair, however small the budget cuts the batches.
+        factored = []
+        solve = np.linalg.solve
+
+        def counted_lu(systems, rhs):
+            factored.append(len(systems))
+            return solve(systems, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted_lu)
+        monkeypatch.setattr(semantics, "COALITION_CELLS", cells)
+        split = unsplit(showcase, spec, ShapleyConfig())
+        assert sum(factored) == len(_coalition_norms(showcase)) == 2
+        assert split == whole
+        return
     chunks = []
     solve = getattr(semantics, solver)
 
@@ -143,6 +181,18 @@ def test_rows_split_across_chunks_give_the_same_values(
     split = unsplit(showcase, spec, ShapleyConfig())
     assert len(chunks) >= 3
     assert split == whole
+
+
+def _coalition_norms(af):
+    """The distinct positive largest in-degrees of the frameworks left by
+    removing a coalition of one target's attacks."""
+    norms = set()
+    for a in af.arguments:
+        incoming = af.attacks_on(a)
+        for mask in range(1 << len(incoming)):
+            removed = [c for i, c in enumerate(incoming) if mask >> i & 1]
+            norms.add(af.delete_attacks(removed).max_in_degree())
+    return norms - {0}
 
 
 def _all_coalitions(af):
@@ -202,6 +252,69 @@ def test_swept_counting_solve_agrees_with_the_dense_one(af, norm):
         )
         assert abs(s - d) <= bound
         assert abs(s - series[af.arguments[t]]) <= bound
+
+
+def _hub():
+    """A self-attacking hub that alone holds the top in-degree, 6, over 2."""
+    names = ["h", "a1", "a2", "a3", "a4", "a5"]
+    attacks = [(a, "h") for a in names] + [("h", "a1"), ("a2", "a1"), ("a1", "a3")]
+    return ArgumentationFramework.of(names, attacks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(attack_graphs(), st.sampled_from((None, 0.0, 2.5)), st.sampled_from(CONFIGS))
+# Removing the hub's attacks lowers the norm from 6 through 5, 4 and 3 to 2.
+@example(_hub(), None, CONFIGS[0])
+@example(_hub(), 0.0, CONFIGS[1])
+# a3 is attack-free, and emptying a1 leaves a framework with no attack.
+@example(
+    ArgumentationFramework.of(["a1", "a2", "a3"], [("a2", "a1"), ("a3", "a1")]),
+    None,
+    CONFIGS[0],
+)
+def test_rank_one_rows_agree_with_dense_solves(af, extra, config):
+    # extra None keeps the derived frameworks' own norms; otherwise the
+    # override is the parent's largest in-degree plus extra.
+    norm = None if extra is None else af.max_in_degree() + extra
+    spec = SemanticsSpec("cs", counting=CountingConfig(norm_override=norm))
+    rows = _all_coalitions(af) + attribution._plan(af, config)[0]
+    values = semantics.coalition_degrees(af, spec, rows)
+    for (t, mask), value in zip(rows, values):
+        expected = counting_coalition_degree(
+            af.arguments,
+            af.attacks,
+            spec.counting.damping,
+            norm,
+            af.arguments[t],
+            _removed(af, mask),
+        )
+        assert abs(value - expected) <= 1e-14
+
+
+def test_dense_counting_rows_must_be_coalitions_of_their_target():
+    af = ArgumentationFramework.of(["a", "b"], [("a", "b"), ("b", "a")])
+    bits = semantics.attack_bits(af)
+    with pytest.raises(ValueError, match="drops attacks off argument 0"):
+        semantics.coalition_degrees(af, SemanticsSpec("cs"), [(0, 1 << bits[("a", "b")])])
+
+
+def test_a_counting_session_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, and that import alone
+    # took 18-22 ms of a cold process on a 2-core Xeon with numpy 2.4.
+    code = (
+        "import sys\n"
+        "from gradimpact import GeneratorConfig, SemanticsSpec, random_af, shapley_all\n"
+        "af = random_af(GeneratorConfig(30, 0.1, seed=2))\n"
+        "assert shapley_all(af, SemanticsSpec('cs')).entries\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    paths = [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout == "False\n"
 
 
 def test_coalitions_stay_out_of_the_degree_cache(showcase):
