@@ -8,9 +8,9 @@ change caused by removing (b, a) at its turn.
 
 Targets with at most ``exact_indegree_cap`` attackers are enumerated exactly;
 beyond the cap a seeded permutation sample estimates the same average.
-Every coalition score a call needs is solved in one batched
-``coalition_degrees`` call, and ``prefetch_intensities`` stacks the
-coalitions of many frameworks in one ``prefetch_coalitions`` call.  Under
+``prefetch_intensities`` solves the coalition scores of many frameworks in
+one ``prefetch_coalitions`` call, and ``shapley_all`` is its one-framework
+case after a read of the intensity store.  Under
 ``hbs``, ``car``, ``max`` and swept ``cs`` each score is its derived
 framework's degree bit for bit.  Under dense ``cs`` (up to 1,023
 arguments) each score is a rank-one update of one solve per framework and
@@ -34,7 +34,6 @@ from .semantics import (
     SemanticsSpec,
     Store,
     attack_bits,
-    coalition_degrees,
     degrees,
     prefetch_coalitions,
 )
@@ -222,14 +221,7 @@ def _measure(
     return ShapleyMeasure(entries=entries, mode=SAMPLED_MODE if sampled else EXACT_MODE)
 
 
-def _solve_measure(
-    af: ArgumentationFramework, spec: SemanticsSpec, config: ShapleyConfig
-) -> ShapleyMeasure:
-    rows, games = _plan(af, config)
-    return _measure(af, rows, games, coalition_degrees(af, spec, rows))
-
-
-_cached_shapley_all = Store(_solve_measure, maxsize=4096)
+_cached_shapley_all = Store(maxsize=4096)
 
 
 def prefetch_intensities(
@@ -247,11 +239,12 @@ def prefetch_intensities(
     measures: dict = {}
     plans = {}
     for af in frameworks:
-        if af in measures:
-            continue
-        measures[af] = _cached_shapley_all.get((af, spec, config))
-        if measures[af] is None:
-            plans[af] = _plan(af, config)
+        if af not in measures:
+            measures[af] = measure = _cached_shapley_all.get((af, spec, config))
+            if measure is None:
+                plans[af] = _plan(af, config)
+    if not plans:
+        return measures
     solved = prefetch_coalitions([(af, spec, rows) for af, (rows, _) in plans.items()])
     for (af, (rows, games)), sigma in zip(plans.items(), solved):
         if isinstance(sigma, GradimpactError):
@@ -267,8 +260,17 @@ def shapley_all(
     spec: SemanticsSpec,
     config: ShapleyConfig = ShapleyConfig(),
 ) -> ShapleyMeasure:
-    """Intensities of every attack, sorted by target then source."""
-    return _cached_shapley_all(af, spec, config)
+    """Intensities of every attack, sorted by target then source.
+
+    Read from the intensity store, or else ``prefetch_intensities``' of the
+    one framework.
+    """
+    measure = _cached_shapley_all.get((af, spec, config))
+    if measure is None:
+        measure = prefetch_intensities((af,), spec, config)[af]
+        if isinstance(measure, GradimpactError):
+            raise measure
+    return measure
 
 
 def check_bounded_loss(

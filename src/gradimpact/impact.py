@@ -24,6 +24,10 @@ truncated alternating series would converge under the query's
 ``SeriesConfig``; otherwise the series itself is evaluated, walk length by
 walk length, with its divergence guard and length cap.
 
+``prefetch_impacts`` evaluates a batch of queries under one measure and
+semantics in one stacked solve, an audit window at a time; every other
+entry point here is its one-query case.
+
 For the counting semantics, both deletion-based variants score the reduced
 frameworks with the parent framework's normalisation so the two sides stay
 comparable; the intensity matrix instead inherits whatever the attribution
@@ -35,16 +39,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .attribution import (
-    ShapleyConfig,
-    ShapleyMeasure,
-    prefetch_intensities,
-    shapley_all,
-)
+from .attribution import ShapleyConfig, ShapleyMeasure, prefetch_intensities
 from .errors import (
     DivergenceError,
     GradimpactError,
@@ -53,12 +52,7 @@ from .errors import (
     UnknownAttackError,
 )
 from .framework import ArgumentationFramework
-from .semantics import (
-    SemanticsSpec,
-    attack_masks,
-    counting_norm,
-    prefetch_degrees,
-)
+from .semantics import SemanticsSpec, attack_masks, counting_norm, prefetch_degrees
 
 POLARITY_TOLERANCE = 1e-9
 GATE_MARGIN = 1e-6
@@ -109,18 +103,6 @@ class ImpactValue:
         return "neutral"
 
 
-def _checked_subject(
-    af: ArgumentationFramework, subject: Iterable[str], target: str
-) -> tuple[str, ...]:
-    xs = tuple(sorted(set(subject)))
-    for x in xs:
-        if x not in af:
-            raise UnknownArgumentError(x)
-    if target not in af:
-        raise UnknownArgumentError(target)
-    return xs
-
-
 def _shared_norm_spec(
     af: ArgumentationFramework, spec: SemanticsSpec
 ) -> SemanticsSpec:
@@ -161,18 +143,6 @@ def _touching(af: ArgumentationFramework, arguments: set[str]) -> int:
     return into | out
 
 
-def _deletion_impact(af, spec, measure, subject, target) -> ImpactValue:
-    """``target``'s degree once the shielded attacks are dropped, less its
-    degree once the deleted arguments go with every attack touching them,
-    both solved in one stack as an audit window solves them."""
-    xs = _checked_subject(af, subject, target)
-    plan = (af.arguments.index(target),) + _deletion_masks(af, measure, xs, target)
-    (value,) = _deletion_values(spec, [ImpactQuery(af, xs, target)], [plan])
-    if isinstance(value, Exception):
-        raise value
-    return ImpactValue(value)
-
-
 def imp_dv(
     af: ArgumentationFramework,
     spec: SemanticsSpec,
@@ -180,7 +150,8 @@ def imp_dv(
     target: str,
 ) -> ImpactValue:
     """Deletion-based impact of ``subject`` on ``target``."""
-    return _deletion_impact(af, spec, "dv", subject, target)
+    query = ImpactQuery(af, tuple(subject), target)
+    return _single(prefetch_impacts("dv", spec, (query,)))
 
 
 def imp_dv_original(
@@ -190,7 +161,8 @@ def imp_dv_original(
     target: str,
 ) -> ImpactValue:
     """Original deletion-based impact: removes attackers, keeps induced attacks."""
-    return _deletion_impact(af, spec, "dv-original", subject, target)
+    query = ImpactQuery(af, tuple(subject), target)
+    return _single(prefetch_impacts("dv-original", spec, (query,)))
 
 
 def _intensity_matrix(
@@ -217,7 +189,6 @@ def _intensity_matrix(
 class _Resolvent:
     """What every ``si`` query on one (framework, measure) pair shares."""
 
-    index: dict[str, int]
     matrix: np.ndarray
     norm: float
     closed: np.ndarray | None
@@ -236,17 +207,7 @@ def _cached_resolvent(
         closed = np.linalg.inv(eye + matrix) - eye
         closed.flags.writeable = False
     matrix.flags.writeable = False
-    index = {a: i for i, a in enumerate(af.arguments)}
-    return _Resolvent(index, matrix, norm, closed)
-
-
-def _closed_sum(row: np.ndarray, members: Iterable[int]) -> float:
-    """The closed-form impact of a subject: ``row``, the target's row of the
-    resolvent, summed over the members' indices in their given order."""
-    total = 0.0
-    for member in members:
-        total += float(row[member])
-    return total
+    return _Resolvent(matrix, norm, closed)
 
 
 def _series_converges(norm: float, series: SeriesConfig) -> bool:
@@ -303,24 +264,21 @@ def imp_si(
     ``UnknownAttackError``, and a missing or repeated attack
     ``InconsistentAnnotationError``.
     """
-    xs = _checked_subject(af, subject, target)
-    if not xs:
-        return ImpactValue(0.0)
-    if measure is None:
-        measure = shapley_all(af, spec, shapley_config)
-    resolvent = _cached_resolvent(af, measure)
-    index = resolvent.index
-    goal = index[target]
-    if _series_converges(resolvent.norm, series):
-        members = [index[x] for x in xs]
-        return ImpactValue(_closed_sum(resolvent.closed[goal], members))
-    total = 0.0
-    converged = True
-    for member in xs:
-        value, ok = _walk_series(resolvent.matrix, index[member], goal, series)
-        total += float(value)
-        converged = converged and ok
-    return ImpactValue(total, converged)
+    query = ImpactQuery(af, tuple(subject), target)
+    given = None if measure is None else {af: measure}
+    outcomes = prefetch_impacts(
+        "si", spec, (query,), intensities=given,
+        shapley_config=shapley_config, series=series,
+    )
+    return _single(outcomes)
+
+
+def _single(outcomes: list[Outcome | Exception]) -> ImpactValue:
+    """The impact of a one-query ``prefetch_impacts``, raising its error."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return ImpactValue(*outcome)
 
 
 MEASURES = ("dv", "dv-original", "si")
@@ -366,47 +324,59 @@ Plan = tuple[int, int, int] | tuple[int, tuple[int, ...]] | UnknownArgumentError
 
 def _query_plan(measure: str, query: ImpactQuery) -> Plan:
     af, subject, target = query
-    try:
-        xs = _checked_subject(af, subject, target)
-    except UnknownArgumentError as error:
-        return error
+    xs = tuple(sorted(set(subject)))
+    for x in xs + (target,):
+        if x not in af:
+            return UnknownArgumentError(x)
     position = af.arguments.index
     if measure == "si":
         return position(target), tuple(map(position, xs))
     return (position(target),) + _deletion_masks(af, measure, xs, target)
 
 
+Outcome = tuple[float, bool]  # an ``ImpactValue``'s value and converged flag
+
+
 def prefetch_impacts(
     measure: str,
     spec: SemanticsSpec,
     queries: Sequence[ImpactQuery],
-    plans: dict[ImpactQuery, Plan],
-) -> list[float | Exception | None]:
-    """The value ``evaluate_impact`` gives each query, from one stacked solve.
+    plans: dict[ImpactQuery, Plan] | None = None,
+    *,
+    intensities: Mapping[ArgumentationFramework, ShapleyMeasure] | None = None,
+    shapley_config: ShapleyConfig = ShapleyConfig(),
+    series: SeriesConfig = SeriesConfig(),
+) -> list[Outcome | Exception]:
+    """The outcome ``evaluate_impact`` gives each query, or the error it
+    raises, from one stacked solve; nothing is raised here.
 
-    ``plans`` holds the plans of queries under ``measure``, which any
-    semantics shares; a query missing there is planned and added.  A
-    deletion-based query reads its target's degree in its two masks, and an
-    ``si`` query sums its target's row of the closed-form resolvent over its
-    sorted members, from intensities with the default configuration, as
-    ``evaluate_impact`` computes them.  The degree and intensity stores
-    answer what they hold; the rest is solved in one stack and filed there.
-    A query whose evaluation raises gets that error in place of its value,
-    and nothing is raised here.  None marks an ``si`` query whose walk
-    series must run, which ``impact_value`` evaluates.
+    ``plans``, if given, holds the plans of queries under ``measure``, which
+    any semantics shares; a query missing there is planned and added.  A
+    deletion-based query reads its target's degree in its two masks.  An
+    ``si`` query reads its framework's ``intensities`` if given, else
+    ``shapley_all``'s under ``shapley_config``; where ``series`` proves the
+    walk series converges, it sums its target's row of the closed-form
+    resolvent over its sorted members, else it runs the series from each.
+    The degree and intensity stores answer what they hold; the rest is
+    solved in one stack and filed there.
     """
-    chosen = []
-    for query in queries:
-        plan = plans.get(query)
-        if plan is None:
-            plan = plans[query] = _query_plan(measure, query)
-        chosen.append(plan)
+    if plans is None:
+        chosen = [_query_plan(measure, query) for query in queries]
+    else:
+        chosen = []
+        for query in queries:
+            plan = plans.get(query)
+            if plan is None:
+                plan = plans[query] = _query_plan(measure, query)
+            chosen.append(plan)
     if measure == "si":
-        return _intensity_values(spec, queries, chosen)
+        return _intensity_values(
+            spec, queries, chosen, intensities or {}, shapley_config, series
+        )
     return _deletion_values(spec, queries, chosen)
 
 
-def _deletion_values(spec, queries, plans) -> list[float | Exception]:
+def _deletion_values(spec, queries, plans) -> list[Outcome | Exception]:
     scorings: list[SemanticsSpec | Exception] = []
     systems = []
     for query, plan in zip(queries, plans):
@@ -420,55 +390,83 @@ def _deletion_values(spec, queries, plans) -> list[float | Exception]:
             continue
         scorings.append(scoring)
         systems += [(query.af, scoring, plan[1]), (query.af, scoring, plan[2])]
-    vectors = iter(prefetch_degrees(systems))
-    values: list[float | Exception] = []
+    weightings = iter(prefetch_degrees(systems))
+    values: list[Outcome | Exception] = []
     for plan, scoring in zip(plans, scorings):
         if isinstance(scoring, Exception):
             values.append(scoring)
             continue
         # The shielded degree is read first, so its error comes first.
-        before, after = next(vectors), next(vectors)
+        before, after = next(weightings), next(weightings)
         if isinstance(before, Exception):
             values.append(before)
         elif isinstance(after, Exception):
             values.append(after)
         else:
-            values.append(before[plan[0]] - after[plan[0]])
+            values.append((before._values[plan[0]] - after._values[plan[0]], True))
     return values
 
 
-def _intensity_values(spec, queries, plans) -> list[float | Exception | None]:
-    needed = [
-        query.af
-        for query, plan in zip(queries, plans)
-        if not isinstance(plan, Exception) and plan[1]
-    ]
-    measures = prefetch_intensities(needed, spec, ShapleyConfig())
-    closed: dict[ArgumentationFramework, np.ndarray | Exception | None] = {}
-    for af, measure in measures.items():
-        if isinstance(measure, Exception):
-            closed[af] = measure
-            continue
-        resolvent = _cached_resolvent(af, measure)
-        converges = _series_converges(resolvent.norm, SeriesConfig())
-        closed[af] = resolvent.closed if converges else None
-    values: list[float | Exception | None] = []
+def _intensity_values(
+    spec, queries, plans, given, config, series
+) -> list[Outcome | Exception]:
+    wanted: dict[ArgumentationFramework, None] = {}
     for query, plan in zip(queries, plans):
-        if isinstance(plan, Exception) or not plan[1]:
-            values.append(plan if isinstance(plan, Exception) else 0.0)
-            continue
-        matrix = closed[query.af]
-        if matrix is None or isinstance(matrix, Exception):
-            values.append(matrix)
-            continue
-        values.append(_closed_sum(matrix[plan[0]], plan[1]))
+        if not isinstance(plan, Exception) and plan[1] and query.af not in given:
+            wanted[query.af] = None
+    resolved = prefetch_intensities(wanted, spec, config)
+    resolved.update(given)
+    for af, found in resolved.items():
+        # The closed form if ``series`` provably converges, else the matrix
+        # to run it on; or the error of the measure or of its matrix.
+        if not isinstance(found, Exception):
+            try:
+                found = _cached_resolvent(af, found)
+            except GradimpactError as error:
+                found = error
+        if isinstance(found, Exception):
+            resolved[af] = found
+        elif _series_converges(found.norm, series):
+            resolved[af] = found.closed, True
+        else:
+            resolved[af] = found.matrix, False
+    values: list[Outcome | Exception] = []
+    for query, plan in zip(queries, plans):
+        if isinstance(plan, Exception):
+            values.append(plan)
+        elif plan[1]:
+            values.append(_summed(resolved[query.af], *plan, series))
+        else:
+            values.append((0.0, True))
     return values
 
 
-def impact_value(measure: str, spec: SemanticsSpec, query: ImpactQuery) -> float:
-    """The value ``evaluate_impact`` gives the query under ``measure``."""
-    af, subject, target = query
-    return evaluate_impact(measure, af, spec, subject, target).value
+def _summed(
+    resolved: tuple[np.ndarray, bool] | Exception,
+    goal: int,
+    members: Sequence[int],
+    series: SeriesConfig,
+) -> Outcome | Exception:
+    """The impact of the members on ``goal``, summed in member order: each
+    read from the closed form's row of ``goal``, or each the walk series on
+    the intensity matrix, whose first divergence is the error."""
+    if isinstance(resolved, Exception):
+        return resolved
+    matrix, closed = resolved
+    total = 0.0
+    if closed:
+        for member in members:
+            total += matrix.item(goal, member)
+        return total, True
+    converged = True
+    for member in members:
+        try:
+            value, ok = _walk_series(matrix, member, goal, series)
+        except DivergenceError as error:
+            return error
+        total += float(value)
+        converged = converged and ok
+    return total, converged
 
 
 def impact_payload(

@@ -56,7 +56,7 @@ from .errors import IncompleteMatrixError, UnsupportedInstanceError
 from .fixtures import chain_pair, disjoint_pair, fixture_frameworks, showcase_af
 from .framework import ArgumentationFramework, Attack
 from .generate import GeneratorConfig, random_af
-from .impact import MEASURES, ImpactQuery, impact_value, prefetch_impacts
+from .impact import MEASURES, ImpactQuery, prefetch_impacts
 from .semantics import CHECK_TOLERANCE, KINDS, SemanticsSpec, degree_vector
 from .verdicts import (
     COUNTEREXAMPLE,
@@ -205,13 +205,13 @@ class _Context:
             return side.combine(map(partial(self._evaluate, values), side.queries))
         if not isinstance(side, ImpactQuery):
             return side
-        value = values.get(id(side))
-        if value is None:
-            # Not evaluated ahead, or a walk series to run.
-            return impact_value(self.measure, self.spec, side)
-        if isinstance(value, Exception):
-            raise value
-        return value
+        outcome = values.get(id(side))
+        if outcome is None:
+            # A member of a combined side past those evaluated ahead.
+            (outcome,) = prefetch_impacts(self.measure, self.spec, [side], self.plans)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome[0]
 
 
 def _rng(seed: int, label: str, index: int) -> random.Random:

@@ -25,30 +25,35 @@ the dense solve while one n x (n + 1) system fits ``COALITION_CELLS`` (n up
 to 1,023); there it is far cheaper, since a sweep can need over a thousand
 steps when alpha * M / N contracts slowly.  Larger frameworks sweep ``cs``
 as one more Picard rule, sigma(a) = 1 - (alpha / N) * (sum of attacker
-degrees) from the all-ones vector, in O(n + m) memory.  With q = alpha *
-(largest in-degree) / N, a sweep contracts the error by q in the max norm,
-so it stops once a step is at most tolerance * (1 - q) / q, which bounds
-the error of every degree by the tolerance.  A sweep gathers every kept
-attacker's degree edge by edge and folds them into their targets with one
-``ufunc.at`` scatter, which applies its indices in order, so each sum (or
-max) runs over the sorted attackers left to right, and every semantics has
-exactly one floating-point result, whatever else shares the stack.
+degrees) from the all-ones vector, in O(n + m) memory.
+
+Every Picard block stops on its first step of at most ``tolerance``, and
+that step bounds the error of each of its degrees: every rule is antitone
+(more attacker degree never raises a degree), so from the all-ones start,
+which lies above the fixed point, the iterates alternate around it entry by
+entry, and each degree lies between the last two iterates.  A sweep gathers
+every kept attacker's degree edge by edge and folds them into their targets
+with one ``ufunc.at`` scatter, which applies its indices in order, so each
+sum (or max) runs over the sorted attackers left to right, and every
+semantics has exactly one floating-point result, whatever else shares the
+stack.
 
 A framework derived from another by dropping attacks is a mask over the
 parent's attacks: bit e drops the e-th attack in (target, source) order,
 the edge order of a sweep (``attack_bits``).  Deleting arguments is the
 mask that drops every attack touching them; they stay, isolated, and change
 no other degree (a dense ``cs`` solve, one row and column larger for each,
-can round an ulp apart).  ``degrees`` solves one mask of a framework, and
-``coalition_degrees`` many at once, without building the derived frameworks;
-``solve_systems`` stacks masks of many frameworks, and ``prefetch_degrees``
+can round an ulp apart).  ``solve_systems`` stacks masks of many
+frameworks without building the derived frameworks.  ``prefetch_degrees``
 reads many systems from the degree store, solving the ones it lacks in one
-stack and filing them there.
+stack and filing them there, and ``degrees`` is its one-system case after a
+read of the store; ``prefetch_coalitions`` reads one target's degree per
+mask, for many frameworks at once.
 
 Shapley coalitions under dense ``cs`` are the exception: a coalition of
-t's attacks changes only row t of I + (alpha / N) M, so ``coalition_degrees``
-and ``prefetch_coalitions`` factor one system per (framework, norm) pair
-and read every coalition as a Sherman-Morrison rank-one update of it
+t's attacks changes only row t of I + (alpha / N) M, so
+``prefetch_coalitions`` factors one system per (framework, norm) pair and
+reads every coalition as a Sherman-Morrison rank-one update of it
 (``_rank_one_rows``).  Its values lie within 1e-14 of a dense solve of each
 derived framework (the largest move measured against one is 5.8e-16, on
 300 arguments), not bit for bit; ``degrees`` and the ``dv`` masks keep the
@@ -63,7 +68,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -214,33 +219,20 @@ class CacheInfo(NamedTuple):
 
 
 class Store:
-    """A bounded least-recently-used store of solved results, keyed by the
-    solver's arguments.
+    """A bounded least-recently-used store of solved results.
 
-    It caches as ``functools.lru_cache`` does, with ``cache_info``,
-    ``cache_clear`` and ``__wrapped__``, and also takes results solved
-    elsewhere: ``put`` files one and counts it as a miss, so ``misses``
-    counts every result solved for the store, and ``get`` reads one, if
-    stored, as a hit.  The degree store holds one ``Weighting`` per solved
-    system: the clipped degree vector, whose map from argument to degree is
-    built only when first read by name.
+    ``put`` files a result solved for the store and counts it as a miss, so
+    ``misses`` counts every result solved for it, and ``get`` reads one, if
+    stored, as a hit; ``cache_info`` and ``cache_clear`` read and reset it
+    as ``functools.lru_cache`` does.  The degree store holds one
+    ``Weighting`` per solved system: the clipped degree vector, whose map
+    from argument to degree is built only when first read by name.
     """
 
-    def __init__(self, solve: Callable, maxsize: int):
-        self.__wrapped__ = solve
+    def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self._items: OrderedDict = OrderedDict()
         self._hits = self._misses = 0
-
-    def __call__(self, *key):
-        try:
-            value = self._items[key]
-        except KeyError:
-            self._misses += 1
-            return self._file(key, self.__wrapped__(*key))
-        self._hits += 1
-        self._items.move_to_end(key)
-        return value
 
     def get(self, key: tuple):
         """The stored result for ``key``, counted as a hit, or None."""
@@ -252,9 +244,6 @@ class Store:
 
     def put(self, key: tuple, value):
         self._misses += 1
-        return self._file(key, value)
-
-    def _file(self, key: tuple, value):
         self._items[key] = value
         if len(self._items) > self.maxsize:
             self._items.popitem(last=False)
@@ -268,16 +257,7 @@ class Store:
         self._hits = self._misses = 0
 
 
-def _solve_weighting(
-    af: ArgumentationFramework, spec: SemanticsSpec, mask: int
-) -> Weighting:
-    (solved,) = solve_systems([(af, spec, mask)])
-    if isinstance(solved, GradimpactError):
-        raise solved
-    return Weighting._solved(af.arguments, solved)
-
-
-_cached_degrees = Store(_solve_weighting, maxsize=32768)
+_cached_degrees = Store(maxsize=32768)
 
 
 def degrees(
@@ -296,13 +276,20 @@ def degrees(
     Results come from the degree store, which keeps each solved vector,
     checked and clipped into [0, 1], in a ``Weighting`` that builds its map
     from argument to degree on its first read; ``degree_vector`` reads the
-    vector without it.
+    vector without it.  A result the store lacks is ``prefetch_degrees``'
+    of the one system.
     """
     if not af.arguments:
         raise ValueError("degrees need at least one argument")
     if mask < 0 or mask >> len(af.attacks):
         raise ValueError(f"mask {mask:#x} names attacks the framework lacks")
-    return _cached_degrees(af, spec, mask)
+    key = (af, spec, mask)
+    weighting = _cached_degrees.get(key)
+    if weighting is None:
+        (weighting,) = prefetch_degrees([key])
+        if isinstance(weighting, Exception):
+            raise weighting
+    return weighting
 
 
 def degree_vector(
@@ -316,24 +303,23 @@ def degree_vector(
 System = tuple[ArgumentationFramework, SemanticsSpec, int]
 
 
-def prefetch_degrees(
-    systems: Sequence[System],
-) -> list[tuple[float, ...] | Exception]:
-    """Each system's ``degree_vector``, read from the degree store or solved.
+def prefetch_degrees(systems: Sequence[System]) -> list[Weighting | Exception]:
+    """Each system's ``degrees``, read from the degree store or solved.
 
-    Each system is the ``(af, spec, mask)`` of a ``degrees`` call.  The ones
-    the store lacks are solved in one stack and filed there.  A system that
-    fails gets the error its ``degrees`` call would raise in place of its
-    degrees, and stays out of the store.
+    Each system is the ``(af, spec, mask)`` of a ``degrees`` call, whose
+    arguments it does not check.  The ones the store lacks are solved in one
+    stack and filed there.  A system that fails gets the error its
+    ``degrees`` call would raise in place of its degrees, and stays out of
+    the store.
     """
-    found: dict[System, tuple[float, ...] | Exception] = {}
+    found: dict[System, Weighting | Exception] = {}
     fresh = []
     for key in dict.fromkeys(systems):
         stored = _cached_degrees.get(key)
         if stored is None:
             fresh.append(key)
         else:
-            found[key] = stored._values
+            found[key] = stored
     for key, result in zip(fresh, solve_systems(fresh)):
         if not isinstance(result, GradimpactError):
             try:
@@ -341,7 +327,7 @@ def prefetch_degrees(
             except ValueError as error:
                 result = error
             else:
-                result = _cached_degrees.put(key, result)._values
+                _cached_degrees.put(key, result)
         found[key] = result
     return [found[key] for key in systems]
 
@@ -349,40 +335,25 @@ def prefetch_degrees(
 Coalitions = tuple[ArgumentationFramework, SemanticsSpec, Sequence[tuple[int, int]]]
 
 
-def coalition_degrees(
-    af: ArgumentationFramework,
-    spec: SemanticsSpec,
-    rows: Sequence[tuple[int, int]],
-) -> list[float]:
-    """Degree of each row's target in a framework derived from ``af``.
+def prefetch_coalitions(
+    jobs: Sequence[Coalitions],
+) -> list[list[float] | GradimpactError]:
+    """Each ``(af, spec, rows)`` job's degree of each row's target in a
+    framework derived from ``af``, or the error of its first failing row.
 
     A row is ``(t, mask)``: ``t`` indexes ``af.arguments``, and ``mask``
-    drops attacks as in ``degrees``; a failure raises what ``degrees(af,
-    spec, mask)`` would raise for the first failing row.  Nothing is built
+    drops attacks as in ``degrees``; a failing job gets what ``degrees(af,
+    spec, mask)`` would raise for its first failing row.  Nothing is built
     or cached for the derived frameworks.
 
     Under ``hbs``, ``car``, ``max`` and swept ``cs``, each value equals, bit
     for bit, ``degrees(af, spec, mask)[af.arguments[t]]``: rows with one
-    mask read one solve, and the masks are solved together.  Dense ``cs``
-    rows must be coalitions, masks dropping only attacks on their row's
-    target (``ValueError`` otherwise), and take rank-one updates of one
-    solve per norm (``_rank_one_rows``): each value is within 1e-14 of a
+    mask read one solve, and the masks of every job share one
+    ``solve_systems`` stack.  Dense ``cs`` rows must be coalitions, masks
+    dropping only attacks on their row's target (``ValueError`` otherwise),
+    and the jobs of one spec take rank-one updates of one solve per
+    framework and norm (``_rank_one_rows``): each value is within 1e-14 of a
     dense solve of the derived framework, not equal to it bit for bit.
-    """
-    (result,) = prefetch_coalitions([(af, spec, rows)])
-    if isinstance(result, GradimpactError):
-        raise result
-    return result
-
-
-def prefetch_coalitions(
-    jobs: Sequence[Coalitions],
-) -> list[list[float] | GradimpactError]:
-    """Each ``(af, spec, rows)`` job's ``coalition_degrees``, or the error
-    it would raise.
-
-    The masks of every job outside dense ``cs`` share one ``solve_systems``
-    stack, and the dense ``cs`` jobs of one spec one rank-one evaluation.
     """
     results: list = [None] * len(jobs)
     counting: dict[SemanticsSpec, list[int]] = {}
@@ -439,6 +410,8 @@ def solve_systems(systems: Sequence[System]) -> list[np.ndarray | GradimpactErro
     of at most ``COALITION_CELLS`` working cells.  A system's result does not
     depend on what else is solved with it.
     """
+    if not systems:
+        return []
     frameworks: dict[tuple[int, int], list[int]] = {}
     for i, (af, spec, _) in enumerate(systems):
         # By identity: hashing a framework walks all its attacks.
@@ -573,14 +546,13 @@ def _dense(spec: SemanticsSpec, n: int) -> bool:
 
 def _counting_scales(
     spec: SemanticsSpec, count: np.ndarray, starts: np.ndarray, errors: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each block's largest in-degree and ``damping / N``, 0.0 without a norm.
+) -> np.ndarray:
+    """Each block's ``damping / N``, 0.0 without a norm.
 
     A block whose norm is refused gets its error in ``errors``.
     """
-    tops = np.maximum.reduceat(count, starts)
     scale = np.zeros(len(starts))
-    for b, top in enumerate(tops.tolist()):
+    for b, top in enumerate(np.maximum.reduceat(count, starts).tolist()):
         try:
             norm = _norm_for(top, spec.counting)
         except DivergentSeriesError as error:
@@ -588,7 +560,7 @@ def _counting_scales(
             continue
         if norm is not None:
             scale[b] = spec.counting.damping / norm
-    return tops, scale
+    return scale
 
 
 def _update(
@@ -611,7 +583,8 @@ def _update(
 def _picard_rows(
     spec: SemanticsSpec, graphs: Sequence[_Attackers], masks: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, dict[int, GradimpactError]]:
-    """Sweep a stack of blocks until each block's step passes its bar.
+    """Sweep a stack of blocks until each block's step is at most the
+    tolerance, which bounds the error of each of its degrees.
 
     Returns the flat degrees, each block's start in them, and the error of
     each block that failed.
@@ -620,22 +593,17 @@ def _picard_rows(
     width = int(sizes.sum())
     count = np.bincount(heads, minlength=width)
     errors: dict[int, GradimpactError] = {}
-    scale, bar = None, np.full(len(starts), spec.tolerance)
+    scale = None
     if spec.kind == "cs":
-        # A cs block contracts by q = scale * top in the max norm, so a step
-        # of at most tolerance * (1 - q) / q leaves an error of at most
-        # tolerance; an attack-free block, or one whose norm was refused,
-        # has q = 0 and stops at once.
-        tops, block_scale = _counting_scales(spec, count, starts, errors)
-        q = block_scale * tops
-        with np.errstate(divide="ignore"):
-            bar = spec.tolerance * (1.0 - q) / q
-        scale = np.repeat(block_scale, sizes)
+        # An attack-free block, or one whose norm was refused, has scale 0
+        # and stops at once.
+        scale = np.repeat(_counting_scales(spec, count, starts, errors), sizes)
     fold = np.maximum if spec.kind == "max" else np.add
     state = np.ones(width)
+    values = np.empty(width)
     # A solved block keeps sweeping, but its bar drops below any residual,
     # so only its first solution counts.
-    values = np.empty(width)
+    bar = np.full(len(starts), spec.tolerance)
     for _ in range(spec.max_iterations):
         # ``ufunc.at`` applies its indices in order, so every total is the
         # left-to-right sum (or max) of the sorted attackers, from 0.0.
@@ -663,16 +631,25 @@ def _counting_rows(
     sizes, starts, heads, sources = _blocks(graphs, masks)
     n, rows = graphs[0].n, len(graphs)
     errors: dict[int, GradimpactError] = {}
-    _, scale = _counting_scales(
-        spec, np.bincount(heads, minlength=n * rows), starts, errors
-    )
+    scale = _counting_scales(spec, np.bincount(heads, minlength=n * rows), starts, errors)
     if not scale.any():
         # Attack-free frameworks score 1 everywhere: there is nothing to solve.
         return np.ones(n * rows), starts, errors
-    # Each system I + scale * M is assembled in place, in its one array.
+    systems = _dense_systems(n, heads, sources, scale)
+    solved = np.linalg.solve(systems, np.ones((rows, n, 1)))[:, :, 0]
+    solved[scale == 0.0] = 1.0
+    return solved.reshape(-1), starts, errors
+
+
+def _dense_systems(
+    n: int, heads: np.ndarray, sources: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """Each block's I + scale * M, for blocks of n arguments laid out by
+    ``_blocks``, assembled in place in one array; ``heads`` and ``sources``
+    are used up."""
+    systems = np.zeros((len(scale), n, n))
     # Both ends of a block's edge count from b * n, so its entry (b, h, s)
     # lies at h * n + s % n of the flat systems.
-    systems = np.zeros((rows, n, n))
     values = scale[heads // n]
     np.remainder(sources, n, out=sources)
     heads *= n
@@ -680,9 +657,7 @@ def _counting_rows(
     systems.reshape(-1)[heads] = values
     diagonal = np.arange(n)
     systems[:, diagonal, diagonal] += 1.0
-    solved = np.linalg.solve(systems, np.ones((rows, n, 1)))[:, :, 0]
-    solved[scale == 0.0] = 1.0
-    return solved.reshape(-1), starts, errors
+    return systems
 
 
 def _rank_one_rows(
@@ -766,8 +741,18 @@ def _rank_one_rows(
     scale = spec.counting.damping / (
         np.full(len(base_job), override) if override is not None else base_norm
     )
+    # An emptied base drops its hub's attacks, which hold consecutive bits.
+    hubs = hub_of[base_job]
+    hub_bits = (first[hubs] - first[starts[base_job]]).tolist()
+    masks = [
+        ((1 << k) - 1) << bit if empty else 0
+        for k, bit, empty in zip(counts[hubs].tolist(), hub_bits, emptied.tolist())
+    ]
     offsets, columns, flat = _base_solutions(
-        graphs, starts, heads, sources, first, hub_of, base_job, emptied, scale
+        [graphs[j] for j in base_job.tolist()],
+        masks,
+        np.where(emptied, hubs - starts[base_job], -1),
+        scale,
     )
 
     picked = np.flatnonzero(solve)
@@ -800,48 +785,41 @@ def _rank_one_rows(
 
 
 def _base_solutions(
-    graphs, starts, heads, sources, first, hub_of, base_job, emptied, scale
+    graphs: Sequence[_Attackers],
+    masks: Sequence[int],
+    hubs: np.ndarray,
+    scale: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve each base system B = I + scale * M of ``_rank_one_rows``.
+    """Solve each base system B = I + scale * M of ``_rank_one_rows``, the
+    matrix of a graph with its mask's attacks dropped.
 
-    A full base solves B [v | W] = [1 | I], so W = B^-1; an emptied one,
-    whose hub row keeps no attack, solves [1 | e_hub].  Bases of one size
-    and kind share one batched solve, cut into batches of at most
-    ``COALITION_CELLS`` working cells.  Returns each base's offset in the
-    flat solutions, its column count, and the flat solutions, row by row.
+    A full base (hub -1) solves B [v | W] = [1 | I], so W = B^-1; an emptied
+    one, whose mask drops every attack on its hub, solves [1 | e_hub].
+    Bases of one size and kind share one batched solve, cut into batches of
+    at most ``COALITION_CELLS`` working cells.  Returns each base's offset
+    in the flat solutions, its column count, and the flat solutions, row by
+    row.
     """
-    edge_start = first[starts]
-    edge_count = np.array([graph.m for graph in graphs], dtype=np.intp)
     groups: dict[tuple[int, bool], list[int]] = {}
-    for b, (j, kind) in enumerate(zip(base_job.tolist(), emptied.tolist())):
-        groups.setdefault((graphs[j].n, kind), []).append(b)
-    offsets = np.zeros(len(base_job), dtype=np.intp)
-    columns = np.zeros(len(base_job), dtype=np.intp)
+    for b, (graph, hub) in enumerate(zip(graphs, hubs.tolist())):
+        groups.setdefault((graph.n, hub >= 0), []).append(b)
+    offsets = np.zeros(len(graphs), dtype=np.intp)
+    columns = np.zeros(len(graphs), dtype=np.intp)
     parts, done = [], 0
-    for (n, kind), members in groups.items():
-        c = 2 if kind else n + 1
+    for (n, emptied), members in groups.items():
+        c = 2 if emptied else n + 1
         step = max(1, COALITION_CELLS // (n * (n + 2 * c)))
         for lo in range(0, len(members), step):
-            ids = np.array(members[lo : lo + step], dtype=np.intp)
-            owners, size = base_job[ids], len(ids)
-            ne = edge_count[owners]
-            p = np.repeat(np.arange(size), ne)
-            edge = np.repeat(edge_start[owners] - (np.cumsum(ne) - ne), ne)
-            edge += np.arange(len(p))
-            if kind:
-                keep = heads[edge] != hub_of[owners][p]
-                p, edge = p[keep], edge[keep]
-            shift = starts[owners][p]
-            systems = np.zeros((size, n, n))
-            at = (p * n + heads[edge] - shift) * n + sources[edge] - shift
-            systems.reshape(-1)[at] = scale[ids][p]
-            diagonal = np.arange(n)
-            systems[:, diagonal, diagonal] += 1.0
+            chunk = members[lo : lo + step]
+            ids, size = np.array(chunk, dtype=np.intp), len(chunk)
+            _, _, heads, sources = _blocks([graphs[b] for b in chunk], [masks[b] for b in chunk])
+            systems = _dense_systems(n, heads, sources, scale[ids])
             rhs = np.zeros((size, n, c))
             rhs[:, :, 0] = 1.0
-            if kind:
-                rhs[np.arange(size), hub_of[owners] - starts[owners], 1] = 1.0
+            if emptied:
+                rhs[np.arange(size), hubs[ids], 1] = 1.0
             else:
+                diagonal = np.arange(n)
                 rhs[:, diagonal, diagonal + 1] = 1.0
             parts.append(np.linalg.solve(systems, rhs).reshape(-1))
             offsets[ids] = done + np.arange(size) * (n * c)

@@ -151,7 +151,10 @@ def test_rows_split_across_chunks_give_the_same_values(
     # Pin cs to one solver, whatever the budget, so that the budget only
     # splits the rows into chunks.
     monkeypatch.setattr(semantics, "_dense", lambda spec, n: solver == "_counting_rows")
-    unsplit = attribution._cached_shapley_all.__wrapped__
+
+    def unsplit(af, spec, config):
+        return _afresh(attribution._cached_shapley_all, shapley_all, af, spec, config)
+
     whole = unsplit(showcase, spec, ShapleyConfig())
     if solver == "_counting_rows":
         # Dense cs coalitions are rank-one updates of one LU per (framework,
@@ -181,6 +184,16 @@ def test_rows_split_across_chunks_give_the_same_values(
     split = unsplit(showcase, spec, ShapleyConfig())
     assert len(chunks) >= 3
     assert split == whole
+
+
+def _afresh(store, solve, *args):
+    """``solve(*args)`` solved from an empty ``store``, which is left empty,
+    so that no result solved under a patch outlives it."""
+    store.cache_clear()
+    try:
+        return solve(*args)
+    finally:
+        store.cache_clear()
 
 
 def _coalition_norms(af):
@@ -224,17 +237,18 @@ def _removed(af, mask):
 def test_swept_counting_solve_agrees_with_the_dense_one(af, norm):
     spec = SemanticsSpec("cs", counting=CountingConfig(norm_override=norm))
     rows = _all_coalitions(af)
-    dense = semantics.coalition_degrees(af, spec, rows)
-    dense_whole = semantics._cached_degrees.__wrapped__(af, spec, 0)
+    store = semantics._cached_degrees
+    (dense,) = semantics.prefetch_coalitions([(af, spec, rows)])
+    dense_whole = _afresh(store, degrees, af, spec)
     with pytest.MonkeyPatch.context() as patch:
         # Every framework is swept, its rows batched at the usual budget.
         patch.setattr(semantics, "_dense", lambda spec, n: False)
-        swept = semantics.coalition_degrees(af, spec, rows)
-        swept_whole = semantics._cached_degrees.__wrapped__(af, spec, 0)
+        (swept,) = semantics.prefetch_coalitions([(af, spec, rows)])
+        swept_whole = _afresh(store, degrees, af, spec)
         reduced = [
-            semantics._cached_degrees.__wrapped__(
-                af.delete_attacks(_removed(af, mask)), spec, 0
-            )[af.arguments[t]]
+            _afresh(store, degrees, af.delete_attacks(_removed(af, mask)), spec)[
+                af.arguments[t]
+            ]
             for t, mask in rows
         ]
     bound = spec.tolerance + 1e-13
@@ -278,7 +292,7 @@ def test_rank_one_rows_agree_with_dense_solves(af, extra, config):
     norm = None if extra is None else af.max_in_degree() + extra
     spec = SemanticsSpec("cs", counting=CountingConfig(norm_override=norm))
     rows = _all_coalitions(af) + attribution._plan(af, config)[0]
-    values = semantics.coalition_degrees(af, spec, rows)
+    (values,) = semantics.prefetch_coalitions([(af, spec, rows)])
     for (t, mask), value in zip(rows, values):
         expected = counting_coalition_degree(
             af.arguments,
@@ -295,7 +309,7 @@ def test_dense_counting_rows_must_be_coalitions_of_their_target():
     af = ArgumentationFramework.of(["a", "b"], [("a", "b"), ("b", "a")])
     bits = semantics.attack_bits(af)
     with pytest.raises(ValueError, match="drops attacks off argument 0"):
-        semantics.coalition_degrees(af, SemanticsSpec("cs"), [(0, 1 << bits[("a", "b")])])
+        semantics.prefetch_coalitions([(af, SemanticsSpec("cs"), [(0, 1 << bits[("a", "b")])])])
 
 
 def test_a_counting_session_leaves_numpy_ma_unimported():

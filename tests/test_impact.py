@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gradimpact import (
     ArgumentationFramework,
+    AuditConfig,
     DivergenceError,
     ImpactValue,
     InconsistentAnnotationError,
@@ -26,12 +27,15 @@ from gradimpact import (
 from gradimpact.fixtures import fan_af, selfloop_af
 from gradimpact import impact
 from gradimpact.impact import (
+    ImpactQuery,
     _cached_resolvent,
     _intensity_matrix,
     _series_converges,
     _shared_norm_spec,
     _walk_series,
+    prefetch_impacts,
 )
+from gradimpact.principles import corpus_frameworks
 from gradimpact.semantics import KINDS
 
 from oracles import walk_impact
@@ -372,6 +376,32 @@ def test_counting_intensities_above_unit_norm_take_the_series():
             start, goal = af.arguments.index(member), af.arguments.index(target)
             value, ok = _walk_series(matrix, start, goal, SeriesConfig())
             assert imp_si(af, spec, [member], target) == ImpactValue(value, ok)
+
+
+@pytest.mark.parametrize("series", [SeriesConfig(), SeriesConfig(divergence_guard=0.2)])
+def test_a_window_runs_the_walk_series_as_imp_si_does(series):
+    # Default-audit corpus graphs 37 and 104, whose cs intensities have a
+    # norm above 1, so their impacts take the walk series: under the
+    # default guard it converges, and under 0.2 some of it diverges.
+    spec = SemanticsSpec("cs")
+    corpus = corpus_frameworks(AuditConfig())
+    queries = []
+    for af in (corpus[37], corpus[104]):
+        assert _cached_resolvent(af, shapley_all(af, spec)).norm > 1.0
+        subjects = [(x,) for x in af.arguments] + [af.arguments[:2], ()]
+        queries += [ImpactQuery(af, xs, t) for xs in subjects for t in af.arguments]
+    window = prefetch_impacts("si", spec, queries, {}, series=series)
+    diverged = 0
+    for (af, subject, target), got in zip(queries, window):
+        try:
+            expected = imp_si(af, spec, subject, target, series=series)
+        except DivergenceError as err:
+            diverged += 1
+            assert isinstance(got, DivergenceError)
+            assert (got.partial, got.length, got.guard) == (err.partial, err.length, err.guard)
+        else:
+            assert got == (expected.value, expected.converged)
+    assert (diverged > 0) == (series.divergence_guard < 1.0)
 
 
 def test_supplied_measure_must_name_attacks_of_the_framework(showcase):

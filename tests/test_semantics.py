@@ -9,6 +9,7 @@ starting vectors is the semantics, whatever route computed it.
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,11 +26,12 @@ from gradimpact import (
     check_independence,
     counting_norm,
     degrees,
+    shapley_all,
 )
-from gradimpact import semantics
+from gradimpact import attribution, semantics
 from gradimpact.fixtures import chain_pair, disjoint_pair
 from gradimpact.generate import GeneratorConfig, random_af
-from gradimpact.semantics import KINDS
+from gradimpact.semantics import KINDS, degree_vector
 
 from oracles import picard_scores
 
@@ -194,7 +196,8 @@ def test_hub_coalitions_equal_their_reduced_frameworks(kind):
     bits = semantics.attack_bits(af)
     masks = [sum(1 << bits[c] for c in removed) for removed in removals]
     rows = [(t, mask) for mask in masks for t in (0, 1)]
-    values = iter(semantics.coalition_degrees(af, spec, rows))
+    (values,) = semantics.prefetch_coalitions([(af, spec, rows)])
+    values = iter(values)
     for removed in removals:
         reduced = degrees(af.delete_attacks(removed), spec)
         assert (next(values), next(values)) == (reduced[hub], reduced[other])
@@ -332,19 +335,64 @@ def test_picard_solve_memory_is_linear_in_a_hub_over_a_ring(kind):
 
 
 def test_swept_counting_solve_stops_on_its_error_bound():
-    # Past the dense cutoff, so swept.  On a ring every step shrinks by
-    # exactly q = alpha: a step of at most the tolerance would come after
-    # 1,368 sweeps, but the stop rule tolerance * (1 - q) / q, which bounds
-    # the error whatever the sign of the remaining steps, takes 1,561.
+    # Past the dense cutoff, so swept.  On a ring the k-th step is exactly
+    # alpha**k, so the first step of at most the tolerance is the 1,368th.
+    # The iterates alternate around the exact degrees, so that step bounds
+    # the error.
     names = [f"a{i:04d}" for i in range(1100)]
     ring = ArgumentationFramework.of(names, list(zip(names, names[1:] + names[:1])))
     alpha = CountingConfig().damping
     with pytest.raises(NonConvergenceError) as err:
-        degrees(ring, SemanticsSpec("cs", max_iterations=1500))
-    assert err.value.residual == pytest.approx(alpha**1500, rel=1e-2)
+        degrees(ring, SemanticsSpec("cs", max_iterations=1367))
+    assert err.value.residual == pytest.approx(alpha**1367, rel=1e-2)
     exact = 1.0 / (1.0 + alpha)
-    scores = degrees(ring, SemanticsSpec("cs", max_iterations=1561))
+    scores = degrees(ring, SemanticsSpec("cs", max_iterations=1368))
     assert all(abs(v - exact) <= 1e-12 for v in scores.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(solver_frameworks(), st.sampled_from(KINDS))
+def test_every_degree_lies_between_its_last_two_iterates(af, kind):
+    # Every rule is antitone and the sweep starts above the fixed point, so
+    # the iterates alternate around it: the last step bounds the error.  A
+    # loose tolerance stops the sweep while that step is still wide, and
+    # the Picard kernel sweeps cs too.
+    spec = SemanticsSpec(kind, tolerance=1e-3)
+    iterates = [np.ones(len(af.arguments))]
+    update = semantics._update
+
+    def recorded(*args):
+        iterates.append(update(*args))
+        return iterates[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics, "_update", recorded)
+        values, _, errors = semantics._picard_rows(spec, [semantics._attackers(af)], [0])
+    assert errors == {}
+    before, last = iterates[-2:]
+    assert values.tolist() == last.tolist()
+    # The default spec's degrees, within 1e-12 of the fixed point (cs solves
+    # them densely).
+    exact = np.array(degree_vector(af, SemanticsSpec(kind)))
+    slack = 1e-12
+    assert np.all(np.minimum(before, last) - slack <= exact)
+    assert np.all(exact <= np.maximum(before, last) + slack)
+    assert np.abs(last - exact).max() <= spec.tolerance
+
+
+def test_stored_results_return_before_any_batch(showcase, monkeypatch):
+    specs = [SemanticsSpec(kind) for kind in KINDS]
+    stored = [(degrees(showcase, spec), shapley_all(showcase, spec)) for spec in specs]
+
+    def refuse(*args):
+        raise AssertionError("a batch ran for a stored result")
+
+    monkeypatch.setattr(semantics, "prefetch_degrees", refuse)
+    monkeypatch.setattr(attribution, "prefetch_intensities", refuse)
+    monkeypatch.setattr(attribution, "prefetch_coalitions", refuse)
+    for spec, (weighting, measure) in zip(specs, stored):
+        assert degrees(showcase, spec) is weighting
+        assert shapley_all(showcase, spec) is measure
 
 
 def test_degrees_input_validation():
