@@ -165,7 +165,7 @@ def _plan(
     attack.  Rows appear in the order of first use, so a failing solve
     reports the coalition that a one-by-one evaluation would reach first.
     """
-    index = {a: i for i, a in enumerate(af.arguments)}
+    index = af.positions
     bits = attack_bits(af)
     rows: dict[tuple[int, int], None] = {}
     games = []

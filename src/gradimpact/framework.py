@@ -65,6 +65,11 @@ class ArgumentationFramework:
         return frozenset(self.arguments)
 
     @cached_property
+    def positions(self) -> Mapping[str, int]:
+        """Each argument's index in ``arguments``."""
+        return {a: i for i, a in enumerate(self.arguments)}
+
+    @cached_property
     def _attack_set(self) -> frozenset[Attack]:
         return frozenset(self.attacks)
 

@@ -151,7 +151,7 @@ def imp_dv(
 ) -> ImpactValue:
     """Deletion-based impact of ``subject`` on ``target``."""
     query = ImpactQuery(af, tuple(subject), target)
-    return _single(prefetch_impacts("dv", spec, (query,)))
+    return _single(prefetch_impacts("dv", spec, (query,), {}))
 
 
 def imp_dv_original(
@@ -162,13 +162,13 @@ def imp_dv_original(
 ) -> ImpactValue:
     """Original deletion-based impact: removes attackers, keeps induced attacks."""
     query = ImpactQuery(af, tuple(subject), target)
-    return _single(prefetch_impacts("dv-original", spec, (query,)))
+    return _single(prefetch_impacts("dv-original", spec, (query,), {}))
 
 
 def _intensity_matrix(
     af: ArgumentationFramework, measure: ShapleyMeasure
 ) -> np.ndarray:
-    index = {a: i for i, a in enumerate(af.arguments)}
+    index = af.positions
     matrix = np.zeros((len(af.arguments), len(af.arguments)))
     for (s, t), value in measure.entries:
         if not af.has_attack(s, t):
@@ -267,7 +267,7 @@ def imp_si(
     query = ImpactQuery(af, tuple(subject), target)
     given = None if measure is None else {af: measure}
     outcomes = prefetch_impacts(
-        "si", spec, (query,), intensities=given,
+        "si", spec, (query,), {}, intensities=given,
         shapley_config=shapley_config, series=series,
     )
     return _single(outcomes)
@@ -325,13 +325,13 @@ Plan = tuple[int, int, int] | tuple[int, tuple[int, ...]] | UnknownArgumentError
 def _query_plan(measure: str, query: ImpactQuery) -> Plan:
     af, subject, target = query
     xs = tuple(sorted(set(subject)))
+    positions = af.positions
     for x in xs + (target,):
-        if x not in af:
+        if x not in positions:
             return UnknownArgumentError(x)
-    position = af.arguments.index
     if measure == "si":
-        return position(target), tuple(map(position, xs))
-    return (position(target),) + _deletion_masks(af, measure, xs, target)
+        return positions[target], tuple([positions[x] for x in xs])
+    return (positions[target],) + _deletion_masks(af, measure, xs, target)
 
 
 Outcome = tuple[float, bool]  # an ``ImpactValue``'s value and converged flag
@@ -341,7 +341,7 @@ def prefetch_impacts(
     measure: str,
     spec: SemanticsSpec,
     queries: Sequence[ImpactQuery],
-    plans: dict[ImpactQuery, Plan] | None = None,
+    plans: dict[ImpactQuery, Plan],
     *,
     intensities: Mapping[ArgumentationFramework, ShapleyMeasure] | None = None,
     shapley_config: ShapleyConfig = ShapleyConfig(),
@@ -350,8 +350,8 @@ def prefetch_impacts(
     """The outcome ``evaluate_impact`` gives each query, or the error it
     raises, from one stacked solve; nothing is raised here.
 
-    ``plans``, if given, holds the plans of queries under ``measure``, which
-    any semantics shares; a query missing there is planned and added.  A
+    ``plans`` holds the plans of queries under ``measure``, which any
+    semantics shares; a query missing there is planned and added.  A
     deletion-based query reads its target's degree in its two masks.  An
     ``si`` query reads its framework's ``intensities`` if given, else
     ``shapley_all``'s under ``shapley_config``; where ``series`` proves the
@@ -360,15 +360,12 @@ def prefetch_impacts(
     The degree and intensity stores answer what they hold; the rest is
     solved in one stack and filed there.
     """
-    if plans is None:
-        chosen = [_query_plan(measure, query) for query in queries]
-    else:
-        chosen = []
-        for query in queries:
-            plan = plans.get(query)
-            if plan is None:
-                plan = plans[query] = _query_plan(measure, query)
-            chosen.append(plan)
+    chosen = []
+    for query in queries:
+        plan = plans.get(query)
+        if plan is None:
+            plan = plans[query] = _query_plan(measure, query)
+        chosen.append(plan)
     if measure == "si":
         return _intensity_values(
             spec, queries, chosen, intensities or {}, shapley_config, series
@@ -403,42 +400,45 @@ def _deletion_values(spec, queries, plans) -> list[Outcome | Exception]:
         elif isinstance(after, Exception):
             values.append(after)
         else:
-            values.append((before._values[plan[0]] - after._values[plan[0]], True))
+            values.append((before.vector[plan[0]] - after.vector[plan[0]], True))
     return values
 
 
 def _intensity_values(
     spec, queries, plans, given, config, series
 ) -> list[Outcome | Exception]:
-    wanted: dict[ArgumentationFramework, None] = {}
-    for query, plan in zip(queries, plans):
-        if not isinstance(plan, Exception) and plan[1] and query.af not in given:
-            wanted[query.af] = None
-    resolved = prefetch_intensities(wanted, spec, config)
-    resolved.update(given)
-    for af, found in resolved.items():
-        # The closed form if ``series`` provably converges, else the matrix
-        # to run it on; or the error of the measure or of its matrix.
-        if not isinstance(found, Exception):
-            try:
-                found = _cached_resolvent(af, found)
-            except GradimpactError as error:
-                found = error
-        if isinstance(found, Exception):
-            resolved[af] = found
-        elif _series_converges(found.norm, series):
-            resolved[af] = found.closed, True
-        else:
-            resolved[af] = found.matrix, False
+    wanted = [
+        query.af
+        for query, plan in zip(queries, plans)
+        if not isinstance(plan, Exception) and plan[1] and query.af not in given
+    ]
+    measures = {**prefetch_intensities(wanted, spec, config), **given}
     values: list[Outcome | Exception] = []
     for query, plan in zip(queries, plans):
         if isinstance(plan, Exception):
             values.append(plan)
         elif plan[1]:
-            values.append(_summed(resolved[query.af], *plan, series))
+            found = measures[query.af]
+            if isinstance(found, ShapleyMeasure):  # resolved on first read
+                found = measures[query.af] = _resolved(query.af, found, series)
+            values.append(_summed(found, *plan, series))
         else:
             values.append((0.0, True))
     return values
+
+
+def _resolved(
+    af: ArgumentationFramework, measure: ShapleyMeasure, series: SeriesConfig
+) -> tuple[np.ndarray, bool] | GradimpactError:
+    """The closed form if ``series`` provably converges on ``measure``, else
+    the intensity matrix to run it on; or the error of that matrix."""
+    try:
+        resolvent = _cached_resolvent(af, measure)
+    except GradimpactError as error:
+        return error
+    if _series_converges(resolvent.norm, series):
+        return resolvent.closed, True
+    return resolvent.matrix, False
 
 
 def _summed(

@@ -57,7 +57,7 @@ from .fixtures import chain_pair, disjoint_pair, fixture_frameworks, showcase_af
 from .framework import ArgumentationFramework, Attack
 from .generate import GeneratorConfig, random_af
 from .impact import MEASURES, ImpactQuery, prefetch_impacts
-from .semantics import CHECK_TOLERANCE, KINDS, SemanticsSpec, degree_vector
+from .semantics import CHECK_TOLERANCE, KINDS, SemanticsSpec, degrees
 from .verdicts import (
     COUNTEREXAMPLE,
     NO_COUNTEREXAMPLE,
@@ -561,7 +561,7 @@ def _has_shared_max_indegree(af: ArgumentationFramework) -> bool:
 def _premises(ctx, frameworks):
     # Every argument scored below one is a premise.
     for af in frameworks:
-        for target, score in zip(af.arguments, degree_vector(af, ctx.spec)):
+        for target, score in zip(af.arguments, degrees(af, ctx.spec).vector):
             if score < 1.0 - ctx.tolerance:
                 yield _existence_probe(ctx, af, target)
 

@@ -170,6 +170,11 @@ class Weighting(Mapping[str, float]):
         return weighting
 
     @property
+    def vector(self) -> tuple[float, ...]:
+        """The degrees in the order of the framework's arguments."""
+        return self._values
+
+    @property
     def _by_argument(self) -> dict[str, float]:
         if self._degrees is None:
             self._degrees = dict(sorted(zip(self._arguments, self._values)))
@@ -275,8 +280,8 @@ def degrees(
 
     Results come from the degree store, which keeps each solved vector,
     checked and clipped into [0, 1], in a ``Weighting`` that builds its map
-    from argument to degree on its first read; ``degree_vector`` reads the
-    vector without it.  A result the store lacks is ``prefetch_degrees``'
+    from argument to degree on its first read; its ``vector`` reads the
+    degrees without it.  A result the store lacks is ``prefetch_degrees``'
     of the one system.
     """
     if not af.arguments:
@@ -290,14 +295,6 @@ def degrees(
         if isinstance(weighting, Exception):
             raise weighting
     return weighting
-
-
-def degree_vector(
-    af: ArgumentationFramework, spec: SemanticsSpec, mask: int = 0
-) -> tuple[float, ...]:
-    """The degrees ``degrees`` gives, in the order of ``af.arguments``,
-    read without building the weighting's map."""
-    return degrees(af, spec, mask)._values
 
 
 System = tuple[ArgumentationFramework, SemanticsSpec, int]
@@ -501,7 +498,7 @@ class _Attackers(NamedTuple):
 
 @lru_cache(maxsize=4096)
 def _attackers(af: ArgumentationFramework) -> _Attackers:
-    index = {a: i for i, a in enumerate(af.arguments)}
+    index = af.positions
     bits = attack_bits(af)
     m = len(bits)
     heads = np.zeros(8 * ((m + 7) // 8), dtype=np.intp)

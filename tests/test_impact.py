@@ -378,30 +378,59 @@ def test_counting_intensities_above_unit_norm_take_the_series():
             assert imp_si(af, spec, [member], target) == ImpactValue(value, ok)
 
 
-@pytest.mark.parametrize("series", [SeriesConfig(), SeriesConfig(divergence_guard=0.2)])
+@pytest.mark.parametrize(
+    "series",
+    [SeriesConfig(), SeriesConfig(divergence_guard=0.2), SeriesConfig(max_walk_length=1)],
+)
 def test_a_window_runs_the_walk_series_as_imp_si_does(series):
-    # Default-audit corpus graphs 37 and 104, whose cs intensities have a
-    # norm above 1, so their impacts take the walk series: under the
-    # default guard it converges, and under 0.2 some of it diverges.
+    # Default-audit corpus graphs 37 and 104 are acyclic, and their cs
+    # intensities have a norm above 1, so their impacts take the walk
+    # series: under the default settings it ends, under a guard of 0.2 some
+    # of it diverges, and one step leaves some of it unfinished.  Each
+    # outcome is checked against its members' own series, summed in sorted
+    # order, and each finished value against the walk oracle too.
     spec = SemanticsSpec("cs")
     corpus = corpus_frameworks(AuditConfig())
-    queries = []
+    queries, references = [], []
     for af in (corpus[37], corpus[104]):
-        assert _cached_resolvent(af, shapley_all(af, spec)).norm > 1.0
+        measure = shapley_all(af, spec)
+        assert _cached_resolvent(af, measure).norm > 1.0
+        matrix = _intensity_matrix(af, measure)
+        index = af.arguments.index
         subjects = [(x,) for x in af.arguments] + [af.arguments[:2], ()]
-        queries += [ImpactQuery(af, xs, t) for xs in subjects for t in af.arguments]
+        for xs in subjects:
+            for t in af.arguments:
+                queries.append(ImpactQuery(af, xs, t))
+                total, converged = 0.0, True
+                try:
+                    for x in xs:
+                        value, ok = _walk_series(matrix, index(x), index(t), series)
+                        total += value
+                        converged = converged and ok
+                except DivergenceError as err:
+                    references.append(err)
+                    continue
+                if converged:
+                    walks = [walk_impact(af.arguments, af.attacks, measure, x, t) for x in xs]
+                    assert total == pytest.approx(sum(walks), abs=1e-12)
+                references.append((total, converged))
     window = prefetch_impacts("si", spec, queries, {}, series=series)
-    diverged = 0
-    for (af, subject, target), got in zip(queries, window):
-        try:
-            expected = imp_si(af, spec, subject, target, series=series)
-        except DivergenceError as err:
+    diverged = unfinished = 0
+    for (af, subject, target), got, reference in zip(queries, window, references):
+        if isinstance(reference, DivergenceError):
             diverged += 1
             assert isinstance(got, DivergenceError)
-            assert (got.partial, got.length, got.guard) == (err.partial, err.length, err.guard)
+            fields = (got.partial, got.length, got.guard)
+            assert fields == (reference.partial, reference.length, reference.guard)
+            with pytest.raises(DivergenceError) as err:
+                imp_si(af, spec, subject, target, series=series)
+            assert (err.value.partial, err.value.length, err.value.guard) == fields
         else:
-            assert got == (expected.value, expected.converged)
+            unfinished += not reference[1]
+            assert got == reference
+            assert imp_si(af, spec, subject, target, series=series) == ImpactValue(*got)
     assert (diverged > 0) == (series.divergence_guard < 1.0)
+    assert (unfinished > 0) == (series.max_walk_length == 1)
 
 
 def test_supplied_measure_must_name_attacks_of_the_framework(showcase):

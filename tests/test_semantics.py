@@ -31,7 +31,7 @@ from gradimpact import (
 from gradimpact import attribution, semantics
 from gradimpact.fixtures import chain_pair, disjoint_pair
 from gradimpact.generate import GeneratorConfig, random_af
-from gradimpact.semantics import KINDS, degree_vector
+from gradimpact.semantics import KINDS
 
 from oracles import picard_scores
 
@@ -373,7 +373,7 @@ def test_every_degree_lies_between_its_last_two_iterates(af, kind):
     assert values.tolist() == last.tolist()
     # The default spec's degrees, within 1e-12 of the fixed point (cs solves
     # them densely).
-    exact = np.array(degree_vector(af, SemanticsSpec(kind)))
+    exact = np.array(degrees(af, SemanticsSpec(kind)).vector)
     slack = 1e-12
     assert np.all(np.minimum(before, last) - slack <= exact)
     assert np.all(exact <= np.maximum(before, last) + slack)
