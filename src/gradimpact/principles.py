@@ -821,7 +821,9 @@ def audit(config: AuditConfig = AuditConfig()) -> AuditResult:
     Each principle's trials are drawn once and shared by its cells, which
     read them through ``check_principle`` and plan each impact query once
     per measure; the store holds one principle's trials and plans at a time
-    and is gone when the audit returns or raises."""
+    and is gone when the audit returns or raises.  Each cell is one call of
+    ``check_principle`` through this module's attribute, so rebinding it
+    (as the benchmark does to time each cell) sees every cell once."""
     base = corpus_frameworks(config)
     # One spec object per semantics: the degree store compares keys by
     # identity first.

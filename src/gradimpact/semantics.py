@@ -48,7 +48,8 @@ frameworks without building the derived frameworks.  ``prefetch_degrees``
 reads many systems from the degree store, solving the ones it lacks in one
 stack and filing them there, and ``degrees`` is its one-system case after a
 read of the store; ``prefetch_coalitions`` reads one target's degree per
-mask, for many frameworks at once.
+coalition of its attacks, numbered over its sorted attackers, for many
+frameworks at once, and keeps from each chunk only the degrees it reads.
 
 Shapley coalitions under dense ``cs`` are the exception: a coalition of
 t's attacks changes only row t of I + (alpha / N) M, so
@@ -66,7 +67,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -338,37 +339,54 @@ def prefetch_coalitions(
     """Each ``(af, spec, rows)`` job's degree of each row's target in a
     framework derived from ``af``, or the error of its first failing row.
 
-    A row is ``(t, mask)``: ``t`` indexes ``af.arguments``, and ``mask``
-    drops attacks as in ``degrees``; a failing job gets what ``degrees(af,
-    spec, mask)`` would raise for its first failing row.  Nothing is built
-    or cached for the derived frameworks.
+    A row is ``(t, coalition)``: ``t`` indexes ``af.arguments``, and bit j
+    of ``coalition`` drops the attack on ``af.arguments[t]`` from its j-th
+    sorted attacker, so it is the ``degrees`` mask ``coalition << first``,
+    where ``first`` is the bit of t's first attack in ``attack_bits``; a
+    failing job gets what ``degrees`` would raise for its first failing row.
+    Nothing is built or cached for the derived frameworks.
 
     Under ``hbs``, ``car``, ``max`` and swept ``cs``, each value equals, bit
-    for bit, ``degrees(af, spec, mask)[af.arguments[t]]``: rows with one
-    mask read one solve, and the masks of every job share one
-    ``solve_systems`` stack.  Dense ``cs`` rows must be coalitions, masks
-    dropping only attacks on their row's target (``ValueError`` otherwise),
-    and the jobs of one spec take rank-one updates of one solve per
-    framework and norm (``_rank_one_rows``): each value is within 1e-14 of a
-    dense solve of the derived framework, not equal to it bit for bit.
+    for bit, that mask's ``degrees`` of ``af.arguments[t]``, clipped into
+    [0, 1] as ``Weighting`` clips a solver's overshoot: rows with one mask
+    read one solve, the masks of every job share one ``solve_systems``
+    stack, and each chunk of it hands on only the entries the rows read.
+    Under dense ``cs`` the jobs of one spec take rank-one updates of one
+    solve per framework and norm (``_rank_one_rows``): each value is within
+    1e-14 of a dense solve of the derived framework, not equal to it bit for
+    bit.
     """
     results: list = [None] * len(jobs)
     counting: dict[SemanticsSpec, list[int]] = {}
-    masks: dict[int, list[int]] = {}
-    systems = []
+    # Each swept job's rows, grouped by mask in the order of first use.
+    groups: dict[int, dict[int, list[int]]] = {}
+    systems, reads = [], []
     for i, (af, spec, rows) in enumerate(jobs):
-        if _dense(spec, len(af.arguments)):
+        if not rows:
+            results[i] = []
+        elif _dense(spec, len(af.arguments)):
             counting.setdefault(spec, []).append(i)
+        else:
+            first = _attackers(af).first.tolist()
+            groups[i] = by_mask = {}
+            for r, (t, coalition) in enumerate(rows):
+                by_mask.setdefault(coalition << first[t], []).append(r)
+            for mask, members in by_mask.items():
+                systems.append((af, spec, mask))
+                reads.append([rows[r][0] for r in members])
+    solved = iter(solve_systems(systems, reads))
+    for i, by_mask in groups.items():
+        parts = [next(solved) for _ in by_mask]
+        # The first failing mask in the order of first use holds the first
+        # failing row.
+        failed = [part for part in parts if isinstance(part, GradimpactError)]
+        if failed:
+            results[i] = failed[0]
             continue
-        masks[i] = list(dict.fromkeys(mask for _, mask in rows))
-        systems += [(af, spec, mask) for mask in masks[i]]
-    solved = iter(solve_systems(systems))
-    for i, job_masks in masks.items():
-        af, _, rows = jobs[i]
-        try:
-            results[i] = row_degrees(af, rows, {mask: next(solved) for mask in job_masks})
-        except GradimpactError as error:
-            results[i] = error
+        order = np.fromiter(chain.from_iterable(by_mask.values()), np.intp)
+        values = np.empty(len(order))
+        values[order] = np.concatenate(parts)
+        results[i] = np.clip(values, 0.0, 1.0).tolist()
     for spec, members in counting.items():
         values = _rank_one_rows(spec, [jobs[i] for i in members])
         for i, result in zip(members, values):
@@ -376,36 +394,18 @@ def prefetch_coalitions(
     return results
 
 
-def row_degrees(
-    af: ArgumentationFramework,
-    rows: Sequence[tuple[int, int]],
-    solved: Mapping[int, np.ndarray | GradimpactError],
-) -> list[float]:
-    """Each ``(t, mask)`` row's degree of argument ``t``, read from the
-    ``solve_systems`` result of its mask, clipped into [0, 1] as ``Weighting``
-    clips a solver's overshoot.  Raises the error of the first failing mask,
-    in the order of ``solved``."""
-    for result in solved.values():
-        if isinstance(result, GradimpactError):
-            raise result
-    if not rows:
-        return []
-    n = len(af.arguments)
-    position = {mask: i * n for i, mask in enumerate(solved)}
-    picks = np.fromiter(
-        (position[mask] + t for t, mask in rows), dtype=np.intp, count=len(rows)
-    )
-    return np.clip(np.concatenate(list(solved.values()))[picks], 0.0, 1.0).tolist()
-
-
-def solve_systems(systems: Sequence[System]) -> list[np.ndarray | GradimpactError]:
+def solve_systems(
+    systems: Sequence[System], reads: Sequence[Sequence[int]] | None = None
+) -> list[np.ndarray | GradimpactError]:
     """The degree vector of each ``(af, spec, mask)`` system, in the order of
     ``af.arguments``, or the error ``degrees(af, spec, mask)`` would raise.
 
     Systems of one spec share one Picard stack, and dense ``cs`` systems of
     one spec and size one batch of linear systems; each stack is cut into chunks
     of at most ``COALITION_CELLS`` working cells.  A system's result does not
-    depend on what else is solved with it.
+    depend on what else is solved with it.  With ``reads``, system i's
+    result is only its degrees at the indices ``reads[i]``, gathered out of
+    its chunk in one copy per chunk; otherwise it is a view of the chunk.
     """
     if not systems:
         return []
@@ -431,9 +431,15 @@ def solve_systems(systems: Sequence[System]) -> list[np.ndarray | GradimpactErro
         for chunk in _chunks(parts):
             graphs = [graph for graph, _ in chunk]
             values, starts, errors = solve(spec, graphs, [systems[i][2] for _, i in chunk])
-            for b, (graph, i) in enumerate(chunk):
-                start = starts[b]
-                results[i] = errors.get(b, values[start : start + graph.n])
+            spans = [(start, graph.n) for start, graph in zip(starts.tolist(), graphs)]
+            if reads is not None:
+                values = values[
+                    [start + t for (start, _), (_, i) in zip(spans, chunk) for t in reads[i]]
+                ]
+                counts = [len(reads[i]) for _, i in chunk]
+                spans = list(zip(accumulate(counts, initial=0), counts))
+            for b, ((start, size), (_, i)) in enumerate(zip(spans, chunk)):
+                results[i] = errors.get(b, values[start : start + size])
     return results
 
 
@@ -486,14 +492,16 @@ class _Attackers(NamedTuple):
 
     Edge ``e``, the attack of bit ``e`` in ``attack_bits``, runs from
     ``sources[e]`` to ``heads[e]``, so the edges run over the targets in
-    order, and over each target's sorted attackers.  Both arrays are padded
-    with unused edges to a whole number of bytes of mask.
+    order, and over each target's sorted attackers, from edge ``first[t]``
+    of argument t on.  Both edge arrays are padded with unused edges to a
+    whole number of bytes of mask.
     """
 
     n: int
     m: int
     heads: np.ndarray
     sources: np.ndarray
+    first: np.ndarray
 
 
 @lru_cache(maxsize=4096)
@@ -505,7 +513,8 @@ def _attackers(af: ArgumentationFramework) -> _Attackers:
     sources = np.zeros_like(heads)
     heads[:m] = [index[t] for _, t in bits]
     sources[:m] = [index[s] for s, _ in bits]
-    return _Attackers(len(index), m, heads, sources)
+    first = np.searchsorted(heads[:m], np.arange(len(index)))
+    return _Attackers(len(index), m, heads, sources, first)
 
 
 def _blocks(
@@ -660,7 +669,8 @@ def _dense_systems(
 def _rank_one_rows(
     spec: SemanticsSpec, jobs: Sequence[Coalitions]
 ) -> list[list[float] | GradimpactError]:
-    """The dense ``cs`` coalition rows of jobs that share ``spec``.
+    """The dense ``cs`` coalition rows of jobs that share ``spec``, each
+    job with at least one row.
 
     Removing a coalition C of t's attacks changes only row t of B = I + s M,
     s = damping / N, so with v = B^-1 1 and w = B^-1 e_t, Sherman and
@@ -673,13 +683,10 @@ def _rank_one_rows(
     each is factored once per (framework, norm) pair, the pairs of one size
     and kind in one batched solve (``_base_solutions``).  A row's value
     depends only on its own pair and coalition, whatever else is evaluated
-    with it, and is clipped into [0, 1] as ``row_degrees`` clips.
+    with it, and is clipped into [0, 1] as a swept row is.
     """
-    results: list = [[] for _ in jobs]
-    live = [i for i, (_, _, rows) in enumerate(jobs) if rows]
-    if not live:
-        return results
-    graphs = [_attackers(jobs[i][0]) for i in live]
+    results: list = [None] * len(jobs)
+    graphs = [_attackers(af) for af, _, _ in jobs]
     sizes, starts, heads, sources = _blocks(graphs, [0] * len(graphs))
     counts = np.bincount(heads, minlength=int(sizes.sum()))
     first = np.cumsum(counts) - counts
@@ -689,23 +696,18 @@ def _rank_one_rows(
     # The argument that alone holds its framework's top in-degree, if any.
     hub = holders & np.repeat(alone, sizes)
     second = np.maximum.reduceat(np.where(hub, 0, counts), starts)
-    hub_of = np.zeros(len(live), dtype=np.intp)
+    hub_of = np.zeros(len(jobs), dtype=np.intp)
     hub_at = np.flatnonzero(hub)
-    hub_of[np.repeat(np.arange(len(live)), sizes)[hub_at]] = hub_at
+    hub_of[np.repeat(np.arange(len(jobs)), sizes)[hub_at]] = hub_at
 
     # Each row's coalition, as bits over its target's attackers in edge order.
-    rows = [row for i in live for row in jobs[i][2]]
-    job = np.repeat(np.arange(len(live)), [len(jobs[i][2]) for i in live])
+    lengths = [len(rows) for _, _, rows in jobs]
+    rows = [row for _, _, job_rows in jobs for row in job_rows]
+    job = np.repeat(np.arange(len(jobs)), lengths)
     target = starts[job] + np.fromiter((t for t, _ in rows), np.intp, len(rows))
     indegree = counts[target]
     width = int(indegree.max())
-    packed = bytearray()
-    shifts = (first[target] - first[starts][job]).tolist()
-    for (t, mask), shift, count in zip(rows, shifts, indegree.tolist()):
-        local = mask >> shift
-        if local << shift != mask or local >> count:
-            raise ValueError(f"mask {mask:#x} drops attacks off argument {t}")
-        packed += local.to_bytes((width + 7) // 8, "little")
+    packed = b"".join(c.to_bytes((width + 7) // 8, "little") for _, c in rows)
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
     bits = bits.reshape(len(rows), -1 if width else 0)[:, :width]
     top = tops[job]
@@ -718,20 +720,20 @@ def _rank_one_rows(
     if override is not None:
         refused = np.flatnonzero(derived > override)
         firsts = refused[np.diff(job[refused], prepend=-1) != 0]
-        failed = np.zeros(len(live), dtype=bool)
+        failed = np.zeros(len(jobs), dtype=bool)
         failed[job[firsts]] = True
         solve &= ~failed[job]
         for r in firsts.tolist():
             try:
                 _norm_for(int(derived[r]), spec.counting)
             except DivergentSeriesError as error:
-                results[live[job[r]]] = error
+                results[job[r]] = error
     # One base system per (framework, norm) pair the rows need: the
     # framework's own norm, or a lower one with the hub's row emptied.
     norm = top if override is not None else derived
     stride = int(tops.max()) + 1
     code = job * stride + norm
-    present = np.zeros(len(live) * stride, dtype=bool)
+    present = np.zeros(len(jobs) * stride, dtype=bool)
     present[code[solve]] = True
     base_job, base_norm = np.divmod(np.flatnonzero(present), stride)
     emptied = base_norm < tops[base_job]
@@ -774,11 +776,11 @@ def _rank_one_rows(
     values = np.ones(len(rows))
     values[picked] = v_t + w_t * (s * sum_v) / (1.0 - s * sum_w)
     values = np.clip(values, 0.0, 1.0)
-    bounds = np.cumsum([len(jobs[i][2]) for i in live]).tolist()
-    for i, lo, hi in zip(live, [0] + bounds, bounds):
-        if not isinstance(results[i], GradimpactError):
-            results[i] = values[lo:hi].tolist()
-    return results
+    bounds = list(accumulate(lengths))
+    return [
+        values[lo:hi].tolist() if result is None else result
+        for result, lo, hi in zip(results, [0] + bounds, bounds)
+    ]
 
 
 def _base_solutions(

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from oracles import (
     counting_coalition_degree,
     counting_series,
     permutation_shapley,
+    picard_scores,
     reference_shapley,
 )
 
@@ -45,6 +47,14 @@ def attack_graphs(draw):
     attacks = draw(
         st.lists(st.sampled_from(pairs), unique=True, min_size=1)
     )
+    return ArgumentationFramework.of(names, attacks)
+
+
+@st.composite
+def seven_argument_graphs(draw):
+    names = [f"a{i}" for i in range(1, 8)]
+    pairs = [(s, t) for s in names for t in names]
+    attacks = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=16))
     return ArgumentationFramework.of(names, attacks)
 
 
@@ -209,19 +219,18 @@ def _coalition_norms(af):
 
 
 def _all_coalitions(af):
-    """Every (target, mask) row over every subset of each target's attacks."""
-    bits = semantics.attack_bits(af)
-    rows = []
-    for t, a in enumerate(af.arguments):
-        incoming = af.attacks_on(a)
-        for local in range(1 << len(incoming)):
-            dropped = (c for i, c in enumerate(incoming) if local >> i & 1)
-            rows.append((t, sum(1 << bits[c] for c in dropped)))
-    return rows
+    """Every (target, coalition) row over every subset of each target's attacks."""
+    return [
+        (t, coalition)
+        for t, a in enumerate(af.arguments)
+        for coalition in range(1 << af.in_degree(a))
+    ]
 
 
-def _removed(af, mask):
-    return [c for c, e in semantics.attack_bits(af).items() if mask >> e & 1]
+def _removed(af, t, coalition):
+    """The attacks a ``(t, coalition)`` row drops: bit j, the j-th attack on t."""
+    incoming = af.attacks_on(af.arguments[t])
+    return [c for j, c in enumerate(incoming) if coalition >> j & 1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,18 +255,18 @@ def test_swept_counting_solve_agrees_with_the_dense_one(af, norm):
         (swept,) = semantics.prefetch_coalitions([(af, spec, rows)])
         swept_whole = _afresh(store, degrees, af, spec)
         reduced = [
-            _afresh(store, degrees, af.delete_attacks(_removed(af, mask)), spec)[
+            _afresh(store, degrees, af.delete_attacks(_removed(af, t, coalition)), spec)[
                 af.arguments[t]
             ]
-            for t, mask in rows
+            for t, coalition in rows
         ]
     bound = spec.tolerance + 1e-13
     # The swept rows are the swept reduced frameworks, bit for bit.
     assert swept == reduced
     for a in af.arguments:
         assert abs(swept_whole[a] - dense_whole[a]) <= bound
-    for (t, mask), s, d in zip(rows, swept, dense):
-        sub = af.delete_attacks(_removed(af, mask))
+    for (t, coalition), s, d in zip(rows, swept, dense):
+        sub = af.delete_attacks(_removed(af, t, coalition))
         top = norm if norm is not None else sub.max_in_degree()
         series = (
             counting_series(sub.arguments, sub.attacks, spec.counting.damping, top)
@@ -293,23 +302,16 @@ def test_rank_one_rows_agree_with_dense_solves(af, extra, config):
     spec = SemanticsSpec("cs", counting=CountingConfig(norm_override=norm))
     rows = _all_coalitions(af) + attribution._plan(af, config)[0]
     (values,) = semantics.prefetch_coalitions([(af, spec, rows)])
-    for (t, mask), value in zip(rows, values):
+    for (t, coalition), value in zip(rows, values):
         expected = counting_coalition_degree(
             af.arguments,
             af.attacks,
             spec.counting.damping,
             norm,
             af.arguments[t],
-            _removed(af, mask),
+            _removed(af, t, coalition),
         )
         assert abs(value - expected) <= 1e-14
-
-
-def test_dense_counting_rows_must_be_coalitions_of_their_target():
-    af = ArgumentationFramework.of(["a", "b"], [("a", "b"), ("b", "a")])
-    bits = semantics.attack_bits(af)
-    with pytest.raises(ValueError, match="drops attacks off argument 0"):
-        semantics.prefetch_coalitions([(af, SemanticsSpec("cs"), [(0, 1 << bits[("a", "b")])])])
 
 
 def test_a_counting_session_leaves_numpy_ma_unimported():
@@ -329,6 +331,58 @@ def test_a_counting_session_leaves_numpy_ma_unimported():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert done.stdout == "False\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(seven_argument_graphs(), st.sampled_from(KINDS))
+def test_exact_intensities_lie_within_twice_the_tolerance(af, kind):
+    # Each coalition degree is within the tolerance of its fixed point, and
+    # an intensity's marginal weights sum to 1.  cs is swept, as past the
+    # dense cutoff, and its worth is a dense solve.
+    spec = SemanticsSpec(kind, tolerance=1e-6)
+    solved = {}
+
+    def worth(target, removed):
+        if kind == "cs":
+            damping = spec.counting.damping
+            return counting_coalition_degree(
+                af.arguments, af.attacks, damping, None, target, removed
+            )
+        gone = frozenset(removed)
+        if gone not in solved:
+            kept = [c for c in af.attacks if c not in gone]
+            solved[gone] = picard_scores(af.arguments, kept, kind, tolerance=1e-14)[0]
+        return solved[gone][target]
+
+    expected, mode = reference_shapley(af.arguments, af.attacks, worth, 12, 1, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(semantics, "_dense", lambda spec, n: False)
+        measure = _afresh(attribution._cached_shapley_all, shapley_all, af, spec, ShapleyConfig())
+    assert measure.mode == mode == EXACT_MODE
+    assert [attack for attack, _ in measure.entries] == [attack for attack, _ in expected]
+    for (_, value), (_, exact) in zip(measure.entries, expected):
+        assert abs(value - exact) <= 2 * spec.tolerance
+
+
+def test_coalition_solves_keep_only_the_entries_they_read():
+    # 1,000 arguments under 3 distinct attackers each: 7,001 coalition masks,
+    # whose whole degree vectors would take 56 MB.
+    rng = np.random.default_rng(1)
+    n = 1000
+    names = [f"a{i:04d}" for i in range(n)]
+    attacks = [
+        (names[s], names[t]) for t in range(n) for s in rng.choice(n, 3, replace=False)
+    ]
+    af = ArgumentationFramework.of(names, attacks)
+    spec = SemanticsSpec("hbs")
+    tracemalloc.start()
+    try:
+        measure = _afresh(attribution._cached_shapley_all, shapley_all, af, spec, ShapleyConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(measure) == 3 * n
+    assert peak < 32 * 2**20
 
 
 def test_coalitions_stay_out_of_the_degree_cache(showcase):

@@ -206,6 +206,28 @@ def test_audit_runs_every_configured_cell():
         result.cell("void", "dv", "hbs")
 
 
+def test_audit_runs_each_cell_through_the_module_check_principle(monkeypatch):
+    # perfbench times the audit's cells by rebinding this module attribute.
+    config = AuditConfig(graph_count=2, measures=("dv", "si"), semantics=("hbs", "cs"))
+    calls = []
+    check = principles.check_principle
+
+    def counted(principle, measure, spec, corpus, **kwargs):
+        calls.append((principle, measure, spec.kind))
+        return check(principle, measure, spec, corpus, **kwargs)
+
+    monkeypatch.setattr(principles, "check_principle", counted)
+    result = audit(config)
+    assert len(calls) == 9 * len(config.measures) * len(config.semantics)
+    assert calls == [
+        (principle, measure, kind)
+        for principle in PRINCIPLES
+        for kind in config.semantics
+        for measure in config.measures
+    ]
+    assert [(v.principle, v.measure, v.semantics) for v in result.verdicts] == calls
+
+
 def test_audit_report_names_every_setting():
     config = AuditConfig(
         graph_count=0, measures=("dv",), semantics=("hbs",), include_fixtures=False

@@ -181,26 +181,34 @@ def test_hub_degrees_equal_the_reference_loop(kind):
 
 @pytest.mark.parametrize("kind", ["hbs", "car", "max"])
 def test_hub_coalitions_equal_their_reduced_frameworks(kind):
-    # Rows removing one to three of the 58 attacks on the first hub, from its
-    # first, middle and last slots, so the dropped edges sit inside long sums.
-    # The last mask also drops attacks on the second hub, so it spans two
-    # targets' bits; every mask is read for both hubs.
+    # Rows removing one to three of the 58 attacks on the first hub and of
+    # the 30 on the second, from their first, middle and last slots, so the
+    # dropped edges sit inside long sums.
     af = _two_hubs()
     spec = SemanticsSpec(kind)
-    hub, other = af.arguments[:2]
-    incoming = af.attacks_on(hub)
-    assert len(incoming) == 58
+    assert [af.in_degree(hub) for hub in af.arguments[:2]] == [58, 30]
     coalitions = [(0,), (29,), (57,), (0, 57), (0, 29), (28, 29, 57), (0, 1, 2)]
-    removals = [[incoming[i] for i in slots] for slots in coalitions]
-    removals.append([incoming[5], incoming[40]] + list(af.attacks_on(other)[3:7]))
+    rows = [
+        (t, slots)
+        for t in (0, 1)
+        for slots in coalitions
+        if max(slots) < af.in_degree(af.arguments[t])
+    ]
+    (values,) = semantics.prefetch_coalitions(
+        [(af, spec, [(t, sum(1 << j for j in slots)) for t, slots in rows])]
+    )
+    for (t, slots), value in zip(rows, values):
+        hub = af.arguments[t]
+        incoming = af.attacks_on(hub)
+        reduced = degrees(af.delete_attacks(incoming[j] for j in slots), spec)
+        assert value == reduced[hub]
+    # A mask that spans both hubs' bits is a degrees call.
+    hub, other = af.arguments[:2]
+    removed = [af.attacks_on(hub)[5], af.attacks_on(hub)[40]] + list(af.attacks_on(other)[3:7])
     bits = semantics.attack_bits(af)
-    masks = [sum(1 << bits[c] for c in removed) for removed in removals]
-    rows = [(t, mask) for mask in masks for t in (0, 1)]
-    (values,) = semantics.prefetch_coalitions([(af, spec, rows)])
-    values = iter(values)
-    for removed in removals:
-        reduced = degrees(af.delete_attacks(removed), spec)
-        assert (next(values), next(values)) == (reduced[hub], reduced[other])
+    mask = sum(1 << bits[c] for c in removed)
+    reduced = degrees(af.delete_attacks(removed), spec)
+    assert degrees(af, spec, mask).as_dict() == reduced.as_dict()
 
 
 def _stacked_blocks():
@@ -274,6 +282,55 @@ def test_a_stack_reports_each_failing_block_alone():
     )
     assert dict(zip(chain.arguments, solved[1].tolist())) == degrees(chain, spec).as_dict()
     assert solved[2].tolist() == list(degrees(cycle, spec, 1).values())
+
+
+def test_a_split_coalition_job_reports_its_first_failing_row(monkeypatch):
+    # a sits on two 2-cycles, b's under one more attack, so within 12 sweeps
+    # only the coalition of both of a's attacks settles, and the two
+    # one-attack coalitions fail with different residuals.
+    looped = ArgumentationFramework.of(
+        ["a", "b", "c", "d"],
+        [("a", "b"), ("b", "a"), ("a", "c"), ("c", "a"), ("d", "b")],
+    )
+    star = ArgumentationFramework.of(
+        ["p", "q", "r", "s"], [("q", "p"), ("r", "p"), ("s", "p"), ("s", "q")]
+    )
+    spec = SemanticsSpec("hbs", max_iterations=12)
+    failing = [(0, 0b11), (0, 0b01), (0, 0b10), (0, 0b00)]
+    settled = [(0, coalition) for coalition in range(8)] + [(1, 1), (1, 0)]
+    jobs = [(looped, spec, failing), (star, spec, settled)]
+    whole = semantics.prefetch_coalitions(jobs)
+    chunks = []
+    solve = semantics._picard_rows
+
+    def counted(*args):
+        values, starts, errors = solve(*args)
+        chunks.append(len(errors))
+        return values, starts, errors
+
+    monkeypatch.setattr(semantics, "_picard_rows", counted)
+    # Two or three systems a chunk: the failing masks fall in two chunks.
+    monkeypatch.setattr(semantics, "COALITION_CELLS", 100)
+    error, split = semantics.prefetch_coalitions(jobs)
+    assert len(chunks) >= 3 and sum(1 for failed in chunks if failed) == 2
+    # The first failing row, (0, 0b01), drops the attack from b.
+    with pytest.raises(NonConvergenceError) as first:
+        degrees(looped.delete_attacks([("b", "a")]), spec)
+    with pytest.raises(NonConvergenceError) as second:
+        degrees(looped.delete_attacks([("c", "a")]), spec)
+    assert first.value.residual != second.value.residual
+    for result in (error, whole[0]):
+        assert isinstance(result, NonConvergenceError)
+        assert (result.iterations, result.residual) == (
+            first.value.iterations,
+            first.value.residual,
+        )
+    assert split == whole[1]
+    for (t, coalition), value in zip(settled, split):
+        target = star.arguments[t]
+        incoming = star.attacks_on(target)
+        removed = [c for j, c in enumerate(incoming) if coalition >> j & 1]
+        assert value == degrees(star.delete_attacks(removed), spec)[target]
 
 
 def _traced_peak(af, spec):
