@@ -18,15 +18,18 @@ members by construction.  With M the intensity matrix (``M[t, s]`` the
 intensity of the attack from s on t), the walks from x to a of length k sum
 to ``[(-M)^k]_{a,x}``, so for spectral radius below 1 the impact of X on a is
 ``sum over x in X of [(I + M)^{-1} - I]_{a,x}``.  That resolvent is computed
-once per (framework, measure) and answers every member and target.  It is
+once per framework and semantics, and answers every member and target.  It is
 used only when ``q = ‖M‖∞`` (the largest absolute row sum) proves that the
 truncated alternating series would converge under the query's
 ``SeriesConfig``; otherwise the series itself is evaluated, walk length by
 walk length, with its divergence guard and length cap.
 
-``prefetch_impacts`` evaluates a batch of queries under one measure and
-semantics in one stacked solve, an audit window at a time; every other
-entry point here is its one-query case.
+A query is planned as a row of integers numbered in a table of systems
+and frameworks (``Systems``, ``Rows``), and ``evaluate_rows`` evaluates a
+batch of rows under one measure and semantics from flat arrays of solved
+degrees and closed forms, an audit window at a time.  ``prefetch_impacts``
+is a batch in the library's own table, and every other entry point here
+is its one-query case.
 
 For the counting semantics, both deletion-based variants score the reduced
 frameworks with the parent framework's normalisation so the two sides stay
@@ -39,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -52,7 +56,13 @@ from .errors import (
     UnknownAttackError,
 )
 from .framework import ArgumentationFramework
-from .semantics import SemanticsSpec, attack_masks, counting_norm, prefetch_degrees
+from .semantics import (
+    SemanticsSpec,
+    Weighting,
+    attack_masks,
+    counting_norm,
+    solve_systems,
+)
 
 POLARITY_TOLERANCE = 1e-9
 GATE_MARGIN = 1e-6
@@ -114,7 +124,8 @@ def _shared_norm_spec(
 def _counting_norm_spec(
     af: ArgumentationFramework, spec: SemanticsSpec
 ) -> SemanticsSpec:
-    # One spec object per framework, so the degree store finds it by identity.
+    # One spec object per framework: solve_systems groups a framework's
+    # systems by identity.
     norm = counting_norm(af, spec.counting)
     if norm is None:
         return spec
@@ -149,9 +160,14 @@ def imp_dv(
     subject: Iterable[str],
     target: str,
 ) -> ImpactValue:
-    """Deletion-based impact of ``subject`` on ``target``."""
+    """Deletion-based impact of ``subject`` on ``target``.
+
+    Under ``hbs``, ``car`` and ``max`` the value lies within 2 *
+    ``spec.tolerance`` of the exact difference: each of its two degrees is
+    within ``tolerance`` of its fixed point (see ``semantics``).
+    """
     query = ImpactQuery(af, tuple(subject), target)
-    return _single(prefetch_impacts("dv", spec, (query,), {}))
+    return _single(prefetch_impacts("dv", spec, (query,)))
 
 
 def imp_dv_original(
@@ -162,7 +178,7 @@ def imp_dv_original(
 ) -> ImpactValue:
     """Original deletion-based impact: removes attackers, keeps induced attacks."""
     query = ImpactQuery(af, tuple(subject), target)
-    return _single(prefetch_impacts("dv-original", spec, (query,), {}))
+    return _single(prefetch_impacts("dv-original", spec, (query,)))
 
 
 def _intensity_matrix(
@@ -185,29 +201,44 @@ def _intensity_matrix(
     return matrix
 
 
-@dataclass(frozen=True)
-class _Resolvent:
-    """What every ``si`` query on one (framework, measure) pair shares."""
-
-    matrix: np.ndarray
-    norm: float
-    closed: np.ndarray | None
+class _Series(NamedTuple):
+    matrix: np.ndarray  # the intensity matrix the walk series runs on
 
 
-@lru_cache(maxsize=4096)
-def _cached_resolvent(
-    af: ArgumentationFramework, measure: ShapleyMeasure
-) -> _Resolvent:
-    matrix = _intensity_matrix(af, measure)
-    norm = float(abs(matrix).sum(axis=1).max(initial=0.0))
-    closed = None
-    if norm < 1.0:
-        # Invertible: the spectral radius of M is at most its norm.
-        eye = np.eye(len(matrix))
-        closed = np.linalg.inv(eye + matrix) - eye
-        closed.flags.writeable = False
-    matrix.flags.writeable = False
-    return _Resolvent(matrix, norm, closed)
+def _resolvents(
+    frameworks: Sequence[ArgumentationFramework],
+    measures: Sequence[ShapleyMeasure | GradimpactError],
+    series: SeriesConfig,
+) -> list[np.ndarray | _Series | GradimpactError]:
+    """How ``si`` reads each framework under its measure: the closed form
+    ``(I + M)^-1 - I``, flattened after a zero, where ``series`` provably
+    converges on M, else M to run the series on; or the error of the
+    measure or of M.
+    Closed forms of one size are inverted in one batch, each as alone; M is
+    invertible there, as its spectral radius is at most its norm, below 1."""
+    out: list = []
+    closed: dict[int, list[int]] = {}
+    for af, measure in zip(frameworks, measures):
+        if isinstance(measure, GradimpactError):
+            out.append(measure)
+            continue
+        try:
+            matrix = _intensity_matrix(af, measure)
+        except GradimpactError as error:
+            out.append(error)
+            continue
+        if _series_converges(float(abs(matrix).sum(axis=1).max(initial=0.0)), series):
+            closed.setdefault(len(matrix), []).append(len(out))
+        matrix.flags.writeable = False
+        out.append(_Series(matrix))
+    for n, members in closed.items():
+        eye = np.eye(n)
+        forms = np.linalg.inv(eye + np.array([out[i].matrix for i in members])) - eye
+        # Each closed form follows a zero, for the rows' padding to read.
+        forms = np.hstack([np.zeros((len(forms), 1)), forms.reshape(len(forms), -1)])
+        for i, form in zip(members, forms):
+            out[i] = form
+    return out
 
 
 def _series_converges(norm: float, series: SeriesConfig) -> bool:
@@ -267,7 +298,7 @@ def imp_si(
     query = ImpactQuery(af, tuple(subject), target)
     given = None if measure is None else {af: measure}
     outcomes = prefetch_impacts(
-        "si", spec, (query,), {}, intensities=given,
+        "si", spec, (query,), intensities=given,
         shapley_config=shapley_config, series=series,
     )
     return _single(outcomes)
@@ -315,14 +346,13 @@ class ImpactQuery(NamedTuple):
     target: str
 
 
-# What evaluating a query under one measure needs, whatever the semantics:
-# the target's index, then the two masks of a deletion-based measure or the
-# indices of the sorted subject for ``si``; or the error an unknown argument
-# raises.
-Plan = tuple[int, int, int] | tuple[int, tuple[int, ...]] | UnknownArgumentError
-
-
-def _query_plan(measure: str, query: ImpactQuery) -> Plan:
+def _query_plan(
+    measure: str, query: ImpactQuery
+) -> tuple[int, int, int] | tuple[int, tuple[int, ...]] | UnknownArgumentError:
+    """What evaluating a query under one measure needs, whatever the
+    semantics: the target's index, then the two masks of a deletion-based
+    measure or the indices of the sorted subject for ``si``; or the error an
+    unknown argument raises."""
     af, subject, target = query
     xs = tuple(sorted(set(subject)))
     positions = af.positions
@@ -334,6 +364,290 @@ def _query_plan(measure: str, query: ImpactQuery) -> Plan:
     return (positions[target],) + _deletion_masks(af, measure, xs, target)
 
 
+class Systems:
+    """The frameworks and (framework, mask) systems impact queries read,
+    each numbered on first use, and what each semantics solved of them: the
+    clipped degrees of each system, scored with its framework's own
+    normalisation, and each framework's ``_resolvents`` entry, kept end to
+    end per spec (and ``si`` settings) in a ``_Flat``.  An audit's cells
+    share one table, so a system that recurs across windows, cells or
+    principles is numbered once and solved once per semantics."""
+
+    def __init__(self) -> None:
+        self.frameworks: list[ArgumentationFramework] = []
+        self.systems: list[tuple[int, int]] = []
+        self._ids: dict = {}
+        self._flats: dict = {}
+
+    def framework(self, af: ArgumentationFramework) -> int:
+        return self._number(af, self.frameworks)
+
+    def system(self, fid: int, mask: int) -> int:
+        return self._number((fid, mask), self.systems)
+
+    def _number(self, key, numbered: list) -> int:
+        found = self._ids.get(key)
+        if found is None:
+            found = self._ids[key] = len(numbered)
+            numbered.append(key)
+        return found
+
+    def degrees(
+        self, spec: SemanticsSpec, sids: np.ndarray
+    ) -> tuple[_Flat, np.ndarray]:
+        """The degrees under ``spec`` and the offsets of ``sids`` in them,
+        the missing systems solved in one stack, checked and clipped as
+        ``degrees`` does."""
+        solved = self._flat(spec, len(self.systems))
+        missing = solved.missing(sids)
+        if missing is None:
+            return solved, solved.offsets[sids]
+        batch, found = [], []
+        for sid in missing:
+            fid, mask = self.systems[sid]
+            af = self.frameworks[fid]
+            try:
+                if not af.arguments:
+                    raise ValueError("degrees need at least one argument")
+                batch.append((af, _shared_norm_spec(af, spec), mask))
+                found.append(sid)
+            except (GradimpactError, ValueError) as error:
+                solved.fail(sid, error)
+        solved.add(list(zip(found, solve_systems(batch))), self._checked)
+        return solved, solved.offsets[sids]
+
+    def _checked(self, sid: int, vector: np.ndarray) -> ValueError | None:
+        """The error ``degrees`` raises for a solved entry outside [0, 1]."""
+        try:
+            Weighting._solved(self.frameworks[self.systems[sid][0]].arguments, vector)
+        except ValueError as error:
+            return error
+        return None
+
+    def own_degrees(self, spec: SemanticsSpec, frameworks: Sequence) -> list:
+        """Each framework's ``degrees`` vector under ``spec`` (its system
+        of no mask), or the error ``degrees`` would raise."""
+        sids = [self.system(self.framework(af), 0) for af in frameworks]
+        solved, starts = self.degrees(spec, np.array(sids, dtype=np.intp))
+        starts = starts.tolist()
+        return [
+            solved.failures[sid] if at < 0 else solved.values[at : at + len(af)]
+            for sid, at, af in zip(sids, starts, frameworks)
+        ]
+
+    def resolvents(
+        self,
+        spec: SemanticsSpec,
+        fids: np.ndarray,
+        config: ShapleyConfig,
+        series: SeriesConfig,
+        given: Mapping[ArgumentationFramework, ShapleyMeasure] | None,
+    ) -> tuple[_Flat, np.ndarray]:
+        """The ``_resolvents`` of the frameworks ``fids`` under ``spec`` and
+        the settings, and their offsets; supplied intensities are resolved
+        afresh."""
+        key = (spec, config, series) if given is None else None
+        resolved = self._flat(key, len(self.frameworks))
+        missing = resolved.missing(fids)
+        if missing is None:
+            return resolved, resolved.offsets[fids]
+        frameworks = [self.frameworks[fid] for fid in missing]
+        wanted = [af for af in frameworks if given is None or af not in given]
+        measures = {**prefetch_intensities(wanted, spec, config), **(given or {})}
+        found = _resolvents(frameworks, [measures[af] for af in frameworks], series)
+        resolved.add(list(zip(missing, found)))
+        return resolved, resolved.offsets[fids]
+
+    def _flat(self, key, size: int) -> _Flat:
+        # A key of None gets a flat of its own, kept nowhere.
+        flat = self._flats.get(key)
+        if flat is None:
+            flat = _Flat()
+            if key is not None:
+                self._flats[key] = flat
+        flat.grow(size)
+        return flat
+
+
+class _Flat:
+    """Vectors end to end in one array: entry i's from ``offsets[i]`` on,
+    -1 while missing and -2 once it failed, its failure in ``failures``.
+    ``used`` values are filled, and the ``_Series`` failures hold ``held``
+    more."""
+
+    def __init__(self) -> None:
+        self.offsets = np.zeros(0, dtype=np.intp)
+        self.values = np.zeros(0)
+        self.used = self.held = 0
+        self.failures: dict[int, object] = {}
+
+    def grow(self, size: int) -> None:
+        if size > len(self.offsets):
+            grown = np.full(max(size, 2 * len(self.offsets)), -1, dtype=np.intp)
+            grown[: len(self.offsets)] = self.offsets
+            self.offsets = grown
+
+    def missing(self, ids: np.ndarray) -> list[int] | None:
+        """The entries of ``ids`` still missing, each once, or None."""
+        missing = self.offsets[ids] == -1
+        if not np.count_nonzero(missing):
+            return None
+        return list(dict.fromkeys(ids[missing].tolist()))
+
+    def fail(self, i: int, failure) -> None:
+        self.offsets[i] = -2
+        self.failures[i] = failure
+        if isinstance(failure, _Series):
+            self.held += failure.matrix.size
+
+    def forget_errors(self) -> None:
+        """Mark each entry that failed with an error missing again."""
+        errors = [i for i, f in self.failures.items() if isinstance(f, Exception)]
+        self.offsets[errors] = -1
+        for i in errors:
+            del self.failures[i]
+
+    def add(self, found: list, check=None) -> None:
+        """File each ``(i, vector)``, or its failure if not an array.  With
+        ``check``, a vector it finds an error in fails with that error, and
+        the rest are clipped into [0, 1]."""
+        kept = []
+        for i, vector in found:
+            if isinstance(vector, np.ndarray):
+                kept.append((i, vector))
+            else:
+                self.fail(i, vector)
+        joined = np.concatenate([vector for _, vector in kept] or [self.values[:0]])
+        if check is not None:
+            low, high = joined.min(initial=0.0), joined.max(initial=1.0)
+            if not (low >= -1e-9 and high <= 1.0 + 1e-9):
+                found = [(i, check(i, vector) or vector) for i, vector in kept]
+                return self.add(found, check)
+            if low < 0.0 or high > 1.0:
+                np.clip(joined, 0.0, 1.0, out=joined)
+        end = self.used + len(joined)
+        if end > len(self.values):
+            grown = np.empty(max(end, 2 * len(self.values)))
+            grown[: self.used] = self.values[: self.used]
+            self.values = grown
+        self.values[self.used : end] = joined
+        for i, vector in kept:
+            self.offsets[i] = self.used
+            self.used += len(vector)
+
+
+class Rows(NamedTuple):
+    """Planned impact queries as rows of integers: for ``dv`` and
+    ``dv-original`` the target's index and its two systems' ids, for ``si``
+    the framework's id and each sorted member's entry in the target's row
+    of the n x n resolvent (target * n + member), padded with -1.  ``grid``
+    holds the ``live`` rows: not a query whose plan failed, its error in
+    ``failed``, nor an ``si`` query of no member, whose impact is 0.0."""
+
+    size: int
+    live: np.ndarray
+    grid: np.ndarray
+    failed: dict[int, Exception]
+
+
+def plan_row(
+    table: Systems, measure: str, query: ImpactQuery
+) -> tuple[int, ...] | UnknownArgumentError:
+    """A query's row under ``measure``, numbered in ``table``."""
+    plan = _query_plan(measure, query)
+    if isinstance(plan, Exception):
+        return plan
+    fid = table.framework(query.af)
+    if measure == "si":
+        row = plan[0] * len(query.af.arguments)
+        return (fid,) + tuple([row + member for member in plan[1]])
+    return plan[0], table.system(fid, plan[1]), table.system(fid, plan[2])
+
+
+def stack_rows(measure: str, planned: Sequence[tuple[int, ...] | Exception]) -> Rows:
+    """Planned rows as one grid of the live ones."""
+    failed, live, rows = {}, [], []
+    for i, row in enumerate(planned):
+        if isinstance(row, Exception):
+            failed[i] = row
+        elif len(row) > 1:
+            live.append(i)
+            rows.append(row)
+    width = max(map(len, rows), default=3)
+    if measure == "si":
+        rows = [row + (-1,) * (width - len(row)) for row in rows]
+    grid = np.fromiter(chain.from_iterable(rows), np.intp, len(rows) * width)
+    live = np.array(live, dtype=np.intp)
+    return Rows(len(planned), live, grid.reshape(len(rows), width), failed)
+
+
+def evaluate_rows(
+    table: Systems,
+    measure: str,
+    spec: SemanticsSpec,
+    rows: Rows,
+    *,
+    intensities: Mapping[ArgumentationFramework, ShapleyMeasure] | None = None,
+    shapley_config: ShapleyConfig = ShapleyConfig(),
+    series: SeriesConfig = SeriesConfig(),
+) -> tuple[np.ndarray, dict[int, Exception], set[int]]:
+    """Each row's impact, each failing row's error in its place, and the
+    rows whose walk series did not finish; nothing is raised here.
+
+    A deletion-based row is ``flat[offsets[shielded] + t] -
+    flat[offsets[deleted] + t]``, the shielded system's error first.  An
+    ``si`` row reads its framework's ``intensities`` if given, else
+    ``shapley_all``'s under ``shapley_config``, and adds its entries of the
+    closed form in member order from 0.0, or where ``series`` does not
+    provably converge runs the series from each member."""
+    values = np.zeros(rows.size)
+    failed, unfinished = dict(rows.failed), set()
+    grid, live = rows.grid, rows.live
+    if not len(live):
+        return values, failed, unfinished
+    if measure != "si":
+        solved, cells = table.degrees(spec, grid[:, 1:])
+        if solved.failures and np.count_nonzero(cells < 0):
+            ok = (cells >= 0).all(axis=1)
+            for row, systems, (before, _) in zip(
+                live[~ok].tolist(), grid[~ok, 1:].tolist(), cells[~ok].tolist()
+            ):
+                failed[row] = solved.failures[systems[before >= 0]]
+            grid, live, cells = grid[ok], live[ok], cells[ok]
+        degrees = solved.values[cells + grid[:, :1]]
+        values[live] = degrees[:, 0] - degrees[:, 1]
+        return values, failed, unfinished
+    resolved, offsets = table.resolvents(
+        spec, grid[:, 0], shapley_config, series, intensities
+    )
+    if resolved.failures and np.count_nonzero(offsets < 0):
+        walked = offsets < 0
+        for row, (fid, *spots) in zip(live[walked].tolist(), grid[walked].tolist()):
+            n = len(table.frameworks[fid].arguments)
+            members = [spot % n for spot in spots if spot >= 0]
+            outcome = _summed(resolved.failures[fid], spots[0] // n, members, series)
+            if isinstance(outcome, Exception):
+                failed[row] = outcome
+            else:
+                values[row] = outcome[0]
+                if not outcome[1]:
+                    unfinished.add(row)
+        grid, live, offsets = grid[~walked], live[~walked], offsets[~walked]
+    # A padding spot of -1 reads the zero before its closed form.
+    terms = resolved.values[grid[:, 1:] + (offsets + 1)[:, None]]
+    total = np.zeros(len(live))
+    for column in terms.T:
+        total += column
+    values[live] = total
+    return values, failed, unfinished
+
+
+# The library's table is dropped once it numbers more entries than the
+# degree store keeps, or holds more solved values (32 MB) than this.
+LIBRARY_SIZE, LIBRARY_CELLS = 1 << 15, 1 << 22
+_library = Systems()
+
+
 Outcome = tuple[float, bool]  # an ``ImpactValue``'s value and converged flag
 
 
@@ -341,127 +655,49 @@ def prefetch_impacts(
     measure: str,
     spec: SemanticsSpec,
     queries: Sequence[ImpactQuery],
-    plans: dict[ImpactQuery, Plan],
     *,
     intensities: Mapping[ArgumentationFramework, ShapleyMeasure] | None = None,
     shapley_config: ShapleyConfig = ShapleyConfig(),
     series: SeriesConfig = SeriesConfig(),
 ) -> list[Outcome | Exception]:
     """The outcome ``evaluate_impact`` gives each query, or the error it
-    raises, from one stacked solve; nothing is raised here.
-
-    ``plans`` holds the plans of queries under ``measure``, which any
-    semantics shares; a query missing there is planned and added.  A
-    deletion-based query reads its target's degree in its two masks.  An
-    ``si`` query reads its framework's ``intensities`` if given, else
-    ``shapley_all``'s under ``shapley_config``; where ``series`` proves the
-    walk series converges, it sums its target's row of the closed-form
-    resolvent over its sorted members, else it runs the series from each.
-    The degree and intensity stores answer what they hold; the rest is
-    solved in one stack and filed there.
-    """
-    chosen = []
-    for query in queries:
-        plan = plans.get(query)
-        if plan is None:
-            plan = plans[query] = _query_plan(measure, query)
-        chosen.append(plan)
-    if measure == "si":
-        return _intensity_values(
-            spec, queries, chosen, intensities or {}, shapley_config, series
-        )
-    return _deletion_values(spec, queries, chosen)
-
-
-def _deletion_values(spec, queries, plans) -> list[Outcome | Exception]:
-    scorings: list[SemanticsSpec | Exception] = []
-    systems = []
-    for query, plan in zip(queries, plans):
-        if isinstance(plan, Exception):
-            scorings.append(plan)
-            continue
-        try:
-            scoring = _shared_norm_spec(query.af, spec)
-        except GradimpactError as error:
-            scorings.append(error)
-            continue
-        scorings.append(scoring)
-        systems += [(query.af, scoring, plan[1]), (query.af, scoring, plan[2])]
-    weightings = iter(prefetch_degrees(systems))
-    values: list[Outcome | Exception] = []
-    for plan, scoring in zip(plans, scorings):
-        if isinstance(scoring, Exception):
-            values.append(scoring)
-            continue
-        # The shielded degree is read first, so its error comes first.
-        before, after = next(weightings), next(weightings)
-        if isinstance(before, Exception):
-            values.append(before)
-        elif isinstance(after, Exception):
-            values.append(after)
-        else:
-            values.append((before.vector[plan[0]] - after.vector[plan[0]], True))
-    return values
-
-
-def _intensity_values(
-    spec, queries, plans, given, config, series
-) -> list[Outcome | Exception]:
-    wanted = [
-        query.af
-        for query, plan in zip(queries, plans)
-        if not isinstance(plan, Exception) and plan[1] and query.af not in given
+    raises, from one batch of rows numbered in the library's table, which
+    keeps their solves, but not their errors, for later calls; nothing is
+    raised here."""
+    global _library
+    held = sum(flat.used + flat.held for flat in _library._flats.values())
+    if len(_library._ids) > LIBRARY_SIZE or held > LIBRARY_CELLS:
+        _library = Systems()
+    rows = stack_rows(measure, [plan_row(_library, measure, q) for q in queries])
+    values, failed, unfinished = evaluate_rows(
+        _library, measure, spec, rows, intensities=intensities,
+        shapley_config=shapley_config, series=series,
+    )
+    for flat in _library._flats.values():
+        if flat.failures:
+            flat.forget_errors()
+    return [
+        failed[i] if i in failed else (value, i not in unfinished)
+        for i, value in enumerate(values.tolist())
     ]
-    measures = {**prefetch_intensities(wanted, spec, config), **given}
-    values: list[Outcome | Exception] = []
-    for query, plan in zip(queries, plans):
-        if isinstance(plan, Exception):
-            values.append(plan)
-        elif plan[1]:
-            found = measures[query.af]
-            if isinstance(found, ShapleyMeasure):  # resolved on first read
-                found = measures[query.af] = _resolved(query.af, found, series)
-            values.append(_summed(found, *plan, series))
-        else:
-            values.append((0.0, True))
-    return values
-
-
-def _resolved(
-    af: ArgumentationFramework, measure: ShapleyMeasure, series: SeriesConfig
-) -> tuple[np.ndarray, bool] | GradimpactError:
-    """The closed form if ``series`` provably converges on ``measure``, else
-    the intensity matrix to run it on; or the error of that matrix."""
-    try:
-        resolvent = _cached_resolvent(af, measure)
-    except GradimpactError as error:
-        return error
-    if _series_converges(resolvent.norm, series):
-        return resolvent.closed, True
-    return resolvent.matrix, False
 
 
 def _summed(
-    resolved: tuple[np.ndarray, bool] | Exception,
+    found: _Series | Exception,
     goal: int,
     members: Sequence[int],
     series: SeriesConfig,
 ) -> Outcome | Exception:
-    """The impact of the members on ``goal``, summed in member order: each
-    read from the closed form's row of ``goal``, or each the walk series on
-    the intensity matrix, whose first divergence is the error."""
-    if isinstance(resolved, Exception):
-        return resolved
-    matrix, closed = resolved
+    """The impact of the members on ``goal``, each the walk series on the
+    intensity matrix, summed in member order; the first divergence, or the
+    error of the matrix, is the error."""
+    if isinstance(found, Exception):
+        return found
     total = 0.0
-    if closed:
-        for member in members:
-            total += matrix.item(goal, member)
-        return total, True
     converged = True
     for member in members:
         try:
-            value, ok = _walk_series(matrix, member, goal, series)
+            value, ok = _walk_series(found.matrix, member, goal, series)
         except DivergenceError as error:
             return error
         total += float(value)

@@ -30,14 +30,21 @@ the statements would otherwise contradict the expected satisfaction pattern.
 The instances of every principle but existence depend only on the corpus and
 the seed, and name impacts without a measure or semantics.  An audit draws
 each such principle's trials once, lazily, and its eight measure ×
-semantics cells read them in search order, each evaluating the impacts
-under its own measure and semantics.  Existence reads a cell's degrees to
-pick its premises and its measure to pick its candidate sets, so each cell
-draws its own.  What an impact query needs under a measure whatever the
-semantics (its checked subject, target index and deletion masks) is planned
-by the first cell of the principle that evaluates it, and kept for the
-principle's other cells.  A standalone ``check_principle`` draws and plans
-its own.
+semantics cells read them in search order.  Existence reads a cell's
+degrees to pick its premises and its measure to pick its candidate sets, so
+each cell draws its own, and a premise's probe is drawn once per measure.
+
+A cell evaluates its trials a window at a time, as integer arrays.  Each
+impact is planned once per principle and measure as a row of integers
+(``impact.Rows``): a deletion impact's target and two system ids, or an
+``si`` impact's framework id and member entries.  The audit numbers every
+(framework, mask) system, and every framework, in one table
+(``impact.Systems``), so a system that recurs across windows, cells or
+principles is solved once per semantics, into that semantics' flat array of
+clipped degrees.  A window's plan is made by the first cell that reads its
+probes and reused by the others; the cell then gathers both sides of every
+probe from the flat arrays and compares them at once (``falsify``).  A
+standalone ``check_principle`` draws, plans and numbers its own.
 """
 
 from __future__ import annotations
@@ -47,17 +54,21 @@ import random
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from itertools import combinations
+from operator import is_
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .automorphisms import DEFAULT_CAP, find_automorphisms
 from .errors import IncompleteMatrixError, UnsupportedInstanceError
 from .fixtures import chain_pair, disjoint_pair, fixture_frameworks, showcase_af
 from .framework import ArgumentationFramework, Attack
 from .generate import GeneratorConfig, random_af
-from .impact import MEASURES, ImpactQuery, prefetch_impacts
-from .semantics import CHECK_TOLERANCE, KINDS, SemanticsSpec, degrees
+from .impact import (
+    MEASURES, ImpactQuery, Rows, Systems, evaluate_rows, plan_row, stack_rows
+)
+from .semantics import CHECK_TOLERANCE, KINDS, SemanticsSpec
 from .verdicts import (
     COUNTEREXAMPLE,
     NO_COUNTEREXAMPLE,
@@ -176,42 +187,97 @@ class _Combined(NamedTuple):
     ahead: int
 
 
+class _Window(NamedTuple):
+    """A window's probes as one batch of rows.  Side 2k is probe k's lhs
+    and 2k + 1 its rhs: the constant sides are filled in ``base``, the
+    impact side at ``at[i]`` reads row ``row[i]``, and each combined side
+    is ``(position, side, row of its first impact evaluated ahead)``."""
+
+    rows: Rows
+    base: np.ndarray
+    at: np.ndarray
+    row: np.ndarray
+    combined: list[tuple[int, _Combined, int]]
+
+
 @dataclass(frozen=True)
 class _Context:
-    """What one cell evaluates its trials' impacts under, with the plans of
-    impact queries under its measure that it shares with the principle's
-    other cells."""
+    """What one cell evaluates its trials' impacts under: its measure and
+    semantics, and shared with the principle's other cells under the
+    measure, the rows of its impact queries, its windows planned as rows,
+    by number, with the probes each was planned from, the existence probes
+    drawn so far, and the table the rows are numbered in."""
 
     measure: str
     spec: SemanticsSpec
     tolerance: float
     plans: dict
+    windows: list = field(default_factory=list)
+    probes: dict = field(default_factory=dict)
+    table: Systems = field(default_factory=Systems)
 
-    def resolve(self, sides: list) -> Callable[[object], float]:
-        """Evaluate ahead, in one stacked solve, a window's impact queries;
-        the returned function evaluates one side from their values."""
-        queries: list[ImpactQuery] = []
-        for side in sides:
-            if isinstance(side, _Combined):
-                queries.extend(side.queries[: side.ahead])
-            elif isinstance(side, ImpactQuery):
-                queries.append(side)
-        values = prefetch_impacts(self.measure, self.spec, queries, self.plans)
-        # By query object: the sides hold these very objects.
-        return partial(self._evaluate, dict(zip(map(id, queries), values)))
+    def resolve(self, probes: list, number: int):
+        """The lhs and rhs of a window's probes, from one batch of rows, and
+        the error of each probe whose evaluation failed, its lhs first.  A
+        window is planned by the first cell that reads these very probes."""
+        windows = self.windows
+        planned = windows[number] if number < len(windows) else ((), None)
+        if len(planned[0]) == len(probes) and all(map(is_, planned[0], probes)):
+            window = planned[1]
+        else:
+            window = self._plan(probes)
+            windows[number:] = [(probes, window)]
+        values, failed, _ = self._evaluated(window.rows)
+        sides = window.base.copy()
+        sides[window.at] = values[window.row]
+        errors = {}
+        if failed:
+            at = zip(window.at.tolist(), window.row.tolist())
+            errors = {position: failed[row] for position, row in at if row in failed}
+        for position, side, first in window.combined:
+            try:
+                sides[position] = side.combine(self._read(side, values, failed, first))
+            except Exception as error:  # raised where the search meets it
+                errors[position] = error
+        # A probe's lhs error, if any, comes before its rhs error.
+        by_probe = {at // 2: errors[at] for at in sorted(errors, reverse=True)}
+        return sides[0::2], sides[1::2], by_probe
 
-    def _evaluate(self, values: dict, side) -> float:
-        if isinstance(side, _Combined):
-            return side.combine(map(partial(self._evaluate, values), side.queries))
-        if not isinstance(side, ImpactQuery):
-            return side
-        outcome = values.get(id(side))
-        if outcome is None:
-            # A member of a combined side past those evaluated ahead.
-            (outcome,) = prefetch_impacts(self.measure, self.spec, [side], self.plans)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome[0]
+    def _evaluated(self, rows):
+        return evaluate_rows(self.table, self.measure, self.spec, rows)
+
+    def _row(self, query: ImpactQuery):
+        row = self.plans.get(query)
+        if row is None:
+            row = self.plans[query] = plan_row(self.table, self.measure, query)
+        return row
+
+    def _plan(self, probes: list) -> _Window:
+        rows, at, row, combined = [], [], [], []
+        base = np.zeros(2 * len(probes))
+        for position, side in enumerate(side for entry in probes for side in entry[:2]):
+            if isinstance(side, ImpactQuery):
+                at.append(position)
+                row.append(len(rows))
+                rows.append(self._row(side))
+            elif isinstance(side, _Combined):
+                combined.append((position, side, len(rows)))
+                rows.extend(map(self._row, side.queries[: side.ahead]))
+            else:
+                base[position] = side
+        at, row = np.array(at, np.intp), np.array(row, np.intp)
+        return _Window(stack_rows(self.measure, rows), base, at, row, combined)
+
+    def _read(self, side: _Combined, values, failed: dict, first: int):
+        # A combined side's impacts, those past ``ahead`` evaluated when read.
+        for j, query in enumerate(side.queries):
+            row = first + j
+            if j >= side.ahead:
+                rows = stack_rows(self.measure, [self._row(query)])
+                (values, failed, _), row = self._evaluated(rows), 0
+            if row in failed:
+                raise failed[row]
+            yield values[row]
 
 
 def _rng(seed: int, label: str, index: int) -> random.Random:
@@ -549,8 +615,8 @@ def _existence_probe(ctx, af, target):
     )
 
 
-def _vanishes(lhs: float, rhs: float, tolerance: float) -> bool:
-    return not differs(lhs, rhs, tolerance)
+def _vanishes(lhs, rhs, tolerance: float):
+    return np.logical_not(differs(lhs, rhs, tolerance))
 
 
 def _has_shared_max_indegree(af: ArgumentationFramework) -> bool:
@@ -559,11 +625,20 @@ def _has_shared_max_indegree(af: ArgumentationFramework) -> bool:
 
 
 def _premises(ctx, frameworks):
-    # Every argument scored below one is a premise.
-    for af in frameworks:
-        for target, score in zip(af.arguments, degrees(af, ctx.spec).vector):
+    # Every argument scored below one is a premise.  The degrees are the
+    # frameworks' systems of no mask, solved in one stack.
+    frameworks = list(frameworks)
+    for af, scores in zip(frameworks, ctx.table.own_degrees(ctx.spec, frameworks)):
+        if isinstance(scores, Exception):
+            raise scores
+        for target, score in zip(af.arguments, scores.tolist()):
             if score < 1.0 - ctx.tolerance:
-                yield _existence_probe(ctx, af, target)
+                # A premise of several cells is drawn once under the measure.
+                key = (af, target, ctx.tolerance)
+                probe = ctx.probes.get(key)
+                if probe is None:
+                    probe = ctx.probes[key] = _existence_probe(ctx, af, target)
+                yield probe
 
 
 def _existence(ctx, plain, shaped):
@@ -676,28 +751,38 @@ class _Replay:
 @dataclass
 class _Shared:
     """What the cells of one principle share: the replay of its trials drawn
-    from ``source`` (None when each cell draws its own), and the plans of
-    its impact queries, by measure."""
+    from ``source`` (None when each cell draws its own), and by measure the
+    plans, windows and probes of its ``_Context``."""
 
     source: tuple
     replay: _Replay | None
-    plans: dict[str, dict] = field(default_factory=dict)
+    measures: dict[str, tuple[dict, list, dict]] = field(default_factory=dict)
 
 
-# What an audit's cells share, by principle; set only while ``audit`` runs.
-_SHARED: ContextVar[dict | None] = ContextVar("shared_trials", default=None)
+class _Store(dict):
+    """What an audit's cells share: each principle's share, by name, and the
+    table that numbers every cell's frameworks and systems."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.table = Systems()
+
+
+# What an audit's cells share; set only while ``audit`` runs.
+_SHARED: ContextVar[_Store | None] = ContextVar("shared_trials", default=None)
 
 
 @contextmanager
-def _sharing() -> Iterator[dict]:
-    """Share replays and plans between the cells run inside; drop them on
-    leaving."""
-    store: dict = {}
+def _sharing() -> Iterator[_Store]:
+    """Share replays, plans and one table between the cells run inside;
+    drop them on leaving."""
+    store = _Store()
     token = _SHARED.set(store)
     try:
         yield store
     finally:
         store.clear()
+        store.table = Systems()
         _SHARED.reset(token)
 
 
@@ -729,9 +814,10 @@ def check_principle(
     """Search a corpus for counterexamples to one principle.
 
     Inside ``audit`` the cells of a principle other than existence read one
-    shared draw of its trials, and every cell of a principle plans each
-    impact query once per measure; otherwise the call draws and plans its
-    own."""
+    shared draw of its trials, every cell of a principle plans each impact
+    query and each shared window once per measure, and every cell numbers
+    its systems in the audit's table; otherwise the call draws, plans and
+    numbers its own."""
     if principle not in PRINCIPLES:
         raise ValueError(f"unknown principle {principle!r}")
     if measure not in MEASURES:
@@ -740,7 +826,10 @@ def check_principle(
     check = _CHECKS[principle]
     plain, shaped = _split_corpus(principle, check.fits, corpus)
     shared = _shared(principle, check, seed, plain, shaped)
-    ctx = _Context(measure, spec, tolerance, shared.plans.setdefault(measure, {}))
+    store = _SHARED.get()
+    table = Systems() if store is None else store.table
+    plans = shared.measures.setdefault(measure, ({}, [], {}))
+    ctx = _Context(measure, spec, tolerance, *plans, table)
     if check.per_cell:
         trials = check.trials(ctx, plain, shaped)
     else:
@@ -820,12 +909,13 @@ def audit(config: AuditConfig = AuditConfig()) -> AuditResult:
 
     Each principle's trials are drawn once and shared by its cells, which
     read them through ``check_principle`` and plan each impact query once
-    per measure; the store holds one principle's trials and plans at a time
-    and is gone when the audit returns or raises.  Each cell is one call of
+    per measure; the store holds one principle's trials and plans at a
+    time, and the table of numbered systems for the whole audit, and both
+    are gone when the audit returns or raises.  Each cell is one call of
     ``check_principle`` through this module's attribute, so rebinding it
     (as the benchmark does to time each cell) sees every cell once."""
     base = corpus_frameworks(config)
-    # One spec object per semantics: the degree store compares keys by
+    # One spec object per semantics: the table's stores compare keys by
     # identity first.
     specs = [SemanticsSpec(semantics) for semantics in config.semantics]
     verdicts = []

@@ -44,12 +44,12 @@ the edge order of a sweep (``attack_bits``).  Deleting arguments is the
 mask that drops every attack touching them; they stay, isolated, and change
 no other degree (a dense ``cs`` solve, one row and column larger for each,
 can round an ulp apart).  ``solve_systems`` stacks masks of many
-frameworks without building the derived frameworks.  ``prefetch_degrees``
-reads many systems from the degree store, solving the ones it lacks in one
-stack and filing them there, and ``degrees`` is its one-system case after a
-read of the store; ``prefetch_coalitions`` reads one target's degree per
-coalition of its attacks, numbered over its sorted attackers, for many
-frameworks at once, and keeps from each chunk only the degrees it reads.
+frameworks without building the derived frameworks; ``degrees`` solves the
+one system a read of the degree store lacks, and the impact queries number
+theirs in ``impact.Systems``.  ``prefetch_coalitions`` reads one target's
+degree per coalition of its attacks, numbered over its sorted attackers,
+for many frameworks at once, and keeps from each chunk only the degrees it
+reads.
 
 Shapley coalitions under dense ``cs`` are the exception: a coalition of
 t's attacks changes only row t of I + (alpha / N) M, so
@@ -282,8 +282,8 @@ def degrees(
     Results come from the degree store, which keeps each solved vector,
     checked and clipped into [0, 1], in a ``Weighting`` that builds its map
     from argument to degree on its first read; its ``vector`` reads the
-    degrees without it.  A result the store lacks is ``prefetch_degrees``'
-    of the one system.
+    degrees without it.  A result the store lacks is solved alone and filed
+    there; a failure stays out of it.
     """
     if not af.arguments:
         raise ValueError("degrees need at least one argument")
@@ -292,42 +292,14 @@ def degrees(
     key = (af, spec, mask)
     weighting = _cached_degrees.get(key)
     if weighting is None:
-        (weighting,) = prefetch_degrees([key])
-        if isinstance(weighting, Exception):
-            raise weighting
+        (solved,) = solve_systems([key])
+        if isinstance(solved, GradimpactError):
+            raise solved
+        weighting = _cached_degrees.put(key, Weighting._solved(af.arguments, solved))
     return weighting
 
 
 System = tuple[ArgumentationFramework, SemanticsSpec, int]
-
-
-def prefetch_degrees(systems: Sequence[System]) -> list[Weighting | Exception]:
-    """Each system's ``degrees``, read from the degree store or solved.
-
-    Each system is the ``(af, spec, mask)`` of a ``degrees`` call, whose
-    arguments it does not check.  The ones the store lacks are solved in one
-    stack and filed there.  A system that fails gets the error its
-    ``degrees`` call would raise in place of its degrees, and stays out of
-    the store.
-    """
-    found: dict[System, Weighting | Exception] = {}
-    fresh = []
-    for key in dict.fromkeys(systems):
-        stored = _cached_degrees.get(key)
-        if stored is None:
-            fresh.append(key)
-        else:
-            found[key] = stored
-    for key, result in zip(fresh, solve_systems(fresh)):
-        if not isinstance(result, GradimpactError):
-            try:
-                result = Weighting._solved(key[0].arguments, result)
-            except ValueError as error:
-                result = error
-            else:
-                _cached_degrees.put(key, result)
-        found[key] = result
-    return [found[key] for key in systems]
 
 
 Coalitions = tuple[ArgumentationFramework, SemanticsSpec, Sequence[tuple[int, int]]]
@@ -344,6 +316,8 @@ def prefetch_coalitions(
     sorted attacker, so it is the ``degrees`` mask ``coalition << first``,
     where ``first`` is the bit of t's first attack in ``attack_bits``; a
     failing job gets what ``degrees`` would raise for its first failing row.
+    A coalition with a bit at or past its target's in-degree raises
+    ``ValueError`` naming the first such row, before anything is solved.
     Nothing is built or cached for the derived frameworks.
 
     Under ``hbs``, ``car``, ``max`` and swept ``cs``, each value equals, bit
@@ -362,12 +336,18 @@ def prefetch_coalitions(
     groups: dict[int, dict[int, list[int]]] = {}
     systems, reads = [], []
     for i, (af, spec, rows) in enumerate(jobs):
+        first = _attackers(af).first.tolist() + [len(af.attacks)]
+        for t, coalition in rows:
+            if coalition >> (first[t + 1] - first[t]):
+                raise ValueError(
+                    f"row {(t, coalition)} names attacks beyond the"
+                    f" {first[t + 1] - first[t]} on argument {t}"
+                )
         if not rows:
             results[i] = []
         elif _dense(spec, len(af.arguments)):
             counting.setdefault(spec, []).append(i)
         else:
-            first = _attackers(af).first.tolist()
             groups[i] = by_mask = {}
             for r, (t, coalition) in enumerate(rows):
                 by_mask.setdefault(coalition << first[t], []).append(r)

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, count
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .framework import ArgumentationFramework, Attack
 
@@ -93,9 +97,9 @@ class PrincipleVerdict:
 
 # A probe is one comparison: ``(lhs, rhs, fields)``, where ``fields`` are the
 # remaining ``Witness`` fields that replay it.  A trial is an iterable of
-# probes, most often a single one.
+# probes, most often a single one.  A relation compares arrays of sides.
 Probe = tuple[float, float, dict]
-Relation = Callable[[float, float, float], bool]
+Relation = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
 # Trials ``falsify`` draws before its first comparison; each window doubles.
 # A cell that stops at an early witness still solves the rest of its window,
 # so the first window is small.
@@ -111,18 +115,19 @@ def trial(lhs: float, rhs: float, **fields) -> list[Probe]:
     return [(lhs, rhs, fields)]
 
 
-def differs(lhs: float, rhs: float, tolerance: float) -> bool:
+def differs(lhs, rhs, tolerance: float):
     """The two sides of an equality are apart by more than the tolerance."""
     return abs(lhs - rhs) > tolerance
 
 
-def exceeds(lhs: float, rhs: float, tolerance: float) -> bool:
+def exceeds(lhs, rhs, tolerance: float):
     """The left side passes the upper bound on the right by more than the tolerance."""
     return lhs > rhs + tolerance
 
 
-def _as_given(sides: list) -> Callable[[float], float]:
-    return lambda side: side
+def _as_given(probes: list, number: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    sides = np.array([side for entry in probes for side in entry[:2]], dtype=float)
+    return sides[0::2], sides[1::2], {}
 
 
 def _drawn(probes: Iterable[Probe]) -> list:
@@ -145,7 +150,7 @@ def falsify(
     relation: Relation = differs,
     count_all: bool = False,
     measure: str | None = None,
-    resolve: Callable[[list], Callable[[object], float]] = _as_given,
+    resolve: Callable[[list, int], tuple] = _as_given,
 ) -> PrincipleVerdict:
     """Search a stream of trials for the first counterexample.
 
@@ -157,62 +162,45 @@ def falsify(
     kept when the stream is read to its end, that is when the search passes
     or counts every trial.
 
-    Trials are drawn in windows of 8, 16, 32, ... trials.  ``resolve`` sees
-    every side of a window's probes before any is compared, and returns the
-    function that turns a side into a float, so a caller can evaluate a
-    window's sides together.  The comparisons still run one at a time in
-    stream order, and an error raised while drawing a trial or evaluating a
-    side surfaces only when the search reaches it, so the verdict is the one
-    a search that evaluates one trial at a time reaches.
+    Trials are drawn in windows of 8, 16, 32, ... trials.  ``resolve`` gets
+    a window's probes and its number from 0, and returns their lhs and rhs
+    arrays and the error of each probe whose evaluation failed, by position.
+    The first probe that holds or fails decides, an error drawn in place of
+    a trial's last probes counting as one more probe, so the verdict is the
+    one a search that evaluates one trial at a time reaches: an error
+    surfaces only if no witness comes before it.
     """
     stream = iter(trials)
     tried = 0
     witness: Witness | None = None
     annotations: dict = {}
     size = WINDOW
-    ended = False
-    while not ended:
+    for number in count():
         window: list = []
         read: dict | None = None
+        failure: Exception | None = None
         try:
             while len(window) < size:
                 probes = next(stream)
-                window.append(probes if witness is not None else _drawn(probes))
+                # A list is drawn already; only a generator can raise midway.
+                if not (witness or isinstance(probes, list)):
+                    probes = _drawn(probes)
+                window.append(probes)
         except StopIteration as end:
             read = end.value or {}
-            ended = True
         except Exception as error:  # re-raised where a lazy search would meet it
-            window.append(error)
-            ended = True
-        value = resolve(
-            [
-                side
-                for probes in window
-                if witness is None and isinstance(probes, list)
-                for entry in probes
-                if isinstance(entry, tuple)
-                for side in entry[:2]
-            ]
-        )
-        for probes in window:
-            if isinstance(probes, Exception):
-                raise probes
-            tried += 1
-            if witness is not None:
-                continue
-            for entry in probes:
-                if isinstance(entry, Exception):
-                    raise entry
-                lhs, rhs, fields = entry
-                lhs, rhs = value(lhs), value(rhs)
-                if relation(lhs, rhs, tolerance):
-                    witness = Witness(lhs=lhs, rhs=rhs, **fields)
-                    break
+            failure = error
+        if witness is None:
+            done, witness = _first_witness(window, resolve, number, relation, tolerance)
             if witness is not None and not count_all:
-                ended, read = True, None
+                tried += done
                 break
+        tried += len(window)
+        if failure is not None:
+            raise failure
         if read is not None:
             annotations = read
+            break
         size *= 2
     return PrincipleVerdict(
         principle=principle,
@@ -224,3 +212,27 @@ def falsify(
         witness=witness,
         **annotations,
     )
+
+
+def _first_witness(window, resolve, number, relation, tolerance):
+    """The witness of a window of drawn trials and the trials up to its
+    own, or ``(0, None)``; raises the first error met before it."""
+    probes, drawn = [], {}
+    for entries in window:
+        if entries and isinstance(entries[-1], Exception):  # ``_drawn`` puts it last
+            drawn[len(probes) + len(entries) - 1] = entries[-1]
+            entries = entries[:-1] + [(0.0, 0.0, None)]
+        probes.extend(entries)
+    if not probes:
+        return 0, None
+    lhs, rhs, errors = resolve(probes, number)
+    errors.update(drawn)
+    holds = relation(lhs, rhs, tolerance).nonzero()[0]
+    first = int(holds[0]) if holds.size else len(probes)
+    failed = min(errors, default=len(probes))
+    if failed <= first and failed < len(probes):
+        raise errors[failed]
+    if first == len(probes):
+        return 0, None
+    witness = Witness(lhs=lhs[first].item(), rhs=rhs[first].item(), **probes[first][2])
+    return bisect_right(list(accumulate(map(len, window))), first) + 1, witness

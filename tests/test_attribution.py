@@ -17,6 +17,7 @@ from gradimpact import (
     UnknownAttackError,
     check_bounded_loss,
     degrees,
+    imp_dv,
     shapley_all,
 )
 from gradimpact import attribution, semantics
@@ -362,6 +363,26 @@ def test_exact_intensities_lie_within_twice_the_tolerance(af, kind):
     assert [attack for attack, _ in measure.entries] == [attack for attack, _ in expected]
     for (_, value), (_, exact) in zip(measure.entries, expected):
         assert abs(value - exact) <= 2 * spec.tolerance
+
+
+@settings(max_examples=30, deadline=None)
+@given(seven_argument_graphs(), st.sampled_from(("hbs", "car", "max")), st.data())
+def test_deletion_impacts_lie_within_twice_the_tolerance(af, kind, data):
+    # dv is the target's degree in one reduced framework less its degree in
+    # another, and each lies within the tolerance of its fixed point.
+    spec = SemanticsSpec(kind, tolerance=1e-6)
+    target = data.draw(st.sampled_from(af.arguments))
+    subject = data.draw(st.lists(st.sampled_from(af.arguments), unique=True))
+    xs = set(subject)
+    # Shielded: no attack into the subject from outside it.  Deleted: no
+    # attack touching the subject, whose members but the target are gone.
+    shielded = [(s, t) for s, t in af.attacks if t not in xs or s in xs]
+    deleted = [(s, t) for s, t in af.attacks if s not in xs and t not in xs]
+    exact = (
+        picard_scores(af.arguments, shielded, kind, tolerance=1e-14)[0][target]
+        - picard_scores(af.arguments, deleted, kind, tolerance=1e-14)[0][target]
+    )
+    assert abs(imp_dv(af, spec, subject, target).value - exact) <= 2 * spec.tolerance
 
 
 def test_coalition_solves_keep_only_the_entries_they_read():

@@ -497,6 +497,29 @@ def test_a_failing_window_raises_the_first_failure_a_lazy_search_meets():
 # -- trials shared across the cells of an audit --------------------------
 
 
+# The rows the audit of GOLDEN_CONFIG solved from cold stores while each
+# window read its impacts' systems one by one from the degree store.
+STORE_SOLVED_ROWS = 6167
+
+
+def test_the_audit_solves_no_more_systems_than_the_degree_store_did(monkeypatch):
+    # Every solve, of degrees, coalitions or impact systems, is one
+    # solve_systems call, whichever module calls it.
+    rows = []
+    solve = semantics.solve_systems
+
+    def counted(systems, reads=None):
+        rows.append(len(systems))
+        return solve(systems, reads)
+
+    monkeypatch.setattr(semantics, "solve_systems", counted)
+    monkeypatch.setattr(impact, "solve_systems", counted)
+    semantics._cached_degrees.cache_clear()
+    attribution._cached_shapley_all.cache_clear()
+    audit(GOLDEN_CONFIG)
+    assert 0 < sum(rows) <= STORE_SOLVED_ROWS
+
+
 def test_audit_cells_equal_standalone_cells():
     # Each audit cell reads its principle's shared trials; a standalone
     # call draws its own, and must reach the very same verdict.
@@ -726,13 +749,15 @@ def test_window_values_equal_each_impact_evaluated_alone(kind):
         semantics._cached_degrees.cache_clear()
         attribution._cached_shapley_all.cache_clear()
         ctx = principles._Context(measure, spec, CHECK_TOLERANCE, {})
-        # The window solves every side ahead, and raises nothing.
-        value = ctx.resolve(sides + unknown)
-        for side, want in zip(sides, alone):
-            assert value(side) == want, (measure, side)
-        for side in unknown:
-            with pytest.raises(UnknownArgumentError):
-                value(side)
+        # The window solves every side ahead, and raises nothing: each side
+        # is the lhs of a probe, and the error of a side is its probe's.
+        probes = [(side, 0.0, {}) for side in sides + unknown]
+        lhs, rhs, errors = ctx.resolve(probes, 0)
+        assert not rhs.any()
+        for i, (side, want) in enumerate(zip(sides, alone)):
+            assert i not in errors and lhs[i] == want, (measure, side)
+        assert sorted(errors) == [len(sides), len(sides) + 1]
+        assert all(isinstance(error, UnknownArgumentError) for error in errors.values())
 
 
 def test_a_query_whose_two_solves_fail_raises_the_one_read_first():
@@ -747,10 +772,11 @@ def test_a_query_whose_two_solves_fail_raises_the_one_read_first():
     with pytest.raises(NonConvergenceError) as alone:
         imp_dv(af, TIGHT, query.subject, query.target)
     semantics._cached_degrees.cache_clear()
-    value = principles._Context("dv", TIGHT, CHECK_TOLERANCE, {}).resolve([query])
-    with pytest.raises(NonConvergenceError) as windowed:
-        value(query)
-    assert windowed.value.residual == alone.value.residual
+    ctx = principles._Context("dv", TIGHT, CHECK_TOLERANCE, {})
+    _, _, errors = ctx.resolve([(query, 0.0, {})], 0)
+    windowed = errors[0]
+    assert isinstance(windowed, NonConvergenceError)
+    assert windowed.residual == alone.value.residual
     # Deleting y1 leaves the x cycle alone, which stops at another residual.
     cycle = ArgumentationFramework.of(af.arguments, [("x1", "x2"), ("x2", "x1")])
     with pytest.raises(NonConvergenceError) as deleted:

@@ -24,6 +24,7 @@ from gradimpact import (
     check_attack_removal_monotonicity,
     check_directionality,
     check_independence,
+    check_principle,
     counting_norm,
     degrees,
     shapley_all,
@@ -333,6 +334,23 @@ def test_a_split_coalition_job_reports_its_first_failing_row(monkeypatch):
         assert value == degrees(star.delete_attacks(removed), spec)[target]
 
 
+@pytest.mark.parametrize("kind", ["hbs", "cs"])
+def test_a_coalition_bit_past_its_target_in_degree_is_rejected(kind, monkeypatch):
+    # b has two attackers, a and c, so bit 2 of a coalition on b names no
+    # attack.  hbs sweeps its coalitions, cs solves them as rank-one updates.
+    af = ArgumentationFramework.of(["a", "b", "c"], [("a", "b"), ("b", "a"), ("c", "b")])
+    spec = SemanticsSpec(kind)
+
+    def refuse(*args):
+        raise AssertionError("a coalition was solved")
+
+    for solver in ("_picard_rows", "_counting_rows", "_rank_one_rows"):
+        monkeypatch.setattr(semantics, solver, refuse)
+    rows = [(1, 0b01), (0, 0b1), (1, 0b100), (1, 0b1000)]
+    with pytest.raises(ValueError, match=r"row \(1, 4\) names attacks beyond the 2"):
+        semantics.prefetch_coalitions([(af, spec, rows[:1]), (af, spec, rows)])
+
+
 def _traced_peak(af, spec):
     """Peak bytes of the numpy arrays and Python objects one cold solve allocates."""
     semantics._cached_degrees.cache_clear()
@@ -444,7 +462,7 @@ def test_stored_results_return_before_any_batch(showcase, monkeypatch):
     def refuse(*args):
         raise AssertionError("a batch ran for a stored result")
 
-    monkeypatch.setattr(semantics, "prefetch_degrees", refuse)
+    monkeypatch.setattr(semantics, "solve_systems", refuse)
     monkeypatch.setattr(attribution, "prefetch_intensities", refuse)
     monkeypatch.setattr(attribution, "prefetch_coalitions", refuse)
     for spec, (weighting, measure) in zip(specs, stored):
@@ -455,6 +473,20 @@ def test_stored_results_return_before_any_batch(showcase, monkeypatch):
 def test_degrees_input_validation():
     with pytest.raises(ValueError):
         degrees(ArgumentationFramework.of([], []), SemanticsSpec("hbs"))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_existence_premises_reject_an_empty_framework(kind):
+    # Existence reads each framework's degrees as ``degrees`` does.
+    empty = ArgumentationFramework.of([], [])
+    for measure in ("dv", "si"):
+        with pytest.raises(ValueError, match="at least one argument"):
+            check_principle("existence", measure, SemanticsSpec(kind), [empty])
+    # A framework before it that fails to solve raises first.
+    cycle = ArgumentationFramework.of(["a", "b"], [("a", "b"), ("b", "a")])
+    if kind != "cs":
+        with pytest.raises(NonConvergenceError):
+            check_principle("existence", "dv", SemanticsSpec(kind, max_iterations=2), [cycle, empty])
 
 
 def test_spec_validation():
