@@ -27,9 +27,12 @@ walk length, with its divergence guard and length cap.
 A query is planned as a row of integers numbered in a table of systems
 and frameworks (``Systems``, ``Rows``), and ``evaluate_rows`` evaluates a
 batch of rows under one measure and semantics from flat arrays of solved
-degrees and closed forms, an audit window at a time.  ``prefetch_impacts``
-is a batch in the library's own table, and every other entry point here
-is its one-query case.
+degrees and closed forms, an audit window at a time.  An audit's table
+also keeps each framework's Shapley plan, made once per ``ShapleyConfig``
+for every semantics, and a framework's intensities arrive as one array in
+``attack_bits`` order (``attribution.prefetch_intensities``), which fills
+M by one scatter.  ``prefetch_impacts`` is a batch in the library's own
+table, and every other entry point here is its one-query case.
 
 For the counting semantics, both deletion-based variants score the reduced
 frameworks with the parent framework's normalisation so the two sides stay
@@ -41,24 +44,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .attribution import ShapleyConfig, ShapleyMeasure, prefetch_intensities
-from .errors import (
-    DivergenceError,
-    GradimpactError,
-    InconsistentAnnotationError,
-    UnknownArgumentError,
-    UnknownAttackError,
+from .attribution import (
+    GamePlan,
+    ShapleyConfig,
+    ShapleyMeasure,
+    plan_intensities,
+    prefetch_intensities,
 )
+from .errors import DivergenceError, GradimpactError, UnknownArgumentError
 from .framework import ArgumentationFramework
 from .semantics import (
     SemanticsSpec,
     Weighting,
+    _attackers,
     attack_masks,
     counting_norm,
     solve_systems,
@@ -181,54 +185,33 @@ def imp_dv_original(
     return _single(prefetch_impacts("dv-original", spec, (query,)))
 
 
-def _intensity_matrix(
-    af: ArgumentationFramework, measure: ShapleyMeasure
-) -> np.ndarray:
-    index = af.positions
-    matrix = np.zeros((len(af.arguments), len(af.arguments)))
-    for (s, t), value in measure.entries:
-        if not af.has_attack(s, t):
-            raise UnknownAttackError(s, t)
-        matrix[index[t], index[s]] = value
-    # Every entry names an attack of af, so they cover its attacks exactly
-    # when there are as many distinct entries as attacks.
-    if len(measure.as_dict()) != len(measure.entries):
-        raise InconsistentAnnotationError("intensity measure names an attack twice")
-    if len(measure.entries) != len(af.attacks):
-        raise InconsistentAnnotationError(
-            "intensity measure does not cover the attacks exactly"
-        )
-    return matrix
-
-
 class _Series(NamedTuple):
     matrix: np.ndarray  # the intensity matrix the walk series runs on
 
 
 def _resolvents(
     frameworks: Sequence[ArgumentationFramework],
-    measures: Sequence[ShapleyMeasure | GradimpactError],
+    intensities: Sequence[tuple[np.ndarray, str] | GradimpactError],
     series: SeriesConfig,
 ) -> list[np.ndarray | _Series | GradimpactError]:
-    """How ``si`` reads each framework under its measure: the closed form
-    ``(I + M)^-1 - I``, flattened after a zero, where ``series`` provably
-    converges on M, else M to run the series on; or the error of the
-    measure or of M.
+    """How ``si`` reads each framework under its intensities, in
+    ``attack_bits`` order: the closed form ``(I + M)^-1 - I``, flattened
+    after a zero, where ``series`` provably converges on M, else M to run
+    the series on; or the error of the intensities.  M is filled by one
+    scatter over the framework's edges.
     Closed forms of one size are inverted in one batch, each as alone; M is
     invertible there, as its spectral radius is at most its norm, below 1."""
     out: list = []
     closed: dict[int, list[int]] = {}
-    for af, measure in zip(frameworks, measures):
-        if isinstance(measure, GradimpactError):
-            out.append(measure)
+    for af, found in zip(frameworks, intensities):
+        if isinstance(found, GradimpactError):
+            out.append(found)
             continue
-        try:
-            matrix = _intensity_matrix(af, measure)
-        except GradimpactError as error:
-            out.append(error)
-            continue
+        graph = _attackers(af)
+        matrix = np.zeros((graph.n, graph.n))
+        matrix[graph.heads[: graph.m], graph.sources[: graph.m]] = found[0]
         if _series_converges(float(abs(matrix).sum(axis=1).max(initial=0.0)), series):
-            closed.setdefault(len(matrix), []).append(len(out))
+            closed.setdefault(graph.n, []).append(len(out))
         matrix.flags.writeable = False
         out.append(_Series(matrix))
     for n, members in closed.items():
@@ -369,15 +352,17 @@ class Systems:
     each numbered on first use, and what each semantics solved of them: the
     clipped degrees of each system, scored with its framework's own
     normalisation, and each framework's ``_resolvents`` entry, kept end to
-    end per spec (and ``si`` settings) in a ``_Flat``.  An audit's cells
-    share one table, so a system that recurs across windows, cells or
-    principles is numbered once and solved once per semantics."""
+    end per spec (and ``si`` settings) in a ``_Flat``, and each framework's
+    Shapley plan.  An audit's cells share one table, so a system that
+    recurs across windows, cells or principles is numbered once and solved
+    once per semantics."""
 
     def __init__(self) -> None:
         self.frameworks: list[ArgumentationFramework] = []
         self.systems: list[tuple[int, int]] = []
         self._ids: dict = {}
         self._flats: dict = {}
+        self._plans: dict[tuple[int, ShapleyConfig], GamePlan] = {}
 
     def framework(self, af: ArgumentationFramework) -> int:
         return self._number(af, self.frameworks)
@@ -452,11 +437,17 @@ class Systems:
         if missing is None:
             return resolved, resolved.offsets[fids]
         frameworks = [self.frameworks[fid] for fid in missing]
-        wanted = [af for af in frameworks if given is None or af not in given]
-        measures = {**prefetch_intensities(wanted, spec, config), **(given or {})}
-        found = _resolvents(frameworks, [measures[af] for af in frameworks], series)
-        resolved.add(list(zip(missing, found)))
+        planner = partial(self.plan, config=config)
+        intensities = prefetch_intensities(spec, config, frameworks, planner, given)
+        resolved.add(list(zip(missing, _resolvents(frameworks, intensities, series))))
         return resolved, resolved.offsets[fids]
+
+    def plan(self, af: ArgumentationFramework, config: ShapleyConfig) -> GamePlan:
+        """The games of ``af`` under ``config``, planned on first use."""
+        key = (self.framework(af), config)
+        if key not in self._plans:
+            self._plans[key] = plan_intensities(af, config)
+        return self._plans[key]
 
     def _flat(self, key, size: int) -> _Flat:
         # A key of None gets a flat of its own, kept nowhere.
@@ -662,8 +653,8 @@ def prefetch_impacts(
 ) -> list[Outcome | Exception]:
     """The outcome ``evaluate_impact`` gives each query, or the error it
     raises, from one batch of rows numbered in the library's table, which
-    keeps their solves, but not their errors, for later calls; nothing is
-    raised here."""
+    keeps their solves, but not their errors or Shapley plans, for later
+    calls; nothing is raised here."""
     global _library
     held = sum(flat.used + flat.held for flat in _library._flats.values())
     if len(_library._ids) > LIBRARY_SIZE or held > LIBRARY_CELLS:
@@ -676,6 +667,7 @@ def prefetch_impacts(
     for flat in _library._flats.values():
         if flat.failures:
             flat.forget_errors()
+    _library._plans.clear()
     return [
         failed[i] if i in failed else (value, i not in unfinished)
         for i, value in enumerate(values.tolist())

@@ -67,7 +67,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain, combinations, repeat
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -303,6 +303,9 @@ System = tuple[ArgumentationFramework, SemanticsSpec, int]
 
 
 Coalitions = tuple[ArgumentationFramework, SemanticsSpec, Sequence[tuple[int, int]]]
+# A framework's coalition systems ``(af, masks, counts, targets)``: the
+# system of ``masks[s]`` is read at the next ``counts[s]`` of ``targets``.
+Grouped = tuple[ArgumentationFramework, list[int], np.ndarray, np.ndarray]
 
 
 def prefetch_coalitions(
@@ -318,77 +321,110 @@ def prefetch_coalitions(
     failing job gets what ``degrees`` would raise for its first failing row.
     A coalition with a bit at or past its target's in-degree raises
     ``ValueError`` naming the first such row, before anything is solved.
-    Nothing is built or cached for the derived frameworks.
+    Rows of one mask read one system (``grouped_rows``), solved as
+    ``solve_coalitions`` says; nothing is built or cached for the derived
+    frameworks.
+    """
+    grouped = [grouped_rows(af, rows) for af, _, rows in jobs]
+    results = []
+    for (af, spec, _), (masks, counts, targets, order) in zip(jobs, grouped):
+        (solved,) = solve_coalitions(spec, [(af, masks, counts, targets)])
+        if isinstance(solved, np.ndarray):
+            values = np.empty(len(order))
+            values[order] = solved
+            solved = values.tolist()
+        results.append(solved)
+    return results
+
+
+def grouped_rows(
+    af: ArgumentationFramework, rows: Sequence[tuple[int, int]]
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """``(t, coalition)`` rows grouped by mask in the order of first use:
+    each mask, its count of rows, their targets mask by mask, and the row
+    of each of them.  A coalition with a bit at or past its target's
+    in-degree raises ``ValueError``."""
+    first = _attackers(af).first.tolist() + [len(af.attacks)]
+    by_mask: dict[int, list[int]] = {}
+    for r, (t, coalition) in enumerate(rows):
+        if coalition >> (first[t + 1] - first[t]):
+            raise ValueError(
+                f"row {(t, coalition)} names attacks beyond the"
+                f" {first[t + 1] - first[t]} on argument {t}"
+            )
+        by_mask.setdefault(coalition << first[t], []).append(r)
+    order = np.fromiter(chain.from_iterable(by_mask.values()), np.intp, len(rows))
+    counts = np.fromiter(map(len, by_mask.values()), np.intp, len(by_mask))
+    targets = np.fromiter((t for t, _ in rows), np.intp, len(rows))[order]
+    return list(by_mask), counts, targets, order
+
+
+def solve_coalitions(
+    spec: SemanticsSpec, jobs: Sequence[Grouped]
+) -> list[np.ndarray | GradimpactError]:
+    """Each ``Grouped`` job's reads under ``spec``, mask after mask, or the
+    error of its first failing mask.  A nonzero mask drops attacks on one
+    argument, a coalition of them, and is read there.
 
     Under ``hbs``, ``car``, ``max`` and swept ``cs``, each value equals, bit
-    for bit, that mask's ``degrees`` of ``af.arguments[t]``, clipped into
-    [0, 1] as ``Weighting`` clips a solver's overshoot: rows with one mask
-    read one solve, the masks of every job share one ``solve_systems``
-    stack, and each chunk of it hands on only the entries the rows read.
-    Under dense ``cs`` the jobs of one spec take rank-one updates of one
-    solve per framework and norm (``_rank_one_rows``): each value is within
-    1e-14 of a dense solve of the derived framework, not equal to it bit for
-    bit.
+    for bit, that mask's ``degrees`` of its target, clipped into [0, 1] as
+    ``Weighting`` clips a solver's overshoot: every job's masks share one
+    ``solve_systems`` stack, each chunk of which hands on only the entries
+    read.  Dense ``cs`` jobs take rank-one updates of one solve per
+    framework and norm (``_rank_one_rows``): each value is within 1e-14 of
+    a dense solve of the derived framework, not equal to it bit for bit.
     """
     results: list = [None] * len(jobs)
-    counting: dict[SemanticsSpec, list[int]] = {}
-    # Each swept job's rows, grouped by mask in the order of first use.
-    groups: dict[int, dict[int, list[int]]] = {}
-    systems, reads = [], []
-    for i, (af, spec, rows) in enumerate(jobs):
-        first = _attackers(af).first.tolist() + [len(af.attacks)]
-        for t, coalition in rows:
-            if coalition >> (first[t + 1] - first[t]):
-                raise ValueError(
-                    f"row {(t, coalition)} names attacks beyond the"
-                    f" {first[t + 1] - first[t]} on argument {t}"
-                )
-        if not rows:
-            results[i] = []
-        elif _dense(spec, len(af.arguments)):
-            counting.setdefault(spec, []).append(i)
-        else:
-            groups[i] = by_mask = {}
-            for r, (t, coalition) in enumerate(rows):
-                by_mask.setdefault(coalition << first[t], []).append(r)
-            for mask, members in by_mask.items():
-                systems.append((af, spec, mask))
-                reads.append([rows[r][0] for r in members])
-    solved = iter(solve_systems(systems, reads))
-    for i, by_mask in groups.items():
-        parts = [next(solved) for _ in by_mask]
-        # The first failing mask in the order of first use holds the first
-        # failing row.
-        failed = [part for part in parts if isinstance(part, GradimpactError)]
-        if failed:
-            results[i] = failed[0]
-            continue
-        order = np.fromiter(chain.from_iterable(by_mask.values()), np.intp)
-        values = np.empty(len(order))
-        values[order] = np.concatenate(parts)
-        results[i] = np.clip(values, 0.0, 1.0).tolist()
-    for spec, members in counting.items():
-        values = _rank_one_rows(spec, [jobs[i] for i in members])
-        for i, result in zip(members, values):
-            results[i] = result
+    swept, dense = [], []
+    for j, (af, _, _, targets) in enumerate(jobs):
+        (dense if len(targets) and _dense(spec, len(af.arguments)) else swept).append(j)
+    if swept:
+        systems = [(jobs[j][0], spec, mask) for j in swept for mask in jobs[j][1]]
+        counts = np.concatenate([jobs[j][2] for j in swept])
+        targets = np.concatenate([jobs[j][3] for j in swept])
+        solved, failed = solve_systems(systems, (counts, targets))
+        solved = np.clip(solved, 0.0, 1.0)
+        reads = np.cumsum([0] + [len(jobs[j][3]) for j in swept])
+        for n, j in enumerate(swept):
+            results[j] = solved[reads[n] : reads[n + 1]]
+        # Each job ends with the failure of its first failing mask.
+        ends = np.cumsum([len(jobs[j][1]) for j in swept])
+        for i in sorted(failed, reverse=True):
+            results[swept[int(np.searchsorted(ends, i, "right"))]] = failed[i]
+    rows = []
+    for af, masks, counts, targets in (jobs[j] for j in dense):
+        # Each read's coalition, over its target's sorted attackers.
+        shifts = _attackers(af).first[targets].tolist()
+        masks = chain.from_iterable(map(repeat, masks, counts.tolist()))
+        coalitions = [mask >> shift for mask, shift in zip(masks, shifts)]
+        rows.append((af, targets, coalitions))
+    for j, result in zip(dense, _rank_one_rows(spec, rows) if rows else ()):
+        results[j] = result
     return results
 
 
 def solve_systems(
-    systems: Sequence[System], reads: Sequence[Sequence[int]] | None = None
-) -> list[np.ndarray | GradimpactError]:
+    systems: Sequence[System], reads: tuple[np.ndarray, np.ndarray] | None = None
+) -> list[np.ndarray | GradimpactError] | tuple[np.ndarray, dict[int, GradimpactError]]:
     """The degree vector of each ``(af, spec, mask)`` system, in the order of
     ``af.arguments``, or the error ``degrees(af, spec, mask)`` would raise.
 
     Systems of one spec share one Picard stack, and dense ``cs`` systems of
     one spec and size one batch of linear systems; each stack is cut into chunks
     of at most ``COALITION_CELLS`` working cells.  A system's result does not
-    depend on what else is solved with it.  With ``reads``, system i's
-    result is only its degrees at the indices ``reads[i]``, gathered out of
-    its chunk in one copy per chunk; otherwise it is a view of the chunk.
+    depend on what else is solved with it.  Each result is a view of its
+    chunk.  With ``reads``, a pair ``(counts, targets)`` of integer arrays,
+    system i is read only at the next ``counts[i]`` of ``targets``: the
+    result is then one flat array of every read, system after system,
+    gathered out of each chunk in one copy, and the error of each failing
+    system by its index.
     """
-    if not systems:
-        return []
+    if reads is not None:
+        counts, targets = reads
+        starts = np.cumsum(counts) - counts
+        flat = np.zeros(len(targets))
+        failed: dict[int, GradimpactError] = {}
+    results: list = [None] * len(systems)
     frameworks: dict[tuple[int, int], list[int]] = {}
     for i, (af, spec, _) in enumerate(systems):
         # By identity: hashing a framework walks all its attacks.
@@ -405,22 +441,23 @@ def solve_systems(
         n, dense = graph.n, _dense(spec, graph.n)
         cells = (n * (n + 1) if dense else 6 * n) + 4 * graph.m
         stacks.setdefault((spec, n if dense else 0), []).append((graph, cells, members))
-    results: list = [None] * len(systems)
     for (spec, dense_n), parts in stacks.items():
         solve = _counting_rows if dense_n else _picard_rows
         for chunk in _chunks(parts):
             graphs = [graph for graph, _ in chunk]
-            values, starts, errors = solve(spec, graphs, [systems[i][2] for _, i in chunk])
-            spans = [(start, graph.n) for start, graph in zip(starts.tolist(), graphs)]
-            if reads is not None:
-                values = values[
-                    [start + t for (start, _), (_, i) in zip(spans, chunk) for t in reads[i]]
-                ]
-                counts = [len(reads[i]) for _, i in chunk]
-                spans = list(zip(accumulate(counts, initial=0), counts))
-            for b, ((start, size), (_, i)) in enumerate(zip(spans, chunk)):
-                results[i] = errors.get(b, values[start : start + size])
-    return results
+            ids = [i for _, i in chunk]
+            values, blocks, errors = solve(spec, graphs, [systems[i][2] for i in ids])
+            if reads is None:
+                for b, (start, graph, i) in enumerate(zip(blocks.tolist(), graphs, ids)):
+                    results[i] = errors.get(b, values[start : start + graph.n])
+                continue
+            ids = np.array(ids, dtype=np.intp)
+            n = counts[ids]
+            # Where the chunk's reads go, system by system.
+            at = np.arange(n.sum()) + np.repeat(starts[ids] - (np.cumsum(n) - n), n)
+            flat[at] = values[np.repeat(blocks, n) + targets[at]]
+            failed.update((int(ids[b]), error) for b, error in errors.items())
+    return results if reads is None else (flat, failed)
 
 
 def _chunks(parts: list) -> Iterator[list[tuple[_Attackers, int]]]:
@@ -549,20 +586,21 @@ def _counting_scales(
     return scale
 
 
-def _update(
-    kind: str, total: np.ndarray, count: np.ndarray, scale: np.ndarray | None
-) -> np.ndarray:
+def _update(kind: str, total: np.ndarray, fixed: tuple) -> np.ndarray:
     """The scoring rule, from each argument's folded attacker degrees.
 
     ``total`` is the sum of the attacker degrees (their max for ``max``),
-    ``count`` the attacker count, which ``car`` divides by, and ``scale``
-    each argument's ``damping / N`` for ``cs``.
+    and ``fixed`` what the rule reads that stays fixed over the sweeps:
+    each argument's ``damping / N`` for ``cs``; for ``car``, 1 + k and the
+    divisor max(k, 1) of an argument of k attackers.
     """
     if kind == "cs":
+        (scale,) = fixed
         return 1.0 - scale * total
     if kind == "car":
         # An unattacked argument has total 0.0, so dividing by 1 keeps it at 1.
-        return 1.0 / ((1.0 + count) + total / np.maximum(count, 1))
+        base, divisor = fixed
+        return 1.0 / (base + total / divisor)
     return 1.0 / (1.0 + total)
 
 
@@ -579,14 +617,17 @@ def _picard_rows(
     width = int(sizes.sum())
     count = np.bincount(heads, minlength=width)
     errors: dict[int, GradimpactError] = {}
-    scale = None
+    fixed: tuple = ()
     if spec.kind == "cs":
         # An attack-free block, or one whose norm was refused, has scale 0
         # and stops at once.
-        scale = np.repeat(_counting_scales(spec, count, starts, errors), sizes)
+        fixed = (np.repeat(_counting_scales(spec, count, starts, errors), sizes),)
+    elif spec.kind == "car":
+        fixed = (1.0 + count, np.maximum(count, 1))
     fold = np.maximum if spec.kind == "max" else np.add
     state = np.ones(width)
-    values = np.empty(width)
+    # A block that never settles reads 0.0.
+    values = np.zeros(width)
     # A solved block keeps sweeping, but its bar drops below any residual,
     # so only its first solution counts.
     bar = np.full(len(starts), spec.tolerance)
@@ -595,7 +636,7 @@ def _picard_rows(
         # left-to-right sum (or max) of the sorted attackers, from 0.0.
         total = np.zeros(width)
         fold.at(total, heads, state[sources])
-        swept = _update(spec.kind, total, count, scale)
+        swept = _update(spec.kind, total, fixed)
         residual = np.maximum.reduceat(np.abs(swept - state), starts)
         solved = residual <= bar
         if solved.any():
@@ -647,10 +688,12 @@ def _dense_systems(
 
 
 def _rank_one_rows(
-    spec: SemanticsSpec, jobs: Sequence[Coalitions]
-) -> list[list[float] | GradimpactError]:
-    """The dense ``cs`` coalition rows of jobs that share ``spec``, each
-    job with at least one row.
+    spec: SemanticsSpec,
+    jobs: Sequence[tuple[ArgumentationFramework, np.ndarray, Sequence[int]]],
+) -> list[np.ndarray | GradimpactError]:
+    """The dense ``cs`` coalition rows of ``(af, targets, coalitions)``
+    jobs that share ``spec``, each job with at least one row: row r scores
+    ``targets[r]`` with ``coalitions[r]`` of its attacks dropped.
 
     Removing a coalition C of t's attacks changes only row t of B = I + s M,
     s = damping / N, so with v = B^-1 1 and w = B^-1 e_t, Sherman and
@@ -681,15 +724,16 @@ def _rank_one_rows(
     hub_of[np.repeat(np.arange(len(jobs)), sizes)[hub_at]] = hub_at
 
     # Each row's coalition, as bits over its target's attackers in edge order.
-    lengths = [len(rows) for _, _, rows in jobs]
-    rows = [row for _, _, job_rows in jobs for row in job_rows]
+    lengths = [len(targets) for _, targets, _ in jobs]
+    rows = sum(lengths)
     job = np.repeat(np.arange(len(jobs)), lengths)
-    target = starts[job] + np.fromiter((t for t, _ in rows), np.intp, len(rows))
+    target = starts[job] + np.concatenate([targets for _, targets, _ in jobs])
     indegree = counts[target]
     width = int(indegree.max())
-    packed = b"".join(c.to_bytes((width + 7) // 8, "little") for _, c in rows)
+    coalitions = chain.from_iterable(coalitions for _, _, coalitions in jobs)
+    packed = b"".join(c.to_bytes((width + 7) // 8, "little") for c in coalitions)
     bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-    bits = bits.reshape(len(rows), -1 if width else 0)[:, :width]
+    bits = bits.reshape(rows, -1 if width else 0)[:, :width]
     top = tops[job]
     derived = np.where(
         hub[target], np.maximum(top - bits.sum(axis=1, dtype=np.intp), second[job]), top
@@ -753,12 +797,12 @@ def _rank_one_rows(
         weight = bits[:, j] - (lowered & valid).astype(float)
         sum_v += weight * flat[at]
         sum_w += weight * flat[at + column]
-    values = np.ones(len(rows))
+    values = np.ones(rows)
     values[picked] = v_t + w_t * (s * sum_v) / (1.0 - s * sum_w)
     values = np.clip(values, 0.0, 1.0)
     bounds = list(accumulate(lengths))
     return [
-        values[lo:hi].tolist() if result is None else result
+        values[lo:hi] if result is None else result
         for result, lo, hi in zip(results, [0] + bounds, bounds)
     ]
 

@@ -100,10 +100,13 @@ class PrincipleVerdict:
 # probes, most often a single one.  A relation compares arrays of sides.
 Probe = tuple[float, float, dict]
 Relation = Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-# Trials ``falsify`` draws before its first comparison; each window doubles.
-# A cell that stops at an early witness still solves the rest of its window,
-# so the first window is small.
+# Trials ``falsify`` draws before its first comparison; each window is four
+# times the last.  A cell that stops at an early witness still solves the
+# rest of its window, so the first window is small, and a cell that reads
+# far solves few, large stacks.  Growing faster solves more systems ahead
+# of the witnesses than it saves.
 WINDOW = 8
+GROWTH = 4
 
 
 def probe(lhs: float, rhs: float, **fields) -> Probe:
@@ -162,7 +165,7 @@ def falsify(
     kept when the stream is read to its end, that is when the search passes
     or counts every trial.
 
-    Trials are drawn in windows of 8, 16, 32, ... trials.  ``resolve`` gets
+    Trials are drawn in windows of 8, 32, 128, ... trials.  ``resolve`` gets
     a window's probes and its number from 0, and returns their lhs and rhs
     arrays and the error of each probe whose evaluation failed, by position.
     The first probe that holds or fails decides, an error drawn in place of
@@ -201,7 +204,7 @@ def falsify(
         if read is not None:
             annotations = read
             break
-        size *= 2
+        size *= GROWTH
     return PrincipleVerdict(
         principle=principle,
         semantics=semantics,

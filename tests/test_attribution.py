@@ -121,8 +121,26 @@ def test_matches_full_permutation_enumeration(af, kind):
             assert measure[attack] == pytest.approx(expected[attack], abs=1e-9)
 
 
+# Under max, b attacks a alongside the unattacked c, so every coalition
+# that keeps c gives b a marginal of exactly 0.0.
+MAX_ZEROS = ArgumentationFramework.of(
+    ["a", "b", "c", "d"], [("b", "a"), ("c", "a"), ("d", "b")]
+)
+# b and c attack a alike, so their rows of marginals tie.
+SYMMETRIC = ArgumentationFramework.of(["a", "b", "c"], [("b", "a"), ("c", "a")])
+# a0 has eight attackers, two of them attacked.
+WIDE = ArgumentationFramework.of(
+    [f"a{i}" for i in range(9)],
+    [(f"a{i}", "a0") for i in range(1, 9)] + [("a1", "a2"), ("a3", "a4")],
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(attack_graphs(), st.sampled_from(KINDS), st.sampled_from(CONFIGS))
+@example(MAX_ZEROS, "max", CONFIGS[0])
+@example(SYMMETRIC, "hbs", CONFIGS[0])
+@example(WIDE, "car", CONFIGS[0])
+@example(WIDE, "max", CONFIGS[1])
 def test_batched_solve_equals_the_one_by_one_reference(af, kind, config):
     spec = SemanticsSpec(kind)
 
@@ -139,7 +157,12 @@ def test_batched_solve_equals_the_one_by_one_reference(af, kind, config):
     )
     measure = shapley_all(af, spec, config)
     if kind != "cs":
-        assert (measure.entries, measure.mode) == expected
+        # As hex, so that -0.0 does not pass for 0.0.
+        entries, mode = expected
+        assert measure.mode == mode
+        assert [(attack, value.hex()) for attack, value in measure.entries] == [
+            (attack, value.hex()) for attack, value in entries
+        ]
         return
     # Dense cs coalitions are rank-one updates, each within 1e-14 of its
     # dense solve, and an intensity's marginal weights sum to 1.
@@ -228,6 +251,15 @@ def _all_coalitions(af):
     ]
 
 
+def _planned_rows(af, config):
+    """The ``(t, coalition)`` row of each score of the framework's Shapley
+    plan, in the plan's order."""
+    plan = attribution.plan_intensities(af, config)
+    first = semantics._attackers(af).first.tolist()
+    masks = [mask for mask, count in zip(plan.masks, plan.counts.tolist()) for _ in range(count)]
+    return [(t, mask >> first[t]) for t, mask in zip(plan.targets.tolist(), masks)]
+
+
 def _removed(af, t, coalition):
     """The attacks a ``(t, coalition)`` row drops: bit j, the j-th attack on t."""
     incoming = af.attacks_on(af.arguments[t])
@@ -301,7 +333,7 @@ def test_rank_one_rows_agree_with_dense_solves(af, extra, config):
     # override is the parent's largest in-degree plus extra.
     norm = None if extra is None else af.max_in_degree() + extra
     spec = SemanticsSpec("cs", counting=CountingConfig(norm_override=norm))
-    rows = _all_coalitions(af) + attribution._plan(af, config)[0]
+    rows = _all_coalitions(af) + _planned_rows(af, config)
     (values,) = semantics.prefetch_coalitions([(af, spec, rows)])
     for (t, coalition), value in zip(rows, values):
         expected = counting_coalition_degree(

@@ -29,7 +29,6 @@ from gradimpact.fixtures import fan_af, selfloop_af
 from gradimpact import impact
 from gradimpact.impact import (
     ImpactQuery,
-    _intensity_matrix,
     _series_converges,
     _shared_norm_spec,
     _walk_series,
@@ -41,6 +40,15 @@ from gradimpact.semantics import KINDS
 from oracles import walk_impact
 
 HBS = SemanticsSpec("hbs")
+
+
+def _intensity_matrix(af, measure):
+    """M, whose entry [t, s] is the intensity of the attack from s on t."""
+    index = {a: i for i, a in enumerate(af.arguments)}
+    matrix = np.zeros((len(index), len(index)))
+    for (s, t), value in measure.entries:
+        matrix[index[t], index[s]] = value
+    return matrix
 
 
 @st.composite

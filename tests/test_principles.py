@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gradimpact import (
@@ -34,7 +35,14 @@ from gradimpact.fixtures import chain_pair, disjoint_pair, showcase_af
 from gradimpact.impact import MEASURES, ImpactQuery
 from gradimpact.principles import PRINCIPLES, RESTRICTED_SCOPE
 from gradimpact.semantics import CHECK_TOLERANCE
-from gradimpact.verdicts import COUNTEREXAMPLE, NO_COUNTEREXAMPLE, WINDOW, Witness
+from gradimpact.verdicts import (
+    COUNTEREXAMPLE,
+    NO_COUNTEREXAMPLE,
+    WINDOW,
+    Witness,
+    falsify,
+    trial,
+)
 
 from oracles import one_at_a_time_search
 
@@ -437,6 +445,22 @@ def test_windowed_cells_equal_the_one_at_a_time_search():
                 _assert_same_search(verdict, search)
 
 
+def test_windows_grow_fourfold():
+    # A passing stream is resolved in windows of 8, 32 and 128 trials, and
+    # the last window holds what is left.
+    windows = []
+
+    def resolve(probes, number):
+        windows.append((number, len(probes)))
+        sides = np.array([side for probe in probes for side in probe[:2]])
+        return sides[0::2], sides[1::2], {}
+
+    stream = (trial(0.5, 0.5) for _ in range(200))
+    verdict = falsify("void", "hbs", CHECK_TOLERANCE, stream, resolve=resolve)
+    assert (verdict.status, verdict.trials) == (NO_COUNTEREXAMPLE, 200)
+    assert windows == [(0, 8), (1, 32), (2, 128), (3, 32)]
+
+
 # An acyclic framework whose first balanced trial is a witness under dv,
 # and cycles whose hbs solves need more than TIGHT's 12 sweeps.
 BALANCED_WITNESS = ArgumentationFramework.of(
@@ -518,6 +542,24 @@ def test_the_audit_solves_no_more_systems_than_the_degree_store_did(monkeypatch)
     attribution._cached_shapley_all.cache_clear()
     audit(GOLDEN_CONFIG)
     assert 0 < sum(rows) <= STORE_SOLVED_ROWS
+
+
+def test_each_framework_is_planned_once_per_shapley_config(monkeypatch):
+    # Every semantics reads the games of a framework from the plan the
+    # audit's table made for the first.
+    planned = Counter()
+    plan = attribution.plan_intensities
+
+    def counted(af, config):
+        planned[(af, config)] += 1
+        return plan(af, config)
+
+    monkeypatch.setattr(attribution, "plan_intensities", counted)
+    monkeypatch.setattr(impact, "plan_intensities", counted)
+    attribution._cached_shapley_all.cache_clear()
+    audit(GOLDEN_CONFIG)
+    assert len(GOLDEN_CONFIG.semantics) == 4
+    assert planned and max(planned.values()) == 1
 
 
 def test_audit_cells_equal_standalone_cells():

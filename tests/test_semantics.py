@@ -464,7 +464,7 @@ def test_stored_results_return_before_any_batch(showcase, monkeypatch):
 
     monkeypatch.setattr(semantics, "solve_systems", refuse)
     monkeypatch.setattr(attribution, "prefetch_intensities", refuse)
-    monkeypatch.setattr(attribution, "prefetch_coalitions", refuse)
+    monkeypatch.setattr(attribution, "solve_coalitions", refuse)
     for spec, (weighting, measure) in zip(specs, stored):
         assert degrees(showcase, spec) is weighting
         assert shapley_all(showcase, spec) is measure
