@@ -28,13 +28,11 @@ computed from dense solves.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import random
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,7 +53,9 @@ from .semantics import (
     grouped_rows,
     solve_coalitions,
 )
-from .verdicts import PrincipleVerdict, exceeds, falsify, trial
+
+if TYPE_CHECKING:
+    from .verdicts import PrincipleVerdict
 
 EXACT_MODE = "exact"
 SAMPLED_MODE = "sampled"
@@ -126,6 +126,7 @@ class ShapleyMeasure(Mapping[Attack, float]):
 
 
 def _sample_seed(seed: int, attack: Attack) -> int:
+    import hashlib
     digest = hashlib.sha256(f"{seed}:{attack[0]}>{attack[1]}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 
@@ -134,6 +135,7 @@ def _draws(
     incoming: tuple[Attack, ...], attack: Attack, config: ShapleyConfig
 ) -> list[tuple[int, int]]:
     """Coalitions with and without ``attack``, one pair per seeded permutation."""
+    import random
     rng = random.Random(_sample_seed(config.seed, attack))
     bit = incoming.index(attack)
     # Shuffling positions draws the same permutations as shuffling the attacks.
@@ -372,6 +374,7 @@ def check_bounded_loss(
         indegree = af.in_degree(target)
         if indegree > config.exact_indegree_cap:
             raise ExactModeRequiredError(indegree, config.exact_indegree_cap)
+    from .verdicts import exceeds, falsify
     return falsify(
         "bounded-loss",
         spec.kind,
@@ -382,6 +385,7 @@ def check_bounded_loss(
 
 
 def _bound_trials(af, spec, config):
+    from .verdicts import trial
     measure = shapley_all(af, spec, config)
     scores = degrees(af, spec) if measure.entries else {}
     for (source, target), value in measure.entries:

@@ -9,6 +9,10 @@ deterministic JSON or DOT; diagnostics go to stderr.
 Exit codes: 0 success, 2 unreadable or unparsable input, 3 a fixed point was
 not reached, 4 an unknown argument or attack was referenced, 5 a series
 diverged, 6 an audit did not match the published satisfaction pattern.
+
+A command loads only what it runs: the attribution, impact and audit modules
+are imported inside the commands that call them.  Options left unset read
+as None, so the config classes' own defaults apply (``_given``).
 """
 
 from __future__ import annotations
@@ -16,9 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .attribution import ShapleyConfig, shapley_all
 from .errors import (
     DivergenceError,
     DivergentSeriesError,
@@ -29,20 +34,19 @@ from .errors import (
 )
 from .formats import parse, serialize
 from .framework import ArgumentationFramework
-from .impact import MEASURES, SeriesConfig, evaluate_impact, impact_payload
-from .principles import (
-    AuditConfig,
-    audit,
-    compare_with_expected,
-    crosscheck_implications,
-)
 from .semantics import (
-    CountingConfig,
     KINDS,
+    MEASURES,
+    CountingConfig,
     SemanticsSpec,
     degrees,
     weighting_payload,
 )
+
+if TYPE_CHECKING:
+    from .attribution import ShapleyConfig
+    from .impact import SeriesConfig
+    from .principles import AuditConfig
 
 INPUT_FORMATS = ("tgf", "apx")
 
@@ -71,41 +75,46 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _given(config: type, args: argparse.Namespace, **derived):
+    """``config`` from the options set, each stored under its field's name,
+    and ``derived`` fields; a None leaves the class's own default in place."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(config)} | derived
+    return config(**{name: value for name, value in given.items() if value is not None})
+
+
+def _names(raw: str | None) -> tuple[str, ...] | None:
+    return None if raw is None else tuple(raw.split(","))
+
+
 def _semantics_spec(args: argparse.Namespace) -> SemanticsSpec:
-    counting = CountingConfig(damping=args.alpha, norm_override=args.norm)
-    return SemanticsSpec(
-        kind=args.semantics,
-        tolerance=args.tolerance,
-        max_iterations=args.max_iterations,
-        counting=counting,
-    )
+    return _given(SemanticsSpec, args, counting=_given(CountingConfig, args))
 
 
 def _shapley_config(args: argparse.Namespace) -> ShapleyConfig:
-    return ShapleyConfig(
-        exact_indegree_cap=args.exact_cap,
-        sample_count=args.samples,
-        seed=args.sample_seed,
-    )
+    from .attribution import ShapleyConfig
+    return _given(ShapleyConfig, args)
 
 
 def _series_config(args: argparse.Namespace) -> SeriesConfig:
-    return SeriesConfig(
-        truncation_tolerance=args.series_tolerance,
-        max_walk_length=args.max_walk,
-        divergence_guard=args.guard,
-    )
+    from .impact import SeriesConfig
+    return _given(SeriesConfig, args)
 
 
 def _audit_config(args: argparse.Namespace) -> AuditConfig:
-    return AuditConfig(
-        graph_count=args.graphs,
-        size_range=(args.size_min, args.size_max),
-        probability_range=(args.probability, args.probability),
-        seed=args.seed,
-        tolerance=args.tolerance,
-        measures=tuple(args.measures.split(",")),
-        semantics=tuple(args.semantics.split(",")),
+    from .principles import AuditConfig
+    low, high = AuditConfig.size_range
+    size_range = (
+        low if args.size_min is None else args.size_min,
+        high if args.size_max is None else args.size_max,
+    )
+    probability = args.probability
+    return _given(
+        AuditConfig,
+        args,
+        size_range=size_range,
+        probability_range=None if probability is None else (probability, probability),
+        measures=_names(args.measures),
+        semantics=_names(args.semantics),
         include_fixtures=not args.no_fixtures,
     )
 
@@ -119,6 +128,7 @@ def cmd_degrees(args: argparse.Namespace) -> int:
 
 
 def cmd_shapley(args: argparse.Namespace) -> int:
+    from .attribution import shapley_all
     af = _load_framework(args.input, args.input_format)
     spec = _semantics_spec(args)
     measure = shapley_all(af, spec, _shapley_config(args))
@@ -131,6 +141,7 @@ def _parse_subject(raw: str) -> list[str]:
 
 
 def cmd_impact(args: argparse.Namespace) -> int:
+    from .impact import evaluate_impact, impact_payload
     af = _load_framework(args.input, args.input_format)
     spec = _semantics_spec(args)
     subject = _parse_subject(args.set)
@@ -149,6 +160,7 @@ def cmd_impact(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    from .principles import audit, compare_with_expected, crosscheck_implications
     result = audit(_audit_config(args))
     payload = result.to_dict()
     payload["implication_issues"] = crosscheck_implications(result)
@@ -168,6 +180,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    from .attribution import shapley_all
     af = _load_framework(args.input, args.input_format)
     if not af.arguments:
         _emit(serialize(af, args.format), args.out)
@@ -195,38 +208,32 @@ def _add_input_arguments(parser: argparse.ArgumentParser, *, as_format: bool) ->
     parser.add_argument("--out", default=None, help="write output here instead of stdout")
 
 
+def _field(parser: argparse.ArgumentParser, flag: str, field: str, kind: type, **extra):
+    # An option stored under its config field's name, and shown as the flag.
+    metavar = flag[2:].upper().replace("-", "_")
+    parser.add_argument(flag, dest=field, metavar=metavar, type=kind, **extra)
+
+
 def _add_semantics_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--semantics", required=True, choices=KINDS, help="scoring rule"
+        "--semantics", dest="kind", required=True, choices=KINDS, help="scoring rule"
     )
-    parser.add_argument("--tolerance", type=float, default=SemanticsSpec.tolerance)
-    parser.add_argument(
-        "--max-iterations", type=int, default=SemanticsSpec.max_iterations
-    )
-    parser.add_argument(
-        "--alpha", type=float, default=CountingConfig.damping,
-        help="damping factor for cs",
-    )
-    parser.add_argument(
-        "--norm", type=float, default=CountingConfig.norm_override,
-        help="normalisation override for cs",
-    )
+    parser.add_argument("--tolerance", type=float)
+    parser.add_argument("--max-iterations", type=int)
+    _field(parser, "--alpha", "damping", float, help="damping factor for cs")
+    _field(parser, "--norm", "norm_override", float, help="normalisation override for cs")
 
 
 def _add_shapley_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--exact-cap", type=int, default=ShapleyConfig.exact_indegree_cap
-    )
-    parser.add_argument("--samples", type=int, default=ShapleyConfig.sample_count)
-    parser.add_argument("--sample-seed", type=int, default=ShapleyConfig.seed)
+    _field(parser, "--exact-cap", "exact_indegree_cap", int)
+    _field(parser, "--samples", "sample_count", int)
+    _field(parser, "--sample-seed", "seed", int)
 
 
 def _add_series_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--series-tolerance", type=float, default=SeriesConfig.truncation_tolerance
-    )
-    parser.add_argument("--max-walk", type=int, default=SeriesConfig.max_walk_length)
-    parser.add_argument("--guard", type=float, default=SeriesConfig.divergence_guard)
+    _field(parser, "--series-tolerance", "truncation_tolerance", float)
+    _field(parser, "--max-walk", "max_walk_length", int)
+    _field(parser, "--guard", "divergence_guard", float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,17 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_impact)
 
     p = commands.add_parser("audit", help="falsification-audit the principles")
-    audit_defaults = AuditConfig()
-    p.add_argument("--graphs", type=int, default=audit_defaults.graph_count)
-    p.add_argument("--size-min", type=int, default=audit_defaults.size_range[0])
-    p.add_argument("--size-max", type=int, default=audit_defaults.size_range[1])
-    p.add_argument(
-        "--probability", type=float, default=audit_defaults.probability_range[0]
-    )
-    p.add_argument("--seed", type=int, default=audit_defaults.seed)
-    p.add_argument("--tolerance", type=float, default=audit_defaults.tolerance)
-    p.add_argument("--measures", default=",".join(audit_defaults.measures))
-    p.add_argument("--semantics", default=",".join(audit_defaults.semantics))
+    _field(p, "--graphs", "graph_count", int)
+    p.add_argument("--size-min", type=int)
+    p.add_argument("--size-max", type=int)
+    p.add_argument("--probability", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tolerance", type=float)
+    p.add_argument("--measures")
+    p.add_argument("--semantics")
     p.add_argument("--no-fixtures", action="store_true")
     p.add_argument(
         "--report", choices=("both", "json", "text"), default="both",

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain
+from operator import itemgetter
 from typing import Mapping
 
 from .errors import (
@@ -22,97 +24,144 @@ from .framework import ArgumentationFramework, Attack
 
 FORMATS = ("tgf", "apx", "json", "dot")
 
-_APX_STATEMENT = re.compile(
-    r"arg\(\s*([^(),.\s%]+)\s*\)\s*\.|att\(\s*([^(),.\s%]+)\s*,\s*([^(),.\s%]+)\s*\)\s*\."
+# Whitespace within a line of a text whose every line ends in '\n'.  The
+# patterns are compiled on first use, by ``re``'s cache.
+_SPACE = r"[^\S\n]*"
+
+
+def _statement(identifier: str) -> str:
+    return (
+        rf"arg\({_SPACE}{identifier}{_SPACE}\){_SPACE}\."
+        rf"|att\({_SPACE}{identifier}{_SPACE},{_SPACE}{identifier}{_SPACE}\){_SPACE}\."
+    )
+
+
+_IDENTIFIER = r"[^(),.\s%]+"
+# One token of an APX text: a comment line; a comment after statements,
+# which runs to the end of its line and holds no statement; a statement;
+# or a stray visible character, which makes the text faulty.
+_APX_TOKEN = (
+    rf"(?m)^{_SPACE}%.*|%(?:(?!{_statement(_IDENTIFIER)}).)*$"
+    rf"|{_statement(f'({_IDENTIFIER})')}|(\S)"
 )
 
 
+def _framework(
+    arguments: list[str], attacks: list[Attack]
+) -> ArgumentationFramework | None:
+    """The framework of parsed arguments and attacks, or None if an argument
+    or an attack repeats, or an attack names an undeclared argument."""
+    known, edges = set(arguments), set(attacks)
+    if (
+        len(known) < len(arguments)
+        or len(edges) < len(attacks)
+        or not known.issuperset(chain.from_iterable(edges))
+    ):
+        return None
+    # Checked and sorted as ``ArgumentationFramework.of`` would: by target,
+    # then stably by source, since string keys sort faster than pairs.
+    by_target = sorted(attacks, key=itemgetter(1))
+    return ArgumentationFramework(
+        tuple(sorted(arguments)), tuple(sorted(by_target, key=itemgetter(0)))
+    )
+
+
 def parse_tgf(text: str) -> ArgumentationFramework:
-    """Parse trivial graph format: node lines, a '#' line, then edge lines."""
-    nodes: list[str] = []
-    edges: list[Attack] = []
-    seen_nodes: set[str] = set()
-    seen_edges: set[Attack] = set()
-    in_edges = False
-    found_separator = False
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line == "#":
-            if found_separator:
-                raise FormatSyntaxError(number, raw)
-            found_separator = True
-            in_edges = True
-            continue
-        tokens = line.split()
-        if not in_edges:
-            if len(tokens) != 1:
-                raise FormatSyntaxError(number, raw)
-            (node,) = tokens
-            if node in seen_nodes:
-                raise DuplicateArgumentError(node)
-            seen_nodes.add(node)
-            nodes.append(node)
-        else:
+    """Parse trivial graph format: node lines, a '#' line, then edge lines.
+
+    Every line is split at once and the tokens are checked with set
+    operations; a faulty text raises what its first faulty line raises.
+    """
+    lines = text.splitlines()
+    fields = [line.split() for line in lines]
+    cut = fields.index(["#"]) if ["#"] in fields else len(fields)
+    nodes, edges = fields[:cut], fields[cut + 1 :]
+    if (
+        cut < len(fields)
+        and max(map(len, nodes), default=0) <= 1
+        and set(map(len, edges)) <= {0, 2}
+    ):
+        af = _framework(
+            list(chain.from_iterable(nodes)), [(s, t) for s, t in filter(None, edges)]
+        )
+        if af is not None:
+            return af
+    raise _tgf_fault(lines, fields, cut)
+
+
+def _tgf_fault(lines: list[str], fields: list[list[str]], cut: int) -> ParseError:
+    """The error of the first faulty line of a TGF text, in the order a
+    reading line by line meets them: ``fields`` holds each line's tokens,
+    and ``cut`` is the first '#' line's index, ``len(lines)`` without one."""
+    known: set[str] = set()
+    seen: set[Attack] = set()
+    for number, (raw, tokens) in enumerate(zip(lines, fields), start=1):
+        if number <= cut:
+            if len(tokens) > 1:
+                return FormatSyntaxError(number, raw)
+            if tokens and tokens[0] in known:
+                return DuplicateArgumentError(tokens[0])
+            known.update(tokens)
+        elif number > cut + 1 and tokens:
+            # A second '#' line is one token, as faulty as any other.
             if len(tokens) != 2:
-                raise FormatSyntaxError(number, raw)
-            source, target = tokens
-            if source not in seen_nodes:
-                raise UnknownEndpointError(source)
-            if target not in seen_nodes:
-                raise UnknownEndpointError(target)
-            if (source, target) in seen_edges:
-                raise DuplicateAttackError(source, target)
-            seen_edges.add((source, target))
-            edges.append((source, target))
-    if not found_separator:
-        raise MissingSeparatorError("no '#' separator line found")
-    return ArgumentationFramework.of(nodes, edges)
+                return FormatSyntaxError(number, raw)
+            unknown = [end for end in tokens if end not in known]
+            if unknown:
+                return UnknownEndpointError(unknown[0])
+            if tuple(tokens) in seen:
+                return DuplicateAttackError(*tokens)
+            seen.add(tuple(tokens))
+    return MissingSeparatorError("no '#' separator line found")
 
 
 def parse_apx(text: str) -> ArgumentationFramework:
-    """Parse ASPARTIX facts: ``arg(id).`` and ``att(src,dst).`` statements."""
-    arguments: list[str] = []
-    attacks: list[tuple[int, str, str]] = []
-    seen_args: set[str] = set()
-    seen_attacks: set[Attack] = set()
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        position = 0
-        for match in _APX_STATEMENT.finditer(line):
-            if line[position : match.start()].strip():
-                raise FormatSyntaxError(number, raw)
-            position = match.end()
-            if match.group(1) is not None:
-                identifier = match.group(1)
-                if identifier in seen_args:
-                    raise DuplicateArgumentError(identifier)
-                seen_args.add(identifier)
-                arguments.append(identifier)
-            else:
-                source, target = match.group(2), match.group(3)
-                if (source, target) in seen_attacks:
-                    raise DuplicateAttackError(source, target)
-                seen_attacks.add((source, target))
-                attacks.append((number, source, target))
-        rest = line[position:].strip()
-        if rest and not rest.startswith("%"):
-            raise FormatSyntaxError(number, raw)
-    for _, source, target in attacks:
-        if source not in seen_args:
-            raise UnknownEndpointError(source)
-        if target not in seen_args:
-            raise UnknownEndpointError(target)
-    return ArgumentationFramework.of(arguments, ((s, t) for _, s, t in attacks))
+    """Parse ASPARTIX facts: ``arg(id).`` and ``att(src,dst).`` statements.
+
+    One scan reads every statement and comment of the text, and the
+    identifiers are checked with set operations.  A faulty text raises what
+    its first faulty line raises, and an attack on an undeclared argument,
+    after every line has been read, what the first such attack raises.
+    """
+    lines = text.splitlines()
+    joined = "\n".join(lines) + "\n"
+    found = re.findall(_APX_TOKEN, joined)
+    if not any(map(itemgetter(3), found)):
+        af = _framework(
+            [a for a, _, _, _ in found if a], [(s, t) for _, s, t, _ in found if s]
+        )
+        if af is not None:
+            return af
+    raise _apx_fault(lines, joined)
+
+
+def _apx_fault(lines: list[str], joined: str) -> ParseError:
+    """The first error of a faulty APX text, token by token as a line by
+    line reading meets it: a line's first stray character stops the reading
+    there, and attacks on undeclared arguments are sought last."""
+    arguments: set[str] = set()
+    attacks: dict[Attack, None] = {}
+    for token in re.finditer(_APX_TOKEN, joined):
+        identifier, source, target, stray = token.groups()
+        if stray is not None:
+            number = joined.count("\n", 0, token.start())
+            return FormatSyntaxError(number + 1, lines[number])
+        if identifier in arguments:
+            return DuplicateArgumentError(identifier)
+        if (source, target) in attacks:
+            return DuplicateAttackError(source, target)
+        if identifier is not None:
+            arguments.add(identifier)
+        elif source is not None:
+            attacks[source, target] = None
+    unknown = (end for attack in attacks for end in attack if end not in arguments)
+    return UnknownEndpointError(next(unknown))
 
 
 def _check_identifier(identifier: str, fmt: str) -> None:
     if fmt == "tgf" and (any(c.isspace() for c in identifier) or identifier == "#"):
         raise ValueError(f"identifier {identifier!r} cannot be written as TGF")
-    if fmt == "apx" and not re.fullmatch(r"[^(),.\s%]+", identifier):
+    if fmt == "apx" and not re.fullmatch(_IDENTIFIER, identifier):
         raise ValueError(f"identifier {identifier!r} cannot be written as APX")
 
 

@@ -295,9 +295,6 @@ def _single(outcomes: list[Outcome | Exception]) -> ImpactValue:
     return ImpactValue(*outcome)
 
 
-MEASURES = ("dv", "dv-original", "si")
-
-
 def evaluate_impact(
     measure_name: str,
     af: ArgumentationFramework,

@@ -65,10 +65,8 @@ from .errors import IncompleteMatrixError, UnsupportedInstanceError
 from .fixtures import chain_pair, disjoint_pair, fixture_frameworks, showcase_af
 from .framework import ArgumentationFramework, Attack
 from .generate import GeneratorConfig, random_af
-from .impact import (
-    MEASURES, ImpactQuery, Rows, Systems, evaluate_rows, plan_row, stack_rows
-)
-from .semantics import CHECK_TOLERANCE, KINDS, SemanticsSpec
+from .impact import ImpactQuery, Rows, Systems, evaluate_rows, plan_row, stack_rows
+from .semantics import CHECK_TOLERANCE, KINDS, MEASURES, SemanticsSpec
 from .verdicts import (
     COUNTEREXAMPLE,
     NO_COUNTEREXAMPLE,

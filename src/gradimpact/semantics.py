@@ -69,7 +69,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations, repeat
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,9 +80,11 @@ from .errors import (
     UnknownArgumentError,
 )
 from .framework import ArgumentationFramework, Attack
-from .verdicts import PrincipleVerdict, exceeds, falsify, probe, trial
+if TYPE_CHECKING:
+    from .verdicts import PrincipleVerdict
 
 KINDS = ("hbs", "car", "max", "cs")
+MEASURES = ("dv", "dv-original", "si")
 
 DEFAULT_DAMPING = 0.98
 DEFAULT_TOLERANCE = 1e-12
@@ -481,10 +483,11 @@ def attack_bits(af: ArgumentationFramework) -> Mapping[Attack, int]:
     """The bit of each attack in the mask of a framework derived from ``af``.
 
     Attacks are numbered in (target, source) order, so the attacks on one
-    argument hold consecutive bits, in the order of its sorted attackers.
+    argument hold consecutive bits, in the order of its sorted attackers:
+    bit e is edge e of ``_attackers``, which solves read without this map.
     """
-    order = sorted(af.attacks, key=lambda attack: attack[::-1])
-    return MappingProxyType({attack: e for e, attack in enumerate(order)})
+    attacks, order = af.attacks, _attackers(af).order.tolist()
+    return MappingProxyType({attacks[e]: bit for bit, e in enumerate(order)})
 
 
 def attack_masks(
@@ -507,11 +510,11 @@ def attack_masks(
 class _Attackers(NamedTuple):
     """The n arguments and m attacks of a framework, in O(n + m) memory.
 
-    Edge ``e``, the attack of bit ``e`` in ``attack_bits``, runs from
-    ``sources[e]`` to ``heads[e]``, so the edges run over the targets in
-    order, and over each target's sorted attackers, from edge ``first[t]``
-    of argument t on.  Both edge arrays are padded with unused edges to a
-    whole number of bytes of mask.
+    Edge ``e``, the attack of bit ``e`` in ``attack_bits`` and
+    ``af.attacks[order[e]]``, runs from ``sources[e]`` to ``heads[e]``, so
+    the edges run over the targets in order, and over each target's sorted
+    attackers, from edge ``first[t]`` of argument t on.  Both edge arrays
+    are padded with unused edges to a whole number of bytes of mask.
     """
 
     n: int
@@ -519,19 +522,22 @@ class _Attackers(NamedTuple):
     heads: np.ndarray
     sources: np.ndarray
     first: np.ndarray
+    order: np.ndarray
 
 
 @lru_cache(maxsize=4096)
 def _attackers(af: ArgumentationFramework) -> _Attackers:
-    index = af.positions
-    bits = attack_bits(af)
-    m = len(bits)
-    heads = np.zeros(8 * ((m + 7) // 8), dtype=np.intp)
-    sources = np.zeros_like(heads)
-    heads[:m] = [index[t] for _, t in bits]
-    sources[:m] = [index[s] for s, _ in bits]
-    first = np.searchsorted(heads[:m], np.arange(len(index)))
-    return _Attackers(len(index), m, heads, sources, first)
+    index, pairs = af.positions, af.attacks
+    n, m = len(index), len(pairs)
+    ends = np.array([[index[s] for s, _ in pairs], [index[t] for _, t in pairs]], np.intp)
+    # ``af.attacks`` is sorted by source, then target, so a stable sort by
+    # target puts them in (target, source) order.
+    order = ends[1].argsort(kind="stable")
+    edges = np.zeros((2, 8 * ((m + 7) // 8)), dtype=np.intp)
+    edges[:, :m] = ends[:, order]
+    sources, heads = edges
+    first = np.searchsorted(heads[:m], np.arange(n))
+    return _Attackers(n, m, heads, sources, first, order)
 
 
 def _blocks(
@@ -546,18 +552,25 @@ def _blocks(
     """
     sizes = np.fromiter((graph.n for graph in graphs), dtype=np.intp, count=len(graphs))
     starts = np.cumsum(sizes) - sizes
-    # A block keeps the edges its mask leaves, and none of its padding.
-    keeps = [(1 << graph.m) - 1 ^ mask for graph, mask in zip(graphs, masks)]
-    packed = b"".join(
-        keep.to_bytes(len(graph.heads) // 8, "little")
-        for keep, graph in zip(keeps, graphs)
-    )
-    kept = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
-    kept = kept.view(bool)
-    shift = np.repeat(starts, [keep.bit_count() for keep in keeps])
-    heads = np.concatenate([graph.heads for graph in graphs])[kept]
+    if any(masks):
+        # A block keeps the edges its mask leaves, and none of its padding.
+        keeps = [(1 << graph.m) - 1 ^ mask for graph, mask in zip(graphs, masks)]
+        packed = b"".join(
+            keep.to_bytes(len(graph.heads) // 8, "little")
+            for keep, graph in zip(keeps, graphs)
+        )
+        kept = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+        kept = kept.view(bool)
+        counts = [keep.bit_count() for keep in keeps]
+        heads = np.concatenate([graph.heads for graph in graphs])[kept]
+        sources = np.concatenate([graph.sources for graph in graphs])[kept]
+    else:
+        # Every block keeps all of its graph's edges.
+        counts = [graph.m for graph in graphs]
+        heads = np.concatenate([graph.heads[: graph.m] for graph in graphs])
+        sources = np.concatenate([graph.sources[: graph.m] for graph in graphs])
+    shift = np.repeat(starts, counts)
     heads += shift
-    sources = np.concatenate([graph.sources for graph in graphs])[kept]
     sources += shift
     return sizes, starts, heads, sources
 
@@ -876,6 +889,7 @@ def check_independence(
     pairs: Iterable[tuple[ArgumentationFramework, ArgumentationFramework]],
 ) -> PrincipleVerdict:
     """Search disjoint pairs for a degree changed by joining the frameworks."""
+    from .verdicts import falsify
     return falsify(
         "independence", spec.kind, CHECK_TOLERANCE, _union_trials(spec, pairs)
     )
@@ -890,6 +904,7 @@ def _union_trials(spec, pairs):
 
 
 def _union_probes(spec, left, right):
+    from .verdicts import probe
     joined = degrees(left.union(right), spec)
     for part in (left, right):
         alone = degrees(part, spec)
@@ -908,6 +923,7 @@ def check_directionality(
     instances: Iterable[tuple[ArgumentationFramework, Attack]],
 ) -> PrincipleVerdict:
     """Search attack additions for a degree change outside the target's reach."""
+    from .verdicts import falsify
     return falsify(
         "directionality", spec.kind, CHECK_TOLERANCE, _addition_trials(spec, instances)
     )
@@ -927,6 +943,7 @@ def _addition_trials(spec, instances):
 
 
 def _addition_probes(spec, af, attack):
+    from .verdicts import probe
     target = attack[1]
     augmented = ArgumentationFramework.of(af.arguments, af.attacks + (attack,))
     before = degrees(af, spec)
@@ -949,6 +966,7 @@ def check_attack_removal_monotonicity(
     corpus: Iterable[ArgumentationFramework],
 ) -> PrincipleVerdict:
     """Search for an argument whose degree drops when attacks on it are removed."""
+    from .verdicts import exceeds, falsify
     return falsify(
         "attack-removal-monotonicity",
         spec.kind,
@@ -959,6 +977,7 @@ def check_attack_removal_monotonicity(
 
 
 def _removal_trials(spec, corpus):
+    from .verdicts import trial
     for af in corpus:
         base = degrees(af, spec)
         bits = attack_bits(af)

@@ -13,9 +13,20 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 from collections import deque
 from itertools import permutations
 from typing import Callable, Iterable, Mapping, Sequence
+
+# The package's error types, so that a test can compare the parsers' errors;
+# nothing else of the package is used here.
+from gradimpact.errors import (
+    DuplicateArgumentError,
+    DuplicateAttackError,
+    FormatSyntaxError,
+    MissingSeparatorError,
+    UnknownEndpointError,
+)
 
 Edge = tuple[str, str]
 
@@ -355,3 +366,93 @@ def one_at_a_time_search(
         if witness is not None and not count_all:
             break
     return tried, witness, annotations
+
+
+def line_parse_tgf(text: str) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
+    """TGF read one line at a time: the sorted arguments and attacks, or the
+    parse error of the first faulty line."""
+    nodes: list[str] = []
+    edges: list[Edge] = []
+    seen_nodes: set[str] = set()
+    seen_edges: set[Edge] = set()
+    in_edges = False
+    found_separator = False
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line == "#":
+            if found_separator:
+                raise FormatSyntaxError(number, raw)
+            found_separator = True
+            in_edges = True
+            continue
+        tokens = line.split()
+        if not in_edges:
+            if len(tokens) != 1:
+                raise FormatSyntaxError(number, raw)
+            (node,) = tokens
+            if node in seen_nodes:
+                raise DuplicateArgumentError(node)
+            seen_nodes.add(node)
+            nodes.append(node)
+        else:
+            if len(tokens) != 2:
+                raise FormatSyntaxError(number, raw)
+            source, target = tokens
+            if source not in seen_nodes:
+                raise UnknownEndpointError(source)
+            if target not in seen_nodes:
+                raise UnknownEndpointError(target)
+            if (source, target) in seen_edges:
+                raise DuplicateAttackError(source, target)
+            seen_edges.add((source, target))
+            edges.append((source, target))
+    if not found_separator:
+        raise MissingSeparatorError("no '#' separator line found")
+    return tuple(sorted(nodes)), tuple(sorted(edges))
+
+
+_APX_LINE_STATEMENT = re.compile(
+    r"arg\(\s*([^(),.\s%]+)\s*\)\s*\.|att\(\s*([^(),.\s%]+)\s*,\s*([^(),.\s%]+)\s*\)\s*\."
+)
+
+
+def line_parse_apx(text: str) -> tuple[tuple[str, ...], tuple[Edge, ...]]:
+    """APX read one line at a time: the sorted arguments and attacks, or the
+    parse error of the first faulty line, and after every line, of the first
+    attack on an undeclared argument."""
+    arguments: list[str] = []
+    attacks: list[tuple[int, str, str]] = []
+    seen_args: set[str] = set()
+    seen_attacks: set[Edge] = set()
+    for number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        position = 0
+        for match in _APX_LINE_STATEMENT.finditer(line):
+            if line[position : match.start()].strip():
+                raise FormatSyntaxError(number, raw)
+            position = match.end()
+            if match.group(1) is not None:
+                identifier = match.group(1)
+                if identifier in seen_args:
+                    raise DuplicateArgumentError(identifier)
+                seen_args.add(identifier)
+                arguments.append(identifier)
+            else:
+                source, target = match.group(2), match.group(3)
+                if (source, target) in seen_attacks:
+                    raise DuplicateAttackError(source, target)
+                seen_attacks.add((source, target))
+                attacks.append((number, source, target))
+        rest = line[position:].strip()
+        if rest and not rest.startswith("%"):
+            raise FormatSyntaxError(number, raw)
+    for _, source, target in attacks:
+        if source not in seen_args:
+            raise UnknownEndpointError(source)
+        if target not in seen_args:
+            raise UnknownEndpointError(target)
+    return tuple(sorted(arguments)), tuple(sorted((s, t) for _, s, t in attacks))

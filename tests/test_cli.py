@@ -11,9 +11,11 @@ import pytest
 
 from gradimpact import (
     AuditConfig,
+    GeneratorConfig,
     SemanticsSpec,
     SeriesConfig,
     ShapleyConfig,
+    random_af,
 )
 from gradimpact.cli import (
     _audit_config,
@@ -404,9 +406,10 @@ def _declared_console_script(name):
     return EntryPoint(name=name, value=scripts[name], group="console_scripts")
 
 
-def _run_checkout(*command, text=True):
-    # Run this checkout's package in a fresh interpreter.
-    env = dict(os.environ)
+def _run_checkout(*command, text=True, **variables):
+    # Run this checkout's package in a fresh interpreter, with ``variables``
+    # added to its environment.
+    env = dict(os.environ, **variables)
     paths = [str(REPO_ROOT / "src"), env.get("PYTHONPATH", "")]
     env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
     return subprocess.run(
@@ -471,3 +474,55 @@ def test_installed_console_script_matches_this_checkout(console_launcher, showca
     # up as a difference here.
     expected = _run_launcher(console_launcher, *args, text=False).stdout
     assert installed.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "command, unloaded",
+    [
+        (
+            "degrees",
+            [
+                "gradimpact.attribution",
+                "gradimpact.impact",
+                "gradimpact.principles",
+                "gradimpact.verdicts",
+                "hashlib",
+            ],
+        ),
+        ("shapley", ["gradimpact.principles", "gradimpact.impact"]),
+        ("annotate", ["gradimpact.principles", "gradimpact.impact"]),
+    ],
+)
+def test_a_command_loads_only_what_it_runs(command, unloaded, showcase_tgf, tmp_path):
+    # Each module a cold command imports costs it start-up time; these are
+    # the ones its own path never calls.
+    out = str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "from gradimpact.cli import main\n"
+        f"assert main([{command!r}, {showcase_tgf!r}, '--semantics', 'hbs',"
+        f" '--out', {out!r}]) == 0\n"
+        "print(sorted(set(sys.argv[1:]) & set(sys.modules)))\n"
+    )
+    done = _run_checkout("-c", code, *unloaded)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_dense_counting_degrees_barely_move_with_the_blas_thread_count(tmp_path):
+    # LAPACK may split a large solve over its threads and round an ulp or
+    # two apart; a fixed OPENBLAS_NUM_THREADS makes a run byte-identical.
+    path = tmp_path / "large.tgf"
+    af = random_af(GeneratorConfig(320, 0.01, seed=1))
+    path.write_text(serialize(af, "tgf"), encoding="utf-8")
+    runs = []
+    for threads in ("1", "2"):
+        done = _run_checkout(
+            "-m", "gradimpact", "degrees", str(path), "--semantics", "cs",
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout)["degrees"])
+    one, two = runs
+    assert one.keys() == two.keys() and len(one) == 320
+    assert max(abs(one[a] - two[a]) for a in one) <= 1e-12

@@ -18,6 +18,8 @@ from gradimpact import (
 )
 from gradimpact.errors import UnknownEndpointError
 
+from oracles import line_parse_apx, line_parse_tgf
+
 TGF_SAMPLE = "a\nb\nc\n#\na b\nb c\n"
 APX_SAMPLE = "arg(a).\narg(b).\n% a comment\natt(a,b).\n"
 
@@ -161,6 +163,10 @@ FRAGMENTS = (
     "#", "a", "b", "a b", "a b c", "arg(a).", "att(a,b).", "att(b,a).",
     "arg(", "att(a,", ")", ",", ".", "%", " ", "\t", "\n", "\r\n", "\x0b",
     "\u2028", "\x00", "\ufeff", "é",
+    # Two statements on one line, one split across lines, a statement in a
+    # comment, and the other line breaks and non-breaking whitespace.
+    "arg(b). att(a,b).", "att(a,\nb).", "% arg(c).", "arg(c).", "c a",
+    "\r", "\x0c", "\x1c", "\x85", "\u2029", "\xa0", "\x1f",
 )
 hostile_texts = st.one_of(
     st.text(), st.lists(st.sampled_from(FRAGMENTS)).map("".join)
@@ -175,3 +181,59 @@ def test_arbitrary_text_parses_or_raises_a_parse_error(text, parser):
     except ParseError:
         return
     assert af == ArgumentationFramework.of(af.arguments, af.attacks)
+
+
+def _outcome(parse_text, text):
+    # A parse as plain data: the sorted members, or the error's type,
+    # message and line number.
+    try:
+        found = parse_text(text)
+    except ParseError as error:
+        return type(error), str(error), getattr(error, "line_number", None)
+    if isinstance(found, ArgumentationFramework):
+        return found.arguments, found.attacks
+    return found
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    hostile_texts,
+    st.sampled_from([(parse_tgf, line_parse_tgf), (parse_apx, line_parse_apx)]),
+)
+def test_bulk_parsers_agree_with_a_line_by_line_reading(text, parsers):
+    parser, oracle = parsers
+    assert _outcome(parser, text) == _outcome(oracle, text)
+
+
+@pytest.mark.parametrize(
+    "parser, oracle, text, error, line",
+    [
+        # The first faulty line wins, whatever the other's kind.
+        (parse_tgf, line_parse_tgf, "a\na\n#\na b c\n", DuplicateArgumentError, None),
+        (parse_tgf, line_parse_tgf, "a b\na\na\n#\n", FormatSyntaxError, 1),
+        (parse_tgf, line_parse_tgf, "a\nb\n#\na c\na b c\n", UnknownEndpointError, None),
+        (parse_tgf, line_parse_tgf, "a\nb\n#\na b c\na c\n", FormatSyntaxError, 4),
+        (parse_tgf, line_parse_tgf, "a\nb\n#\na b\n#\na b\n", FormatSyntaxError, 5),
+        (parse_tgf, line_parse_tgf, "a\nb c\n", FormatSyntaxError, 2),
+        (parse_apx, line_parse_apx, "arg(a).\narg(a).\nbad\n", DuplicateArgumentError, None),
+        (parse_apx, line_parse_apx, "bad\narg(a).\narg(a).\n", FormatSyntaxError, 1),
+        (parse_apx, line_parse_apx, "arg(a). bad\narg(a).\n", FormatSyntaxError, 1),
+        (parse_apx, line_parse_apx, "arg(a).\r\narg(a). bad\n", DuplicateArgumentError, None),
+        # An undeclared endpoint is found only after every line is read.
+        (parse_apx, line_parse_apx, "att(a,b).\narg(a).\nbad\n", FormatSyntaxError, 3),
+        (parse_apx, line_parse_apx, "att(c,a).\natt(a,b).\narg(a).\n", UnknownEndpointError, None),
+        (parse_apx, line_parse_apx, "arg(a). % arg(b).\n", FormatSyntaxError, 1),
+        (parse_apx, line_parse_apx, "arg(\na).\n", FormatSyntaxError, 1),
+        (parse_apx, line_parse_apx, "arg(a).\x0batt(a,\u2028a).\n", FormatSyntaxError, 2),
+    ],
+)
+def test_the_first_faulty_line_raises(parser, oracle, text, error, line):
+    outcome = _outcome(parser, text)
+    assert outcome == _outcome(oracle, text)
+    assert outcome[0] is error and outcome[2] == line
+
+
+def test_comment_lines_and_split_statements_parse_as_a_line_reading_does():
+    text = "% att(x,y).\r\narg(a). arg(b).\u2028att(a,b). % note\n  %arg(z).\n"
+    assert _outcome(parse_apx, text) == _outcome(line_parse_apx, text)
+    assert parse_apx(text) == ArgumentationFramework.of(["a", "b"], [("a", "b")])

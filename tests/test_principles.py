@@ -32,9 +32,9 @@ from gradimpact import (
 )
 from gradimpact import NonConvergenceError, attribution, impact, principles, semantics
 from gradimpact.fixtures import chain_pair, disjoint_pair, showcase_af
-from gradimpact.impact import MEASURES, ImpactQuery
+from gradimpact.impact import ImpactQuery
 from gradimpact.principles import PRINCIPLES, RESTRICTED_SCOPE
-from gradimpact.semantics import CHECK_TOLERANCE
+from gradimpact.semantics import CHECK_TOLERANCE, MEASURES
 from gradimpact.verdicts import (
     COUNTEREXAMPLE,
     NO_COUNTEREXAMPLE,
