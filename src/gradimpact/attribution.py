@@ -11,13 +11,14 @@ beyond the cap a seeded permutation sample estimates the same average.  A
 coalition of the attacks on a has bit j for a's j-th sorted attacker.
 ``plan_intensities`` plans a framework's games once per ``ShapleyConfig``,
 as arrays: its coalition systems, the degrees each is read at, and where
-each game's scores lie among those reads.  ``prefetch_intensities`` solves
-the coalitions of many planned frameworks in one ``solve_coalitions`` stack
-and values the games of one in-degree together; each framework's
-intensities come out as one array in ``attack_bits`` order, the edge order
-the impact tables scatter into their intensity matrices.  ``shapley_all``
-is its one-framework case after a read of the intensity store, and the one
-place a ``ShapleyMeasure`` is built.  Under
+each game's scores lie among those reads.  ``prefetch_intensities`` reads
+the intensities of many frameworks from a ``semantics.Systems`` table,
+which also keeps their plans, solves the coalitions of those it lacks in
+one ``solve_coalitions`` stack, and values the games of one in-degree
+together; each framework's intensities are filed as one array in
+``attack_bits`` order, the edge order the impact tables scatter into their
+intensity matrices.  ``shapley_all`` is its one-framework case in the
+process table, and the one place a ``ShapleyMeasure`` is built.  Under
 ``hbs``, ``car``, ``max`` and swept ``cs`` each score is its derived
 framework's degree bit for bit.  Under dense ``cs`` (up to 1,023
 arguments) each score is a rank-one update of one solve per framework and
@@ -30,9 +31,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,12 +47,14 @@ from .framework import ArgumentationFramework, Attack
 from .semantics import (
     COALITION_CELLS,
     SemanticsSpec,
-    Store,
+    Systems,
     _attackers,
     attack_bits,
     degrees,
     grouped_rows,
+    library_table,
     solve_coalitions,
+    top_in_degree,
 )
 
 if TYPE_CHECKING:
@@ -266,50 +269,61 @@ def _game_values(
     return values
 
 
-_cached_shapley_all = Store(maxsize=4096)
+def plan(table: Systems, fid: int, config: ShapleyConfig) -> GamePlan:
+    """The games of the table's framework ``fid`` under ``config``,
+    planned on first use and kept in its ``plans``."""
+    found = table.plans.get((fid, config))
+    if found is None:
+        found = table.plans[fid, config] = plan_intensities(table.frameworks[fid], config)
+    return found
 
 
 def prefetch_intensities(
+    table: Systems,
     spec: SemanticsSpec,
     config: ShapleyConfig,
-    frameworks: Sequence[ArgumentationFramework],
-    planner: Callable[[ArgumentationFramework], GamePlan],
+    fids: Sequence[int],
     given: Mapping[ArgumentationFramework, ShapleyMeasure] | None = None,
-) -> list[tuple[np.ndarray, str] | GradimpactError]:
-    """Each framework's intensities in ``attack_bits`` order and its mode,
-    or the error its ``shapley_all`` call would raise.
+) -> list[np.ndarray | GradimpactError]:
+    """The intensities of each of the table's frameworks ``fids`` in
+    ``attack_bits`` order, or the error its ``shapley_all`` call would
+    raise.
 
-    A framework in ``given``, or whose measure is stored, takes that
-    measure, checked to name each attack once (``_edge_values``).  The
-    rest are solved from their plans, ``planner(af)``, all coalitions in one
-    ``solve_coalitions`` stack.  Each intensity is summed left to right
-    from 0.0, as a loop sums it: bit j's over the coalitions without j in
-    ascending order, and a sampled attack's over its draws before their
-    mean.  A failing framework gets the error of its first failing row.
+    A framework in ``given`` takes that measure, checked to name each
+    attack once (``_edge_values``).  The rest are read from the table's
+    intensities under ``spec`` and ``config``; those it lacks are solved
+    from their plans (``plan``), all coalitions in one ``solve_coalitions``
+    stack, and filed there with their errors.  Each intensity is summed
+    left to right from 0.0, as a loop sums it: bit j's over the coalitions
+    without j in ascending order, and a sampled attack's over its draws
+    before their mean.  A failing framework gets the error of its first
+    failing row.
     """
-    found: list = [None] * len(frameworks)
-    jobs = []
-    for i, af in enumerate(frameworks):
-        measure = None if given is None else given.get(af)
+    frameworks = table.frameworks
+    measures = [None if given is None else given.get(frameworks[fid]) for fid in fids]
+    read = [fid for fid, measure in zip(fids, measures) if measure is None]
+    solved = table.flat(("intensities", spec, config), len(frameworks))
+    missing = solved.missing(np.array(read, dtype=np.intp))
+    if missing is not None:
+        games = [plan(table, fid, config) for fid in missing]
+        found = solve_coalitions(spec, [(frameworks[f], *g[:3]) for f, g in zip(missing, games)])
+        values = _game_values(games, found)
+        ends = np.cumsum([game.m for game in games]).tolist()
+        solved.add([
+            (fid, values[end - game.m : end] if isinstance(result, np.ndarray) else result)
+            for fid, game, result, end in zip(missing, games, found, ends)
+        ])
+    out: list = []
+    for fid, measure in zip(fids, measures):
+        af, at = frameworks[fid], solved.offsets[fid]
         if measure is None:
-            measure = _cached_shapley_all.get((af, spec, config))
-        if measure is None:
-            jobs.append((i, planner(af)))
+            out.append(solved.failures[fid] if at < 0 else solved.values[at : at + len(af.attacks)])
             continue
         try:
-            found[i] = _edge_values(af, measure), measure.mode
+            out.append(_edge_values(af, measure))
         except GradimpactError as error:
-            found[i] = error
-    solved = solve_coalitions(spec, [(frameworks[i], *game[:3]) for i, game in jobs])
-    values = _game_values([game for _, game in jobs], solved)
-    at = 0
-    for (i, game), result in zip(jobs, solved):
-        mode = SAMPLED_MODE if game.sampled else EXACT_MODE
-        if isinstance(result, np.ndarray):
-            result = values[at : at + game.m], mode
-        found[i] = result
-        at += game.m
-    return found
+            out.append(error)
+    return out
 
 
 def _edge_values(af: ArgumentationFramework, measure: ShapleyMeasure) -> np.ndarray:
@@ -344,20 +358,19 @@ def shapley_all(
     lies within 2 * ``spec.tolerance`` of the exact Shapley value: each
     coalition degree is within ``tolerance`` of its fixed point, and the
     marginal weights sum to 1.  Under dense ``cs`` the bound is 2e-14 of
-    the value from dense solves.  Read from the intensity store, or else
-    solved alone by ``prefetch_intensities`` and filed there.
+    the value from dense solves.  The intensities are read from the process
+    table, or else solved alone by ``prefetch_intensities`` and filed
+    there; each read builds the measure, sampled when some target has more
+    attacks than ``config.exact_indegree_cap``.
     """
-    measure = _cached_shapley_all.get((af, spec, config))
-    if measure is None:
-        planner = partial(plan_intensities, config=config)
-        (solved,) = prefetch_intensities(spec, config, (af,), planner)
-        if isinstance(solved, GradimpactError):
-            raise solved
-        values, mode = solved
-        # ``attack_bits`` numbers the attacks by target, then source.
-        entries = tuple(zip(attack_bits(af), values.tolist()))
-        measure = _cached_shapley_all.put((af, spec, config), ShapleyMeasure(entries, mode))
-    return measure
+    with library_table() as table:
+        (found,) = prefetch_intensities(table, spec, config, [table.framework(af)])
+    if isinstance(found, GradimpactError):
+        raise found
+    # ``attack_bits`` numbers the attacks by target, then source.
+    entries = tuple(zip(attack_bits(af), found.tolist()))
+    sampled = top_in_degree(af) > config.exact_indegree_cap
+    return ShapleyMeasure(entries, SAMPLED_MODE if sampled else EXACT_MODE)
 
 
 def check_bounded_loss(

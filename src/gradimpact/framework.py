@@ -55,8 +55,8 @@ class ArgumentationFramework:
         return hash((self.arguments, self.attacks))
 
     def __hash__(self) -> int:
-        # The dataclass's hash, computed once: frameworks key the degree and
-        # intensity stores, which every impact query reads.
+        # The dataclass's hash, computed once: frameworks are numbered in
+        # the solved-results table by it, which every impact query reads.
         return self._hash
 
 

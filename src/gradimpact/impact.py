@@ -24,15 +24,15 @@ truncated alternating series would converge under the query's
 ``SeriesConfig``; otherwise the series itself is evaluated, walk length by
 walk length, with its divergence guard and length cap.
 
-A query is planned as a row of integers numbered in a table of systems
-and frameworks (``Systems``, ``Rows``), and ``evaluate_rows`` evaluates a
-batch of rows under one measure and semantics from flat arrays of solved
-degrees and closed forms, an audit window at a time.  An audit's table
-also keeps each framework's Shapley plan, made once per ``ShapleyConfig``
-for every semantics, and a framework's intensities arrive as one array in
-``attack_bits`` order (``attribution.prefetch_intensities``), which fills
-M by one scatter.  ``prefetch_impacts`` is a batch in the library's own
-table, and every other entry point here is its one-query case.
+A query is planned as a row of integers numbered in a ``semantics.Systems``
+table (``Rows``), and ``evaluate_rows`` evaluates a batch of rows under one
+measure and semantics from the table's flat arrays of solved degrees and
+closed forms (``resolvents``), an audit window at a time.  A framework's
+intensities come from the same table as one array in ``attack_bits`` order
+(``attribution.prefetch_intensities``), which fills M by one scatter.
+``prefetch_impacts`` is a batch in the process table, which ``degrees`` and
+``shapley_all`` read too, and every other entry point here is its
+one-query case.
 
 For the counting semantics, both deletion-based variants score the reduced
 frameworks with the parent framework's normalisation so the two sides stay
@@ -43,29 +43,22 @@ stage computed per sub-framework.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .attribution import (
-    GamePlan,
-    ShapleyConfig,
-    ShapleyMeasure,
-    plan_intensities,
-    prefetch_intensities,
-)
+from .attribution import ShapleyConfig, ShapleyMeasure, prefetch_intensities
 from .errors import DivergenceError, GradimpactError, UnknownArgumentError
 from .framework import ArgumentationFramework
 from .semantics import (
     SemanticsSpec,
-    Weighting,
+    Systems,
     _attackers,
+    _Flat,
     attack_masks,
-    counting_norm,
-    solve_systems,
+    library_table,
 )
 
 POLARITY_TOLERANCE = 1e-9
@@ -115,25 +108,6 @@ class ImpactValue:
         if self.value < -POLARITY_TOLERANCE:
             return "negative"
         return "neutral"
-
-
-def _shared_norm_spec(
-    af: ArgumentationFramework, spec: SemanticsSpec
-) -> SemanticsSpec:
-    # Reduced frameworks are scored with the parent's normalisation.
-    return _counting_norm_spec(af, spec) if spec.kind == "cs" else spec
-
-
-@lru_cache(maxsize=4096)
-def _counting_norm_spec(
-    af: ArgumentationFramework, spec: SemanticsSpec
-) -> SemanticsSpec:
-    # One spec object per framework: solve_systems groups a framework's
-    # systems by identity.
-    norm = counting_norm(af, spec.counting)
-    if norm is None:
-        return spec
-    return replace(spec, counting=replace(spec.counting, norm_override=norm))
 
 
 def _deletion_masks(
@@ -188,10 +162,36 @@ def imp_dv_original(
 class _Series(NamedTuple):
     matrix: np.ndarray  # the intensity matrix the walk series runs on
 
+    @property
+    def size(self) -> int:
+        return self.matrix.size
+
+
+def resolvents(
+    table: Systems,
+    spec: SemanticsSpec,
+    fids: np.ndarray,
+    config: ShapleyConfig,
+    series: SeriesConfig,
+    given: Mapping[ArgumentationFramework, ShapleyMeasure] | None,
+) -> tuple[_Flat, np.ndarray]:
+    """The ``_resolvents`` of the table's frameworks ``fids`` under
+    ``spec`` and the settings, and their offsets, filed in the table;
+    supplied intensities are resolved afresh."""
+    key = ("resolvents", spec, config, series) if given is None else None
+    resolved = table.flat(key, len(table.frameworks))
+    missing = resolved.missing(fids)
+    if missing is None:
+        return resolved, resolved.offsets[fids]
+    frameworks = [table.frameworks[fid] for fid in missing]
+    intensities = prefetch_intensities(table, spec, config, missing, given)
+    resolved.add(list(zip(missing, _resolvents(frameworks, intensities, series))))
+    return resolved, resolved.offsets[fids]
+
 
 def _resolvents(
     frameworks: Sequence[ArgumentationFramework],
-    intensities: Sequence[tuple[np.ndarray, str] | GradimpactError],
+    intensities: Sequence[np.ndarray | GradimpactError],
     series: SeriesConfig,
 ) -> list[np.ndarray | _Series | GradimpactError]:
     """How ``si`` reads each framework under its intensities, in
@@ -209,7 +209,7 @@ def _resolvents(
             continue
         graph = _attackers(af)
         matrix = np.zeros((graph.n, graph.n))
-        matrix[graph.heads[: graph.m], graph.sources[: graph.m]] = found[0]
+        matrix[graph.heads[: graph.m], graph.sources[: graph.m]] = found
         if _series_converges(float(abs(matrix).sum(axis=1).max(initial=0.0)), series):
             closed.setdefault(graph.n, []).append(len(out))
         matrix.flags.writeable = False
@@ -344,186 +344,6 @@ def _query_plan(
     return (positions[target],) + _deletion_masks(af, measure, xs, target)
 
 
-class Systems:
-    """The frameworks and (framework, mask) systems impact queries read,
-    each numbered on first use, and what each semantics solved of them: the
-    clipped degrees of each system, scored with its framework's own
-    normalisation, and each framework's ``_resolvents`` entry, kept end to
-    end per spec (and ``si`` settings) in a ``_Flat``, and each framework's
-    Shapley plan.  An audit's cells share one table, so a system that
-    recurs across windows, cells or principles is numbered once and solved
-    once per semantics."""
-
-    def __init__(self) -> None:
-        self.frameworks: list[ArgumentationFramework] = []
-        self.systems: list[tuple[int, int]] = []
-        self._ids: dict = {}
-        self._flats: dict = {}
-        self._plans: dict[tuple[int, ShapleyConfig], GamePlan] = {}
-
-    def framework(self, af: ArgumentationFramework) -> int:
-        return self._number(af, self.frameworks)
-
-    def system(self, fid: int, mask: int) -> int:
-        return self._number((fid, mask), self.systems)
-
-    def _number(self, key, numbered: list) -> int:
-        found = self._ids.get(key)
-        if found is None:
-            found = self._ids[key] = len(numbered)
-            numbered.append(key)
-        return found
-
-    def degrees(
-        self, spec: SemanticsSpec, sids: np.ndarray
-    ) -> tuple[_Flat, np.ndarray]:
-        """The degrees under ``spec`` and the offsets of ``sids`` in them,
-        the missing systems solved in one stack, checked and clipped as
-        ``degrees`` does."""
-        solved = self._flat(spec, len(self.systems))
-        missing = solved.missing(sids)
-        if missing is None:
-            return solved, solved.offsets[sids]
-        batch, found = [], []
-        for sid in missing:
-            fid, mask = self.systems[sid]
-            af = self.frameworks[fid]
-            try:
-                if not af.arguments:
-                    raise ValueError("degrees need at least one argument")
-                batch.append((af, _shared_norm_spec(af, spec), mask))
-                found.append(sid)
-            except (GradimpactError, ValueError) as error:
-                solved.fail(sid, error)
-        solved.add(list(zip(found, solve_systems(batch))), self._checked)
-        return solved, solved.offsets[sids]
-
-    def _checked(self, sid: int, vector: np.ndarray) -> ValueError | None:
-        """The error ``degrees`` raises for a solved entry outside [0, 1]."""
-        try:
-            Weighting._solved(self.frameworks[self.systems[sid][0]].arguments, vector)
-        except ValueError as error:
-            return error
-        return None
-
-    def own_degrees(self, spec: SemanticsSpec, frameworks: Sequence) -> list:
-        """Each framework's ``degrees`` vector under ``spec`` (its system
-        of no mask), or the error ``degrees`` would raise."""
-        sids = [self.system(self.framework(af), 0) for af in frameworks]
-        solved, starts = self.degrees(spec, np.array(sids, dtype=np.intp))
-        starts = starts.tolist()
-        return [
-            solved.failures[sid] if at < 0 else solved.values[at : at + len(af)]
-            for sid, at, af in zip(sids, starts, frameworks)
-        ]
-
-    def resolvents(
-        self,
-        spec: SemanticsSpec,
-        fids: np.ndarray,
-        config: ShapleyConfig,
-        series: SeriesConfig,
-        given: Mapping[ArgumentationFramework, ShapleyMeasure] | None,
-    ) -> tuple[_Flat, np.ndarray]:
-        """The ``_resolvents`` of the frameworks ``fids`` under ``spec`` and
-        the settings, and their offsets; supplied intensities are resolved
-        afresh."""
-        key = (spec, config, series) if given is None else None
-        resolved = self._flat(key, len(self.frameworks))
-        missing = resolved.missing(fids)
-        if missing is None:
-            return resolved, resolved.offsets[fids]
-        frameworks = [self.frameworks[fid] for fid in missing]
-        planner = partial(self.plan, config=config)
-        intensities = prefetch_intensities(spec, config, frameworks, planner, given)
-        resolved.add(list(zip(missing, _resolvents(frameworks, intensities, series))))
-        return resolved, resolved.offsets[fids]
-
-    def plan(self, af: ArgumentationFramework, config: ShapleyConfig) -> GamePlan:
-        """The games of ``af`` under ``config``, planned on first use."""
-        key = (self.framework(af), config)
-        if key not in self._plans:
-            self._plans[key] = plan_intensities(af, config)
-        return self._plans[key]
-
-    def _flat(self, key, size: int) -> _Flat:
-        # A key of None gets a flat of its own, kept nowhere.
-        flat = self._flats.get(key)
-        if flat is None:
-            flat = _Flat()
-            if key is not None:
-                self._flats[key] = flat
-        flat.grow(size)
-        return flat
-
-
-class _Flat:
-    """Vectors end to end in one array: entry i's from ``offsets[i]`` on,
-    -1 while missing and -2 once it failed, its failure in ``failures``.
-    ``used`` values are filled, and the ``_Series`` failures hold ``held``
-    more."""
-
-    def __init__(self) -> None:
-        self.offsets = np.zeros(0, dtype=np.intp)
-        self.values = np.zeros(0)
-        self.used = self.held = 0
-        self.failures: dict[int, object] = {}
-
-    def grow(self, size: int) -> None:
-        if size > len(self.offsets):
-            grown = np.full(max(size, 2 * len(self.offsets)), -1, dtype=np.intp)
-            grown[: len(self.offsets)] = self.offsets
-            self.offsets = grown
-
-    def missing(self, ids: np.ndarray) -> list[int] | None:
-        """The entries of ``ids`` still missing, each once, or None."""
-        missing = self.offsets[ids] == -1
-        if not np.count_nonzero(missing):
-            return None
-        return list(dict.fromkeys(ids[missing].tolist()))
-
-    def fail(self, i: int, failure) -> None:
-        self.offsets[i] = -2
-        self.failures[i] = failure
-        if isinstance(failure, _Series):
-            self.held += failure.matrix.size
-
-    def forget_errors(self) -> None:
-        """Mark each entry that failed with an error missing again."""
-        errors = [i for i, f in self.failures.items() if isinstance(f, Exception)]
-        self.offsets[errors] = -1
-        for i in errors:
-            del self.failures[i]
-
-    def add(self, found: list, check=None) -> None:
-        """File each ``(i, vector)``, or its failure if not an array.  With
-        ``check``, a vector it finds an error in fails with that error, and
-        the rest are clipped into [0, 1]."""
-        kept = []
-        for i, vector in found:
-            if isinstance(vector, np.ndarray):
-                kept.append((i, vector))
-            else:
-                self.fail(i, vector)
-        joined = np.concatenate([vector for _, vector in kept] or [self.values[:0]])
-        if check is not None:
-            low, high = joined.min(initial=0.0), joined.max(initial=1.0)
-            if not (low >= -1e-9 and high <= 1.0 + 1e-9):
-                found = [(i, check(i, vector) or vector) for i, vector in kept]
-                return self.add(found, check)
-            if low < 0.0 or high > 1.0:
-                np.clip(joined, 0.0, 1.0, out=joined)
-        end = self.used + len(joined)
-        if end > len(self.values):
-            grown = np.empty(max(end, 2 * len(self.values)))
-            grown[: self.used] = self.values[: self.used]
-            self.values = grown
-        self.values[self.used : end] = joined
-        for i, vector in kept:
-            self.offsets[i] = self.used
-            self.used += len(vector)
-
-
 class Rows(NamedTuple):
     """Planned impact queries as rows of integers: for ``dv`` and
     ``dv-original`` the target's index and its two systems' ids, for ``si``
@@ -605,8 +425,8 @@ def evaluate_rows(
         degrees = solved.values[cells + grid[:, :1]]
         values[live] = degrees[:, 0] - degrees[:, 1]
         return values, failed, unfinished
-    resolved, offsets = table.resolvents(
-        spec, grid[:, 0], shapley_config, series, intensities
+    resolved, offsets = resolvents(
+        table, spec, grid[:, 0], shapley_config, series, intensities
     )
     if resolved.failures and np.count_nonzero(offsets < 0):
         walked = offsets < 0
@@ -630,12 +450,6 @@ def evaluate_rows(
     return values, failed, unfinished
 
 
-# The library's table is dropped once it numbers more entries than the
-# degree store keeps, or holds more solved values (32 MB) than this.
-LIBRARY_SIZE, LIBRARY_CELLS = 1 << 15, 1 << 22
-_library = Systems()
-
-
 Outcome = tuple[float, bool]  # an ``ImpactValue``'s value and converged flag
 
 
@@ -649,22 +463,15 @@ def prefetch_impacts(
     series: SeriesConfig = SeriesConfig(),
 ) -> list[Outcome | Exception]:
     """The outcome ``evaluate_impact`` gives each query, or the error it
-    raises, from one batch of rows numbered in the library's table, which
+    raises, from one batch of rows numbered in the process table, which
     keeps their solves, but not their errors or Shapley plans, for later
     calls; nothing is raised here."""
-    global _library
-    held = sum(flat.used + flat.held for flat in _library._flats.values())
-    if len(_library._ids) > LIBRARY_SIZE or held > LIBRARY_CELLS:
-        _library = Systems()
-    rows = stack_rows(measure, [plan_row(_library, measure, q) for q in queries])
-    values, failed, unfinished = evaluate_rows(
-        _library, measure, spec, rows, intensities=intensities,
-        shapley_config=shapley_config, series=series,
-    )
-    for flat in _library._flats.values():
-        if flat.failures:
-            flat.forget_errors()
-    _library._plans.clear()
+    with library_table() as table:
+        rows = stack_rows(measure, [plan_row(table, measure, q) for q in queries])
+        values, failed, unfinished = evaluate_rows(
+            table, measure, spec, rows, intensities=intensities,
+            shapley_config=shapley_config, series=series,
+        )
     return [
         failed[i] if i in failed else (value, i not in unfinished)
         for i, value in enumerate(values.tolist())

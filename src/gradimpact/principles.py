@@ -39,7 +39,7 @@ impact is planned once per principle and measure as a row of integers
 (``impact.Rows``): a deletion impact's target and two system ids, or an
 ``si`` impact's framework id and member entries.  The audit numbers every
 (framework, mask) system, and every framework, in one table
-(``impact.Systems``), so a system that recurs across windows, cells or
+(``semantics.Systems``), so a system that recurs across windows, cells or
 principles is solved once per semantics, into that semantics' flat array of
 clipped degrees.  A window's plan is made by the first cell that reads its
 probes and reused by the others; the cell then gathers both sides of every
@@ -65,8 +65,8 @@ from .errors import IncompleteMatrixError, UnsupportedInstanceError
 from .fixtures import chain_pair, disjoint_pair, fixture_frameworks, showcase_af
 from .framework import ArgumentationFramework, Attack
 from .generate import GeneratorConfig, random_af
-from .impact import ImpactQuery, Rows, Systems, evaluate_rows, plan_row, stack_rows
-from .semantics import CHECK_TOLERANCE, KINDS, MEASURES, SemanticsSpec
+from .impact import ImpactQuery, Rows, evaluate_rows, plan_row, stack_rows
+from .semantics import CHECK_TOLERANCE, KINDS, MEASURES, SemanticsSpec, Systems
 from .verdicts import (
     COUNTEREXAMPLE,
     NO_COUNTEREXAMPLE,

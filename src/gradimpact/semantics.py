@@ -44,28 +44,35 @@ the edge order of a sweep (``attack_bits``).  Deleting arguments is the
 mask that drops every attack touching them; they stay, isolated, and change
 no other degree (a dense ``cs`` solve, one row and column larger for each,
 can round an ulp apart).  ``solve_systems`` stacks masks of many
-frameworks without building the derived frameworks; ``degrees`` solves the
-one system a read of the degree store lacks, and the impact queries number
-theirs in ``impact.Systems``.  ``prefetch_coalitions`` reads one target's
-degree per coalition of its attacks, numbered over its sorted attackers,
-for many frameworks at once, and keeps from each chunk only the degrees it
-reads.
+frameworks without building the derived frameworks, and
+``solve_coalitions`` reads one target's degree per coalition of its
+attacks, numbered over its sorted attackers (``grouped_rows``), for many
+frameworks at once, keeping from each chunk only the degrees it reads.
 
 Shapley coalitions under dense ``cs`` are the exception: a coalition of
 t's attacks changes only row t of I + (alpha / N) M, so
-``prefetch_coalitions`` factors one system per (framework, norm) pair and
+``solve_coalitions`` factors one system per (framework, norm) pair and
 reads every coalition as a Sherman-Morrison rank-one update of it
 (``_rank_one_rows``).  Its values lie within 1e-14 of a dense solve of each
 derived framework (the largest move measured against one is 5.8e-16, on
 300 arguments), not bit for bit; ``degrees`` and the ``dv`` masks keep the
 dense solve.
+
+One table owns every solved result (``Systems``).  It numbers each
+framework and (framework, mask) system on first use, and keeps each kind
+of result end to end in one flat array: the degrees solved here, and the
+Shapley intensities and ``si`` resolvents that ``attribution`` and
+``impact`` file in it.  Every library call (``degrees``, ``shapley_all``,
+the ``imp_*`` impacts) reads the one process table, which is cleared in
+place once it numbers 2^15 entries or holds 2^22 values; an audit numbers
+its cells in a table of its own.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations, repeat
 from types import MappingProxyType
@@ -127,8 +134,8 @@ class SemanticsSpec:
         return hash((self.kind, self.tolerance, self.max_iterations, self.counting))
 
     def __hash__(self) -> int:
-        # The dataclass's hash, computed once: specs key the degree and
-        # intensity stores, which every impact query reads.
+        # The dataclass's hash, computed once: specs key the flats of the
+        # solved-results table, which every impact query reads.
         return self._hash
 
     def __post_init__(self) -> None:
@@ -164,11 +171,11 @@ class Weighting(Mapping[str, float]):
 
     @classmethod
     def _solved(cls, arguments: tuple[str, ...], solved: np.ndarray) -> Weighting:
-        """The weighting of a solved degree vector in the order of
-        ``arguments``, checked and clipped as the constructor does."""
+        """The weighting of a degree vector in the order of ``arguments``,
+        already checked and clipped as the constructor does."""
         weighting = cls.__new__(cls)
         weighting._arguments = arguments
-        weighting._values = tuple(map(_clipped, arguments, solved.tolist()))
+        weighting._values = tuple(solved.tolist())
         weighting._degrees = None
         return weighting
 
@@ -205,7 +212,13 @@ class Weighting(Mapping[str, float]):
 
 def counting_norm(af: ArgumentationFramework, config: CountingConfig) -> float | None:
     """The normalisation ``cs`` would use on this framework, None if attack-free."""
-    return _norm_for(af.max_in_degree(), config)
+    return _norm_for(top_in_degree(af), config)
+
+
+def top_in_degree(af: ArgumentationFramework) -> int:
+    """The largest in-degree, read from the edge arrays."""
+    graph = _attackers(af)
+    return int(np.diff(graph.first, append=graph.m).max(initial=0))
 
 
 def _norm_for(top: int, config: CountingConfig) -> float | None:
@@ -226,46 +239,224 @@ class CacheInfo(NamedTuple):
     currsize: int
 
 
-class Store:
-    """A bounded least-recently-used store of solved results.
+class Systems:
+    """The frameworks and (framework, mask) systems that degree and impact
+    reads name, each numbered on first use, and what was solved of them,
+    each kind of result end to end in a ``_Flat`` of its own key: the
+    clipped degrees of each system per spec (``degrees``), and per
+    framework what the module that owns the algorithm files in ``flat``,
+    ``attribution`` its edge-order intensities and ``impact`` its
+    resolvents.  It also keeps the Shapley plans ``attribution`` makes
+    (``plans``) and each framework's ``cs`` normalisation (``norm_spec``).
 
-    ``put`` files a result solved for the store and counts it as a miss, so
-    ``misses`` counts every result solved for it, and ``get`` reads one, if
-    stored, as a hit; ``cache_info`` and ``cache_clear`` read and reset it
-    as ``functools.lru_cache`` does.  The degree store holds one
-    ``Weighting`` per solved system: the clipped degree vector, whose map
-    from argument to degree is built only when first read by name.
-    """
+    Every library call reads and fills the process table (``_library``),
+    and an audit its own, so a system that recurs across windows, cells or
+    principles is numbered once and solved once per semantics.
+    ``cache_info`` counts the degree systems read without a solve as hits
+    and those solved as misses."""
 
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._items: OrderedDict = OrderedDict()
-        self._hits = self._misses = 0
+    def __init__(self) -> None:
+        self.hits = self.misses = 0
+        self.clear()
 
-    def get(self, key: tuple):
-        """The stored result for ``key``, counted as a hit, or None."""
-        value = self._items.get(key)
-        if value is not None:
-            self._hits += 1
-            self._items.move_to_end(key)
-        return value
-
-    def put(self, key: tuple, value):
-        self._misses += 1
-        self._items[key] = value
-        if len(self._items) > self.maxsize:
-            self._items.popitem(last=False)
-        return value
+    def clear(self) -> None:
+        """Drop every entry, keeping the counts."""
+        self.frameworks: list[ArgumentationFramework] = []
+        self.systems: list[tuple[int, int]] = []
+        self._ids: dict = {}
+        self._flats: dict = {}
+        self._norms: dict = {}
+        self.plans: dict = {}
 
     def cache_info(self) -> CacheInfo:
-        return CacheInfo(self._hits, self._misses, self.maxsize, len(self._items))
+        return CacheInfo(self.hits, self.misses, LIBRARY_SIZE, len(self.systems))
 
     def cache_clear(self) -> None:
-        self._items.clear()
-        self._hits = self._misses = 0
+        """Drop every entry and reset the counts, as ``functools.lru_cache`` does."""
+        self.hits = self.misses = 0
+        self.clear()
+
+    def framework(self, af: ArgumentationFramework) -> int:
+        return self._number(af, self.frameworks)
+
+    def system(self, fid: int, mask: int) -> int:
+        return self._number((fid, mask), self.systems)
+
+    def _number(self, key, numbered: list) -> int:
+        found = self._ids.get(key)
+        if found is None:
+            found = self._ids[key] = len(numbered)
+            numbered.append(key)
+        return found
+
+    def norm_spec(self, fid: int, spec: SemanticsSpec) -> SemanticsSpec:
+        """The spec that scores the systems of framework ``fid`` with its
+        normalisation: under ``cs``, ``spec`` with that norm as override,
+        one object per framework, as ``solve_systems`` groups a framework's
+        systems by identity."""
+        if spec.kind != "cs":
+            return spec
+        found = self._norms.get((fid, spec))
+        if found is None:
+            norm = counting_norm(self.frameworks[fid], spec.counting)
+            counting = replace(spec.counting, norm_override=norm)
+            found = spec if norm is None else replace(spec, counting=counting)
+            self._norms[fid, spec] = found
+        return found
+
+    def degrees(
+        self, spec: SemanticsSpec, sids: np.ndarray, own_norm: bool = False
+    ) -> tuple[_Flat, np.ndarray]:
+        """The degrees under ``spec`` and the offsets of ``sids`` in them,
+        the missing systems solved in one stack, checked and clipped as
+        ``degrees`` does.  Under ``cs`` a system is scored with its
+        framework's normalisation (``norm_spec``), or with ``own_norm`` with
+        its own, in a flat of its own."""
+        own_norm = own_norm and spec.kind == "cs"
+        solved = self.flat(("degrees", spec, own_norm), len(self.systems))
+        missing = solved.missing(sids)
+        if missing is None:
+            self.hits += sids.size
+            return solved, solved.offsets[sids]
+        self.hits += sids.size - len(missing)
+        batch, found = [], []
+        for sid in missing:
+            fid, mask = self.systems[sid]
+            af = self.frameworks[fid]
+            try:
+                if not af.arguments:
+                    raise ValueError("degrees need at least one argument")
+                batch.append((af, spec if own_norm else self.norm_spec(fid, spec), mask))
+                found.append(sid)
+            except (GradimpactError, ValueError) as error:
+                solved.fail(sid, error)
+        self.misses += len(batch)
+        solved.add(list(zip(found, solve_systems(batch))), self._checked)
+        return solved, solved.offsets[sids]
+
+    def _checked(self, sid: int, vector: np.ndarray) -> ValueError | None:
+        """The error ``degrees`` raises for a solved entry outside [0, 1]."""
+        arguments = self.frameworks[self.systems[sid][0]].arguments
+        try:
+            list(map(_clipped, arguments, vector.tolist()))
+        except ValueError as error:
+            return error
+        return None
+
+    def own_degrees(self, spec: SemanticsSpec, frameworks: Sequence) -> list:
+        """Each framework's ``degrees`` vector under ``spec`` (its system
+        of no mask), or the error ``degrees`` would raise."""
+        sids = [self.system(self.framework(af), 0) for af in frameworks]
+        solved, starts = self.degrees(spec, np.array(sids, dtype=np.intp))
+        starts = starts.tolist()
+        return [
+            solved.failures[sid] if at < 0 else solved.values[at : at + len(af)]
+            for sid, at, af in zip(sids, starts, frameworks)
+        ]
+
+    def flat(self, key, size: int) -> _Flat:
+        """The flat of ``key``, grown to ``size`` entries; a key of None
+        gets a flat of its own, kept nowhere."""
+        flat = self._flats.get(key)
+        if flat is None:
+            flat = _Flat()
+            if key is not None:
+                self._flats[key] = flat
+        flat.grow(size)
+        return flat
 
 
-_cached_degrees = Store(maxsize=32768)
+class _Flat:
+    """Vectors end to end in one array: entry i's from ``offsets[i]`` on,
+    -1 while missing and -2 once it failed, its failure in ``failures``.
+    ``used`` values are filled, and the failures that are not errors hold
+    ``held`` more, ``size`` each."""
+
+    def __init__(self) -> None:
+        self.offsets = np.zeros(0, dtype=np.intp)
+        self.values = np.zeros(0)
+        self.used = self.held = 0
+        self.failures: dict[int, object] = {}
+
+    def grow(self, size: int) -> None:
+        if size > len(self.offsets):
+            grown = np.full(max(size, 2 * len(self.offsets)), -1, dtype=np.intp)
+            grown[: len(self.offsets)] = self.offsets
+            self.offsets = grown
+
+    def missing(self, ids: np.ndarray) -> list[int] | None:
+        """The entries of ``ids`` still missing, each once, or None."""
+        missing = self.offsets[ids] == -1
+        if not np.count_nonzero(missing):
+            return None
+        return list(dict.fromkeys(ids[missing].tolist()))
+
+    def fail(self, i: int, failure) -> None:
+        self.offsets[i] = -2
+        self.failures[i] = failure
+        if not isinstance(failure, Exception):
+            self.held += failure.size
+
+    def forget_errors(self) -> None:
+        """Mark each entry that failed with an error missing again."""
+        errors = [i for i, f in self.failures.items() if isinstance(f, Exception)]
+        self.offsets[errors] = -1
+        for i in errors:
+            del self.failures[i]
+
+    def add(self, found: list, check=None) -> None:
+        """File each ``(i, vector)``, or its failure if not an array.  With
+        ``check``, a vector it finds an error in fails with that error, and
+        the rest are clipped into [0, 1]."""
+        kept = []
+        for i, vector in found:
+            if isinstance(vector, np.ndarray):
+                kept.append((i, vector))
+            else:
+                self.fail(i, vector)
+        joined = np.concatenate([vector for _, vector in kept] or [self.values[:0]])
+        if check is not None:
+            low, high = joined.min(initial=0.0), joined.max(initial=1.0)
+            if not (low >= -1e-9 and high <= 1.0 + 1e-9):
+                found = [(i, check(i, vector) or vector) for i, vector in kept]
+                return self.add(found, check)
+            if low < 0.0 or high > 1.0:
+                np.clip(joined, 0.0, 1.0, out=joined)
+        end = self.used + len(joined)
+        if end > len(self.values):
+            grown = np.empty(max(end, 2 * len(self.values)))
+            grown[: self.used] = self.values[: self.used]
+            self.values = grown
+        self.values[self.used : end] = joined
+        for i, vector in kept:
+            self.offsets[i] = self.used
+            self.used += len(vector)
+
+
+# The process table is cleared once it numbers more frameworks and systems
+# than this, or holds more solved values (32 MB).
+LIBRARY_SIZE, LIBRARY_CELLS = 1 << 15, 1 << 22
+_library = Systems()
+# perfbench's tracer counts degree solves as misses of this, the old store's name.
+_cached_degrees = _library
+
+
+@contextmanager
+def library_table() -> Iterator[Systems]:
+    """The process table for one library call: cleared in place first if
+    past its bound, and left without the call's errors or Shapley plans,
+    so a failing call is solved afresh each time."""
+    table = _library
+    held = sum(flat.used + flat.held for flat in table._flats.values())
+    if len(table._ids) > LIBRARY_SIZE or held > LIBRARY_CELLS:
+        table.clear()
+    try:
+        yield table
+    finally:
+        for flat in table._flats.values():
+            if flat.failures:
+                flat.forget_errors()
+        table.plans.clear()
 
 
 def degrees(
@@ -275,68 +466,37 @@ def degrees(
 
     A nonzero ``mask`` scores a framework derived from ``af``: bit ``e``
     drops the ``e``-th attack in ``attack_bits`` order.  The result equals,
-    bit for bit, the degrees of ``af.delete_attacks`` of those attacks.  On
+    bit for bit, the degrees of ``af.delete_attacks`` of those attacks,
+    scored under ``cs`` with the derived framework's own normalisation.  On
     frameworks of up to 1,023 arguments ``cs`` solves a linear system, and
     ``tolerance`` and ``max_iterations`` play no part; larger ones are swept,
     within ``tolerance`` of the exact degrees, and can raise
     ``NonConvergenceError``.
 
-    Results come from the degree store, which keeps each solved vector,
-    checked and clipped into [0, 1], in a ``Weighting`` that builds its map
-    from argument to degree on its first read; its ``vector`` reads the
-    degrees without it.  A result the store lacks is solved alone and filed
-    there; a failure stays out of it.
+    The degrees are read from the process table, which keeps each solved
+    vector checked and clipped into [0, 1]; a system it lacks is solved
+    alone and filed there, and a failure stays out of it.  Each read builds
+    a ``Weighting``, whose map from argument to degree is built on its
+    first read by name; its ``vector`` reads the degrees without it.
     """
     if not af.arguments:
         raise ValueError("degrees need at least one argument")
     if mask < 0 or mask >> len(af.attacks):
         raise ValueError(f"mask {mask:#x} names attacks the framework lacks")
-    key = (af, spec, mask)
-    weighting = _cached_degrees.get(key)
-    if weighting is None:
-        (solved,) = solve_systems([key])
-        if isinstance(solved, GradimpactError):
-            raise solved
-        weighting = _cached_degrees.put(key, Weighting._solved(af.arguments, solved))
-    return weighting
+    with library_table() as table:
+        sid = table.system(table.framework(af), mask)
+        solved, (at,) = table.degrees(spec, np.array([sid]), own_norm=mask != 0)
+        if at < 0:
+            raise solved.failures[sid]
+        return Weighting._solved(af.arguments, solved.values[at : at + len(af.arguments)])
 
 
 System = tuple[ArgumentationFramework, SemanticsSpec, int]
 
 
-Coalitions = tuple[ArgumentationFramework, SemanticsSpec, Sequence[tuple[int, int]]]
 # A framework's coalition systems ``(af, masks, counts, targets)``: the
 # system of ``masks[s]`` is read at the next ``counts[s]`` of ``targets``.
 Grouped = tuple[ArgumentationFramework, list[int], np.ndarray, np.ndarray]
-
-
-def prefetch_coalitions(
-    jobs: Sequence[Coalitions],
-) -> list[list[float] | GradimpactError]:
-    """Each ``(af, spec, rows)`` job's degree of each row's target in a
-    framework derived from ``af``, or the error of its first failing row.
-
-    A row is ``(t, coalition)``: ``t`` indexes ``af.arguments``, and bit j
-    of ``coalition`` drops the attack on ``af.arguments[t]`` from its j-th
-    sorted attacker, so it is the ``degrees`` mask ``coalition << first``,
-    where ``first`` is the bit of t's first attack in ``attack_bits``; a
-    failing job gets what ``degrees`` would raise for its first failing row.
-    A coalition with a bit at or past its target's in-degree raises
-    ``ValueError`` naming the first such row, before anything is solved.
-    Rows of one mask read one system (``grouped_rows``), solved as
-    ``solve_coalitions`` says; nothing is built or cached for the derived
-    frameworks.
-    """
-    grouped = [grouped_rows(af, rows) for af, _, rows in jobs]
-    results = []
-    for (af, spec, _), (masks, counts, targets, order) in zip(jobs, grouped):
-        (solved,) = solve_coalitions(spec, [(af, masks, counts, targets)])
-        if isinstance(solved, np.ndarray):
-            values = np.empty(len(order))
-            values[order] = solved
-            solved = values.tolist()
-        results.append(solved)
-    return results
 
 
 def grouped_rows(

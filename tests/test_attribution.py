@@ -187,7 +187,7 @@ def test_rows_split_across_chunks_give_the_same_values(
     monkeypatch.setattr(semantics, "_dense", lambda spec, n: solver == "_counting_rows")
 
     def unsplit(af, spec, config):
-        return _afresh(attribution._cached_shapley_all, shapley_all, af, spec, config)
+        return _afresh(shapley_all, af, spec, config)
 
     whole = unsplit(showcase, spec, ShapleyConfig())
     if solver == "_counting_rows":
@@ -220,14 +220,26 @@ def test_rows_split_across_chunks_give_the_same_values(
     assert split == whole
 
 
-def _afresh(store, solve, *args):
-    """``solve(*args)`` solved from an empty ``store``, which is left empty,
-    so that no result solved under a patch outlives it."""
-    store.cache_clear()
+def _afresh(solve, *args):
+    """``solve(*args)`` solved from an empty process table, which is left
+    empty, so that no result solved under a patch outlives it."""
+    semantics._library.cache_clear()
     try:
         return solve(*args)
     finally:
-        store.cache_clear()
+        semantics._library.cache_clear()
+
+
+def _coalition_reads(af, spec, rows):
+    """Each ``(t, coalition)`` row's read in row order, from ``grouped_rows``
+    and one ``solve_coalitions`` job, or the job's error."""
+    masks, counts, targets, order = semantics.grouped_rows(af, rows)
+    (solved,) = semantics.solve_coalitions(spec, [(af, masks, counts, targets)])
+    if isinstance(solved, Exception):
+        return solved
+    values = np.empty(len(order))
+    values[order] = solved
+    return values.tolist()
 
 
 def _coalition_norms(af):
@@ -279,16 +291,15 @@ def _removed(af, t, coalition):
 def test_swept_counting_solve_agrees_with_the_dense_one(af, norm):
     spec = SemanticsSpec("cs", counting=CountingConfig(norm_override=norm))
     rows = _all_coalitions(af)
-    store = semantics._cached_degrees
-    (dense,) = semantics.prefetch_coalitions([(af, spec, rows)])
-    dense_whole = _afresh(store, degrees, af, spec)
+    dense = _coalition_reads(af, spec, rows)
+    dense_whole = _afresh(degrees, af, spec)
     with pytest.MonkeyPatch.context() as patch:
         # Every framework is swept, its rows batched at the usual budget.
         patch.setattr(semantics, "_dense", lambda spec, n: False)
-        (swept,) = semantics.prefetch_coalitions([(af, spec, rows)])
-        swept_whole = _afresh(store, degrees, af, spec)
+        swept = _coalition_reads(af, spec, rows)
+        swept_whole = _afresh(degrees, af, spec)
         reduced = [
-            _afresh(store, degrees, af.delete_attacks(_removed(af, t, coalition)), spec)[
+            _afresh(degrees, af.delete_attacks(_removed(af, t, coalition)), spec)[
                 af.arguments[t]
             ]
             for t, coalition in rows
@@ -334,7 +345,7 @@ def test_rank_one_rows_agree_with_dense_solves(af, extra, config):
     norm = None if extra is None else af.max_in_degree() + extra
     spec = SemanticsSpec("cs", counting=CountingConfig(norm_override=norm))
     rows = _all_coalitions(af) + _planned_rows(af, config)
-    (values,) = semantics.prefetch_coalitions([(af, spec, rows)])
+    values = _coalition_reads(af, spec, rows)
     for (t, coalition), value in zip(rows, values):
         expected = counting_coalition_degree(
             af.arguments,
@@ -390,7 +401,7 @@ def test_exact_intensities_lie_within_twice_the_tolerance(af, kind):
     expected, mode = reference_shapley(af.arguments, af.attacks, worth, 12, 1, 0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(semantics, "_dense", lambda spec, n: False)
-        measure = _afresh(attribution._cached_shapley_all, shapley_all, af, spec, ShapleyConfig())
+        measure = _afresh(shapley_all, af, spec, ShapleyConfig())
     assert measure.mode == mode == EXACT_MODE
     assert [attack for attack, _ in measure.entries] == [attack for attack, _ in expected]
     for (_, value), (_, exact) in zip(measure.entries, expected):
@@ -430,7 +441,7 @@ def test_coalition_solves_keep_only_the_entries_they_read():
     spec = SemanticsSpec("hbs")
     tracemalloc.start()
     try:
-        measure = _afresh(attribution._cached_shapley_all, shapley_all, af, spec, ShapleyConfig())
+        measure = _afresh(shapley_all, af, spec, ShapleyConfig())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -439,10 +450,9 @@ def test_coalition_solves_keep_only_the_entries_they_read():
 
 
 def test_coalitions_stay_out_of_the_degree_cache(showcase):
-    attribution._cached_shapley_all.cache_clear()
-    semantics._cached_degrees.cache_clear()
+    semantics._library.cache_clear()
     shapley_all(showcase, SemanticsSpec("hbs"))
-    assert semantics._cached_degrees.cache_info().currsize == 0
+    assert semantics._library.cache_info().currsize == 0
 
 
 @settings(max_examples=40, deadline=None)

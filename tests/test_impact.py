@@ -26,16 +26,15 @@ from gradimpact import (
     shapley_all,
 )
 from gradimpact.fixtures import fan_af, selfloop_af
-from gradimpact import impact
+from gradimpact import impact, semantics
 from gradimpact.impact import (
     ImpactQuery,
     _series_converges,
-    _shared_norm_spec,
     _walk_series,
     prefetch_impacts,
 )
 from gradimpact.principles import corpus_frameworks
-from gradimpact.semantics import KINDS
+from gradimpact.semantics import KINDS, Systems
 
 from oracles import walk_impact
 
@@ -183,17 +182,23 @@ def test_exhausted_walk_budget_reports_non_convergence():
     assert outcome.value == pytest.approx(-s + s**2 - s**3, abs=1e-12)
 
 
+def _norm_spec(af, spec):
+    """The spec a table scores the reduced frameworks of ``af`` with."""
+    table = Systems()
+    return table.norm_spec(table.framework(af), spec)
+
+
 def test_counting_reductions_reuse_the_parent_normalisation(showcase):
     spec = SemanticsSpec("cs")
-    shared = _shared_norm_spec(showcase, spec)
+    shared = _norm_spec(showcase, spec)
     assert shared.counting.norm_override == 3.0
-    assert _shared_norm_spec(showcase, HBS) is HBS
+    assert _norm_spec(showcase, HBS) is HBS
     assert imp_dv(showcase, spec, ["a8"], "a4").value == pytest.approx(-0.327, abs=0.002)
 
 
 def _deletion_reference(af, spec, subject, target, original):
     """dv or dv-original from the reduced frameworks that define it."""
-    scoring = _shared_norm_spec(af, spec)
+    scoring = _norm_spec(af, spec)
     xs = set(subject)
     if original:
         attackers = set(af.external_attackers(xs))
@@ -486,15 +491,22 @@ def test_a_cached_impact_hashes_its_framework_at_most_three_times(showcase, monk
 
 
 def test_a_failing_call_leaves_no_error_in_the_library(showcase):
-    # Each call solves its failing systems afresh, as the degree store
+    # Each call solves its failing systems afresh, as the process table
     # keeps no failure, so no error object is raised twice.
     spec = SemanticsSpec("hbs", max_iterations=3)
-    for measure in (imp_dv, imp_si):
+    calls = (
+        lambda: degrees(showcase, spec),
+        lambda: degrees(showcase, spec, 1),
+        lambda: shapley_all(showcase, spec),
+        lambda: imp_dv(showcase, spec, ["a8"], "a4"),
+        lambda: imp_si(showcase, spec, ["a8"], "a4"),
+    )
+    for call in calls:
         raised = []
         for _ in range(2):
             with pytest.raises(GradimpactError) as caught:
-                measure(showcase, spec, ["a8"], "a4")
+                call()
             raised.append(caught.value)
         assert raised[0] is not raised[1]
-        kept = [f for flat in impact._library._flats.values() for f in flat.failures.values()]
+        kept = [f for flat in semantics._library._flats.values() for f in flat.failures.values()]
         assert not any(isinstance(f, Exception) for f in kept)

@@ -398,9 +398,8 @@ def _evaluated(measure, spec, side):
 
 def _one_at_a_time(principle, measure, spec, corpus, seed=0):
     """``check_principle``'s search with every side evaluated on its own,
-    when compared, from cold degree and intensity stores."""
-    semantics._cached_degrees.cache_clear()
-    attribution._cached_shapley_all.cache_clear()
+    when compared, from a cold process table."""
+    semantics._library.cache_clear()
     check = principles._CHECKS[principle]
     plain, shaped = principles._split_corpus(principle, check.fits, corpus)
     ctx = principles._Context(measure, spec, CHECK_TOLERANCE, {})
@@ -537,11 +536,17 @@ def test_the_audit_solves_no_more_systems_than_the_degree_store_did(monkeypatch)
         return solve(systems, reads)
 
     monkeypatch.setattr(semantics, "solve_systems", counted)
-    monkeypatch.setattr(impact, "solve_systems", counted)
-    semantics._cached_degrees.cache_clear()
-    attribution._cached_shapley_all.cache_clear()
+    semantics._library.cache_clear()
     audit(GOLDEN_CONFIG)
     assert 0 < sum(rows) <= STORE_SOLVED_ROWS
+
+
+def test_an_audit_leaves_the_process_table_as_it_found_it():
+    # An audit numbers and solves everything in a table of its own.
+    semantics.degrees(showcase_af(), SemanticsSpec("hbs"))
+    before = semantics._library.cache_info()
+    audit(AuditConfig())
+    assert semantics._library.cache_info() == before
 
 
 def test_each_framework_is_planned_once_per_shapley_config(monkeypatch):
@@ -555,8 +560,7 @@ def test_each_framework_is_planned_once_per_shapley_config(monkeypatch):
         return plan(af, config)
 
     monkeypatch.setattr(attribution, "plan_intensities", counted)
-    monkeypatch.setattr(impact, "plan_intensities", counted)
-    attribution._cached_shapley_all.cache_clear()
+    semantics._library.cache_clear()
     audit(GOLDEN_CONFIG)
     assert len(GOLDEN_CONFIG.semantics) == 4
     assert planned and max(planned.values()) == 1
@@ -785,11 +789,9 @@ def test_window_values_equal_each_impact_evaluated_alone(kind):
     ]
     spec = SemanticsSpec(kind)
     for measure in MEASURES:
-        semantics._cached_degrees.cache_clear()
-        attribution._cached_shapley_all.cache_clear()
+        semantics._library.cache_clear()
         alone = [_evaluated(measure, spec, side) for side in sides]
-        semantics._cached_degrees.cache_clear()
-        attribution._cached_shapley_all.cache_clear()
+        semantics._library.cache_clear()
         ctx = principles._Context(measure, spec, CHECK_TOLERANCE, {})
         # The window solves every side ahead, and raises nothing: each side
         # is the lhs of a probe, and the error of a side is its probe's.
@@ -810,10 +812,10 @@ def test_a_query_whose_two_solves_fail_raises_the_one_read_first():
         [("x1", "x2"), ("x2", "x1"), ("y1", "x1"), ("y1", "y2"), ("y2", "y1")],
     )
     query = ImpactQuery(af, ("y1",), "x1")
-    semantics._cached_degrees.cache_clear()
+    semantics._library.cache_clear()
     with pytest.raises(NonConvergenceError) as alone:
         imp_dv(af, TIGHT, query.subject, query.target)
-    semantics._cached_degrees.cache_clear()
+    semantics._library.cache_clear()
     ctx = principles._Context("dv", TIGHT, CHECK_TOLERANCE, {})
     _, _, errors = ctx.resolve([(query, 0.0, {})], 0)
     windowed = errors[0]

@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradimpact import (
     ArgumentationFramework,
@@ -180,6 +180,18 @@ def test_hub_degrees_equal_the_reference_loop(kind):
     assert degrees(af, SemanticsSpec(kind)).as_dict() == scores
 
 
+def _coalition_reads(af, spec, rows):
+    """Each ``(t, coalition)`` row's read in row order, from ``grouped_rows``
+    and one ``solve_coalitions`` job, or the job's error."""
+    masks, counts, targets, order = semantics.grouped_rows(af, rows)
+    (solved,) = semantics.solve_coalitions(spec, [(af, masks, counts, targets)])
+    if isinstance(solved, Exception):
+        return solved
+    values = np.empty(len(order))
+    values[order] = solved
+    return values.tolist()
+
+
 @pytest.mark.parametrize("kind", ["hbs", "car", "max"])
 def test_hub_coalitions_equal_their_reduced_frameworks(kind):
     # Rows removing one to three of the 58 attacks on the first hub and of
@@ -195,9 +207,7 @@ def test_hub_coalitions_equal_their_reduced_frameworks(kind):
         for slots in coalitions
         if max(slots) < af.in_degree(af.arguments[t])
     ]
-    (values,) = semantics.prefetch_coalitions(
-        [(af, spec, [(t, sum(1 << j for j in slots)) for t, slots in rows])]
-    )
+    values = _coalition_reads(af, spec, [(t, sum(1 << j for j in slots)) for t, slots in rows])
     for (t, slots), value in zip(rows, values):
         hub = af.arguments[t]
         incoming = af.attacks_on(hub)
@@ -264,7 +274,7 @@ def test_stacked_systems_equal_their_degrees(kind):
     spec = SemanticsSpec(kind)
     blocks = _stacked_blocks()
     solved = semantics.solve_systems([(af, spec, mask) for af, mask in blocks])
-    semantics._cached_degrees.cache_clear()
+    semantics._library.cache_clear()
     for (af, mask), result in zip(blocks, solved):
         assert dict(zip(af.arguments, result.tolist())) == degrees(af, spec, mask).as_dict()
 
@@ -300,7 +310,7 @@ def test_a_split_coalition_job_reports_its_first_failing_row(monkeypatch):
     failing = [(0, 0b11), (0, 0b01), (0, 0b10), (0, 0b00)]
     settled = [(0, coalition) for coalition in range(8)] + [(1, 1), (1, 0)]
     jobs = [(looped, spec, failing), (star, spec, settled)]
-    whole = semantics.prefetch_coalitions(jobs)
+    whole = [_coalition_reads(*job) for job in jobs]
     chunks = []
     solve = semantics._picard_rows
 
@@ -312,7 +322,7 @@ def test_a_split_coalition_job_reports_its_first_failing_row(monkeypatch):
     monkeypatch.setattr(semantics, "_picard_rows", counted)
     # Two or three systems a chunk: the failing masks fall in two chunks.
     monkeypatch.setattr(semantics, "COALITION_CELLS", 100)
-    error, split = semantics.prefetch_coalitions(jobs)
+    error, split = [_coalition_reads(*job) for job in jobs]
     assert len(chunks) >= 3 and sum(1 for failed in chunks if failed) == 2
     # The first failing row, (0, 0b01), drops the attack from b.
     with pytest.raises(NonConvergenceError) as first:
@@ -347,13 +357,15 @@ def test_a_coalition_bit_past_its_target_in_degree_is_rejected(kind, monkeypatch
     for solver in ("_picard_rows", "_counting_rows", "_rank_one_rows"):
         monkeypatch.setattr(semantics, solver, refuse)
     rows = [(1, 0b01), (0, 0b1), (1, 0b100), (1, 0b1000)]
+    # Every job's rows are grouped before any is solved.
     with pytest.raises(ValueError, match=r"row \(1, 4\) names attacks beyond the 2"):
-        semantics.prefetch_coalitions([(af, spec, rows[:1]), (af, spec, rows)])
+        grouped = [semantics.grouped_rows(af, job) for job in (rows[:1], rows)]
+        semantics.solve_coalitions(spec, [(af, *group[:3]) for group in grouped])
 
 
 def _traced_peak(af, spec):
     """Peak bytes of the numpy arrays and Python objects one cold solve allocates."""
-    semantics._cached_degrees.cache_clear()
+    semantics._library.cache_clear()
     tracemalloc.start()
     try:
         degrees(af, spec)
@@ -455,6 +467,23 @@ def test_every_degree_lies_between_its_last_two_iterates(af, kind):
     assert np.abs(last - exact).max() <= spec.tolerance
 
 
+def test_masked_counting_degrees_keep_their_own_norm_beside_the_parents():
+    # Dropping (a, d) lowers the largest in-degree from 2 to 1: degrees
+    # scores the derived framework with its own norm, and a table's dv
+    # system with the parent's, so the two never share a solve.
+    af = ArgumentationFramework.of(["a", "b", "c", "d"], [("a", "d"), ("b", "d"), ("c", "a")])
+    spec = SemanticsSpec("cs")
+    mask = 1 << semantics.attack_bits(af)[("a", "d")]
+    table = semantics.Systems()
+    sids = np.array([table.system(table.framework(af), mask)])
+    parent, at = table.degrees(spec, sids)
+    own, own_at = table.degrees(spec, sids, own_norm=True)
+    assert parent.values[at[0] + 3] == pytest.approx(0.51)
+    derived = degrees(af.delete_attacks([("a", "d")]), spec)["d"]
+    assert own.values[own_at[0] + 3] == derived == degrees(af, spec, mask)["d"]
+    assert derived == pytest.approx(0.02)
+
+
 def test_stored_results_return_before_any_batch(showcase, monkeypatch):
     specs = [SemanticsSpec(kind) for kind in KINDS]
     stored = [(degrees(showcase, spec), shapley_all(showcase, spec)) for spec in specs]
@@ -463,11 +492,12 @@ def test_stored_results_return_before_any_batch(showcase, monkeypatch):
         raise AssertionError("a batch ran for a stored result")
 
     monkeypatch.setattr(semantics, "solve_systems", refuse)
-    monkeypatch.setattr(attribution, "prefetch_intensities", refuse)
+    monkeypatch.setattr(attribution, "plan_intensities", refuse)
     monkeypatch.setattr(attribution, "solve_coalitions", refuse)
+    # The table builds the weighting and the measure on each read.
     for spec, (weighting, measure) in zip(specs, stored):
-        assert degrees(showcase, spec) is weighting
-        assert shapley_all(showcase, spec) is measure
+        assert degrees(showcase, spec) == weighting
+        assert shapley_all(showcase, spec) == measure
 
 
 def test_degrees_input_validation():
@@ -522,6 +552,64 @@ def test_counting_norm_rules(showcase):
     assert counting_norm(ArgumentationFramework.of(["a"], []), CountingConfig()) is None
     with pytest.raises(DivergentSeriesError):
         counting_norm(showcase, CountingConfig(norm_override=2.0))
+
+
+@st.composite
+def _norm_graphs(draw):
+    n = draw(st.integers(0, 6))
+    names = [f"a{i}" for i in range(n)]
+    pairs = [(s, t) for s in names for t in names]
+    attacks = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return ArgumentationFramework.of(names, attacks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_norm_graphs(), st.sampled_from((None, 0.5, 2.0, 3.5, 40.0)))
+@example(ArgumentationFramework.of(["a", "b"], []), None)
+@example(ArgumentationFramework.of(["a", "b"], []), 2.0)
+def test_counting_norm_from_the_edge_arrays_equals_the_attacker_count(af, override):
+    # The top in-degree comes from the edge arrays, not the attacker dict
+    # of ``max_in_degree``; norm and refusal stay those of the dict.
+    config = CountingConfig(norm_override=override)
+    try:
+        expected = semantics._norm_for(af.max_in_degree(), config)
+    except DivergentSeriesError as error:
+        with pytest.raises(DivergentSeriesError, match=str(error)):
+            counting_norm(af, config)
+    else:
+        assert counting_norm(af, config) == expected
+
+
+def test_each_solved_degrees_call_is_one_miss_of_the_traced_table(monkeypatch):
+    # perfbench's tracer counts the solves of a degrees call as the misses
+    # it adds to ``_cached_degrees``, before and after the table's bound.
+    table = semantics._cached_degrees
+    spec = SemanticsSpec("hbs")
+
+    def misses(*args):
+        before = table.cache_info().misses
+        degrees(*args)
+        return table.cache_info().misses - before
+
+    table.cache_clear()
+    monkeypatch.setattr(semantics, "LIBRARY_SIZE", 8)
+    solved = 0
+    for n in range(2, 20):
+        af = random_af(GeneratorConfig(n, 0.5, seed=n))
+        assert misses(af, spec) == 1
+        solved += 1
+        if len(table._ids) > semantics.LIBRARY_SIZE:
+            break
+        assert misses(af, spec) == 0
+    # Past its bound, the next call clears the table in place first.
+    chain = ArgumentationFramework.of(["a", "b"], [("a", "b")])
+    assert misses(chain, spec) == 1
+    assert len(table._ids) == 2
+    assert misses(chain, spec) == 0
+    assert misses(chain, spec, 1) == 1
+    assert misses(chain, spec, 1) == 0
+    assert table.cache_info().misses == solved + 2
+    assert semantics._cached_degrees is table is semantics._library
 
 
 def test_norm_override_below_indegree_raises_through_degrees(showcase):
