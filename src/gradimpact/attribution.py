@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -49,6 +49,8 @@ from .semantics import (
     SemanticsSpec,
     Systems,
     _attackers,
+    _indegrees,
+    _library,
     attack_bits,
     degrees,
     grouped_rows,
@@ -172,31 +174,32 @@ def plan_intensities(af: ArgumentationFramework, config: ShapleyConfig) -> GameP
     of the target's attacks, sampled ones the draws of each attack.  Rows
     stand in the order a one-by-one evaluation reaches them, so a failing
     solve reports the coalition it would reach first."""
-    rows: dict[tuple[int, int], int] = {}  # each row's number, in order
-    exact, drawn = [], []
-    for t, target in enumerate(af.arguments):
-        incoming = af.attacks_on(target)
-        if len(incoming) > config.exact_indegree_cap:
+    graph = _attackers(af)
+    rows: list[tuple[int, int]] = []
+    exact, drawn, pairs = [], [], []
+    for t, k in enumerate(_indegrees(graph).tolist()):
+        if k > config.exact_indegree_cap:
+            incoming = af.attacks_on(af.arguments[t])
             attacks = [_draws(incoming, attack, config) for attack in incoming]
+            # Each distinct coalition's row number, in order of first draw.
+            drawn_rows: dict[int, int] = {}
             for coalition in chain.from_iterable(chain.from_iterable(attacks)):
-                rows.setdefault((t, coalition), len(rows))
-            drawn.append((t, attacks))
-        elif incoming:
-            exact.append((len(incoming), t, len(rows)))
-            rows.update({(t, c): len(rows) + c for c in range(1 << len(incoming))})
-    masks, counts, targets, order = grouped_rows(af, list(rows))
+                drawn_rows.setdefault(coalition, len(rows) + len(drawn_rows))
+            for draws in attacks:
+                pairs.append([drawn_rows[c] for pair in draws for c in pair])
+            rows.extend(zip(repeat(t), drawn_rows))
+            drawn.append((t, k))
+        elif k:
+            exact.append((k, t, len(rows)))
+            rows.extend(zip(repeat(t), range(1 << k)))
+    masks, counts, targets, order = grouped_rows(af, rows)
     score = np.empty_like(order)  # each row's place among the reads
     score[order] = np.arange(len(order))
-    first = _attackers(af).first
+    first = graph.first
     games = [(k, first[t], score[r], score[r + 1]) for k, t, r in exact]
     sampled = None
     if drawn:
-        edges = [first[t] + j for t, attacks in drawn for j in range(len(attacks))]
-        pairs = [
-            [rows[t, coalition] for pair in draws for coalition in pair]
-            for t, attacks in drawn
-            for draws in attacks
-        ]
+        edges = [first[t] + j for t, k in drawn for j in range(k)]
         sampled = (np.array(edges, dtype=np.intp), score[np.array(pairs, dtype=np.intp)])
     exact = np.array(games, dtype=np.intp).reshape(-1, 4).T
     return GamePlan(masks, counts, targets, len(af.attacks), exact, sampled)
@@ -210,8 +213,23 @@ def _added(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=-1)[..., -1] + 0.0
 
 
+def _coalition_tables(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For games of up to ``top`` attacks: the coalitions without bit j, in
+    ascending order, in row j; the same with bit j; and the size of each.
+    A game of k attacks reads the first k rows and 2^(k-1) columns: the
+    coalitions without bit j are 0 .. 2^(k-1) - 1, each with a 0 put in at
+    bit j, which keeps its size, whatever the top."""
+    rest = np.arange(1 << (top - 1))
+    bit = np.arange(top)[:, None]
+    lower = rest >> bit << bit + 1 | rest & (1 << bit) - 1
+    sizes = np.zeros(len(rest), dtype=np.intp)
+    for j in range(top - 1):
+        sizes += rest >> j & 1
+    return lower, lower | 1 << bit, sizes
+
+
 def _exact_values(
-    values: np.ndarray, scores: np.ndarray, k: int, games: np.ndarray
+    values: np.ndarray, scores: np.ndarray, k: int, games: np.ndarray, tables: tuple
 ) -> None:
     """File the intensities of exact games of in-degree k into ``values``.
 
@@ -220,14 +238,12 @@ def _exact_values(
     coalitions C without j in ascending order, |C|!(k - |C| - 1)!/k! times
     score(C + j) - score(C).
     """
-    # The coalitions without bit j are 0 .. 2^(k-1) - 1, each with a 0 put
-    # in at bit j, which keeps its size.
-    rest = np.arange(1 << (k - 1))
-    bit = np.arange(k)[:, None]
-    lower = rest >> bit << bit + 1 | rest & (1 << bit) - 1
+    lower, upper, sizes = tables
+    half = 1 << (k - 1)
+    lower, upper = lower[:k, :half], upper[:k, :half]
     factorial = math.factorial
     weights = [factorial(c) * factorial(k - c - 1) / factorial(k) for c in range(k)]
-    weight = np.array(weights)[[c.bit_count() for c in range(len(rest))]]
+    weight = np.array(weights)[sizes[:half]]
     edge, empty, one = games
     coalitions = one[:, None] + np.arange((1 << k) - 1)
     columns = np.concatenate([empty[:, None], coalitions], axis=1)
@@ -235,7 +251,7 @@ def _exact_values(
     step = max(1, COALITION_CELLS // (k << k))
     for lo in range(0, len(edge), step):
         sigma = scores[columns[lo : lo + step]]
-        marginals = weight * (sigma[:, lower | 1 << bit] - sigma[:, lower])
+        marginals = weight * (sigma[:, upper] - sigma[:, lower])
         values[edge[lo : lo + step, None] + np.arange(k)] = _added(marginals)
 
 
@@ -257,8 +273,10 @@ def _game_values(
     owner = np.repeat(np.arange(len(plans)), [plan.exact.shape[1] for plan in plans])
     games[1] += edge_at[owner]
     games[2:] += score_at[owner]
-    for k in sorted(set(games[0].tolist())):
-        _exact_values(values, scores, k, games[1:, games[0] == k])
+    if games.shape[1]:
+        tables = _coalition_tables(int(games[0].max()))
+        for k in sorted(set(games[0].tolist())):
+            _exact_values(values, scores, k, games[1:, games[0] == k], tables)
     drawn = [(j, plan.sampled) for j, plan in enumerate(plans) if plan.sampled]
     if drawn:
         owner = np.repeat([j for j, _ in drawn], [len(edges) for _, (edges, _) in drawn])
@@ -360,17 +378,25 @@ def shapley_all(
     marginal weights sum to 1.  Under dense ``cs`` the bound is 2e-14 of
     the value from dense solves.  The intensities are read from the process
     table, or else solved alone by ``prefetch_intensities`` and filed
-    there; each read builds the measure, sampled when some target has more
-    attacks than ``config.exact_indegree_cap``.
+    there.  The first read builds the measure, sampled when some target has
+    more attacks than ``config.exact_indegree_cap``, and keeps it beside
+    the entry; later reads hand back the same one.
     """
+    key = ("intensities", spec, config)
+    measure = _library.built(key, af)
+    if measure is not None:
+        return measure
     with library_table() as table:
-        (found,) = prefetch_intensities(table, spec, config, [table.framework(af)])
-    if isinstance(found, GradimpactError):
-        raise found
-    # ``attack_bits`` numbers the attacks by target, then source.
-    entries = tuple(zip(attack_bits(af), found.tolist()))
-    sampled = top_in_degree(af) > config.exact_indegree_cap
-    return ShapleyMeasure(entries, SAMPLED_MODE if sampled else EXACT_MODE)
+        fid = table.framework(af)
+        (found,) = prefetch_intensities(table, spec, config, [fid])
+        if isinstance(found, GradimpactError):
+            raise found
+        # ``attack_bits`` numbers the attacks by target, then source.
+        entries = tuple(zip(attack_bits(af), found.tolist()))
+        sampled = top_in_degree(af) > config.exact_indegree_cap
+        measure = ShapleyMeasure(entries, SAMPLED_MODE if sampled else EXACT_MODE)
+        table.flat(key, 0).keep(fid, measure, len(entries))
+        return measure
 
 
 def check_bounded_loss(

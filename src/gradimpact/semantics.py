@@ -31,12 +31,18 @@ Every Picard block stops on its first step of at most ``tolerance``, and
 that step bounds the error of each of its degrees: every rule is antitone
 (more attacker degree never raises a degree), so from the all-ones start,
 which lies above the fixed point, the iterates alternate around it entry by
-entry, and each degree lies between the last two iterates.  A sweep gathers
-every kept attacker's degree edge by edge and folds them into their targets
-with one ``ufunc.at`` scatter, which applies its indices in order, so each
-sum (or max) runs over the sorted attackers left to right, and every
-semantics has exactly one floating-point result, whatever else shares the
-stack.
+entry, and each degree lies between the last two iterates.  A sweep folds
+each argument's kept attackers' degrees over its sorted attackers, left to
+right from 0.0, so every semantics has exactly one floating-point result,
+whatever else shares the stack, on either of two layouts.  A stack of
+blocks gathers them edge by edge and folds them into their targets with
+one ``ufunc.at`` scatter, which applies its indices in order.  A large
+coalition job, one framework under many masks, sweeps its masks instead
+as the columns of one (n x R) state, its rows in falling in-degree order
+(the jagged-diagonal layout of Saad, *Iterative Methods for Sparse Linear
+Systems*, 2003, section 3.4): each sweep is one row gather, one write of
+0.0 over the dropped attacks, and one contiguous add (or maximum) per
+attacker slot, and a dropped attacker adds 0.0, which changes no total.
 
 A framework derived from another by dropping attacks is a mask over the
 parent's attacks: bit e drops the e-th attack in (target, source) order,
@@ -74,7 +80,8 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, repeat
+from itertools import accumulate, chain, combinations, compress, repeat
+from operator import lshift
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -102,6 +109,14 @@ REMOVAL_CAP = 3
 # Float cells one chunk of a stacked solve may keep in its working arrays
 # (about 8 MB); larger frameworks get fewer systems per chunk.
 COALITION_CELLS = 1 << 20
+# A swept coalition job of R masks over m attacks, top in-degree k, sweeps
+# in columns once R * m >= COLUMN_CROSSOVER * k (``_by_columns``): a column
+# sweep makes about k more numpy calls, at about 1 us each, and saves about
+# 2 ns per (attack, mask) cell of the scatter.  Timed on three perfbench
+# attribution graphs and five random ones of 5-20 arguments under hbs, car
+# and max (2-core Xeon, numpy 2.4): columns lost 5-16 % at R * m / k of
+# 360-420 on four of the five graphs there, and won 15-27 % at 660.
+COLUMN_CROSSOVER = 512
 
 
 @dataclass(frozen=True)
@@ -217,8 +232,7 @@ def counting_norm(af: ArgumentationFramework, config: CountingConfig) -> float |
 
 def top_in_degree(af: ArgumentationFramework) -> int:
     """The largest in-degree, read from the edge arrays."""
-    graph = _attackers(af)
-    return int(np.diff(graph.first, append=graph.m).max(initial=0))
+    return int(_indegrees(_attackers(af)).max(initial=0))
 
 
 def _norm_for(top: int, config: CountingConfig) -> float | None:
@@ -313,7 +327,7 @@ class Systems:
         framework's normalisation (``norm_spec``), or with ``own_norm`` with
         its own, in a flat of its own."""
         own_norm = own_norm and spec.kind == "cs"
-        solved = self.flat(("degrees", spec, own_norm), len(self.systems))
+        solved = self.flat(_degrees_key(spec, own_norm), len(self.systems))
         missing = solved.missing(sids)
         if missing is None:
             self.hits += sids.size
@@ -354,6 +368,18 @@ class Systems:
             for sid, at, af in zip(sids, starts, frameworks)
         ]
 
+    def built(self, key, af: ArgumentationFramework, mask: int | None = None):
+        """The result a library call built from the entry of ``af`` (of its
+        system of ``mask``, if given) in the flat of ``key`` and kept beside
+        it, or None."""
+        flat = self._flats.get(key)
+        if flat is None or not flat.built:
+            return None
+        entry = self._ids.get(af)
+        if mask is not None:
+            entry = self._ids.get((entry, mask))
+        return flat.built.get(entry)
+
     def flat(self, key, size: int) -> _Flat:
         """The flat of ``key``, grown to ``size`` entries; a key of None
         gets a flat of its own, kept nowhere."""
@@ -366,10 +392,17 @@ class Systems:
         return flat
 
 
+def _degrees_key(spec: SemanticsSpec, own_norm: bool) -> tuple:
+    """The key of the flat of degrees under ``spec``, with each system's
+    own ``cs`` normalisation or its framework's."""
+    return ("degrees", spec, own_norm and spec.kind == "cs")
+
+
 class _Flat:
     """Vectors end to end in one array: entry i's from ``offsets[i]`` on,
     -1 while missing and -2 once it failed, its failure in ``failures``.
-    ``used`` values are filled, and the failures that are not errors hold
+    ``used`` values are filled, and the failures that are not errors, and
+    the results built from entries and kept in ``built`` (``keep``), hold
     ``held`` more, ``size`` each."""
 
     def __init__(self) -> None:
@@ -377,6 +410,13 @@ class _Flat:
         self.values = np.zeros(0)
         self.used = self.held = 0
         self.failures: dict[int, object] = {}
+        self.built: dict[int, object] = {}
+
+    def keep(self, i: int, result, size: int) -> None:
+        """Keep ``result``, built from entry i and holding ``size`` values,
+        beside it, so a read hands it back (``Systems.built``)."""
+        self.built[i] = result
+        self.held += size
 
     def grow(self, size: int) -> None:
         if size > len(self.offsets):
@@ -475,20 +515,30 @@ def degrees(
 
     The degrees are read from the process table, which keeps each solved
     vector checked and clipped into [0, 1]; a system it lacks is solved
-    alone and filed there, and a failure stays out of it.  Each read builds
-    a ``Weighting``, whose map from argument to degree is built on its
-    first read by name; its ``vector`` reads the degrees without it.
+    alone and filed there, and a failure stays out of it.  The first read
+    builds a ``Weighting`` and keeps it beside the entry, and later reads
+    hand back the same one; its map from argument to degree is built on
+    its first read by name, and its ``vector`` reads the degrees without
+    it.
     """
     if not af.arguments:
         raise ValueError("degrees need at least one argument")
     if mask < 0 or mask >> len(af.attacks):
         raise ValueError(f"mask {mask:#x} names attacks the framework lacks")
+    key = _degrees_key(spec, mask != 0)
+    found = _library.built(key, af, mask)
+    if found is not None:
+        _library.hits += 1
+        return found
     with library_table() as table:
         sid = table.system(table.framework(af), mask)
         solved, (at,) = table.degrees(spec, np.array([sid]), own_norm=mask != 0)
         if at < 0:
             raise solved.failures[sid]
-        return Weighting._solved(af.arguments, solved.values[at : at + len(af.arguments)])
+        n = len(af.arguments)
+        found = Weighting._solved(af.arguments, solved.values[at : at + n])
+        solved.keep(sid, found, n)
+        return found
 
 
 System = tuple[ArgumentationFramework, SemanticsSpec, int]
@@ -505,20 +555,35 @@ def grouped_rows(
     """``(t, coalition)`` rows grouped by mask in the order of first use:
     each mask, its count of rows, their targets mask by mask, and the row
     of each of them.  A coalition with a bit at or past its target's
-    in-degree raises ``ValueError``."""
-    first = _attackers(af).first.tolist() + [len(af.attacks)]
-    by_mask: dict[int, list[int]] = {}
-    for r, (t, coalition) in enumerate(rows):
-        if coalition >> (first[t + 1] - first[t]):
-            raise ValueError(
-                f"row {(t, coalition)} names attacks beyond the"
-                f" {first[t + 1] - first[t]} on argument {t}"
-            )
-        by_mask.setdefault(coalition << first[t], []).append(r)
-    order = np.fromiter(chain.from_iterable(by_mask.values()), np.intp, len(rows))
-    counts = np.fromiter(map(len, by_mask.values()), np.intp, len(by_mask))
-    targets = np.fromiter((t for t, _ in rows), np.intp, len(rows))[order]
-    return list(by_mask), counts, targets, order
+    in-degree raises ``ValueError``.
+
+    A nonzero coalition's bits name attacks on its own target, so distinct
+    rows of nonzero coalitions have distinct masks, each its own group; the
+    empty coalitions all share mask 0, grouped where the first of them
+    stands.  A row given twice gets a second mask of its own."""
+    graph = _attackers(af)
+    targets, coalitions = zip(*rows) if rows else ((), ())
+    targets = np.fromiter(targets, np.intp, len(rows))
+    first = graph.first[targets]
+    indegree = _indegrees(graph)[targets]
+    lengths = np.fromiter(map(int.bit_length, coalitions), np.intp, len(rows))
+    beyond = np.flatnonzero(lengths > indegree)
+    if beyond.size:
+        r = int(beyond[0])
+        raise ValueError(
+            f"row {rows[r]} names attacks beyond the {indegree[r]} on argument {targets[r]}"
+        )
+    order = np.flatnonzero(lengths)
+    masks = list(map(lshift, compress(coalitions, lengths.tolist()), first[order].tolist()))
+    empty = np.flatnonzero(lengths == 0)
+    counts = np.ones(len(masks) + (empty.size > 0), dtype=np.intp)
+    if empty.size:
+        # Mask 0 stands after the nonzero rows before its first row.
+        at = int(empty[0])
+        masks.insert(at, 0)
+        counts[at] = empty.size
+        order = np.concatenate([order[:at], empty, order[at:]])
+    return masks, counts, targets[order], order
 
 
 def solve_coalitions(
@@ -530,16 +595,25 @@ def solve_coalitions(
 
     Under ``hbs``, ``car``, ``max`` and swept ``cs``, each value equals, bit
     for bit, that mask's ``degrees`` of its target, clipped into [0, 1] as
-    ``Weighting`` clips a solver's overshoot: every job's masks share one
-    ``solve_systems`` stack, each chunk of which hands on only the entries
-    read.  Dense ``cs`` jobs take rank-one updates of one solve per
+    ``Weighting`` clips a solver's overshoot.  A job of many masks for its
+    size (``_by_columns``) sweeps them as the columns of one state
+    (``_column_reads``); the other jobs' masks share one ``solve_systems``
+    stack.  Either way each chunk hands on only the entries read.  Dense
+    ``cs`` jobs take rank-one updates of one solve per
     framework and norm (``_rank_one_rows``): each value is within 1e-14 of
     a dense solve of the derived framework, not equal to it bit for bit.
     """
     results: list = [None] * len(jobs)
     swept, dense = [], []
-    for j, (af, _, _, targets) in enumerate(jobs):
-        (dense if len(targets) and _dense(spec, len(af.arguments)) else swept).append(j)
+    for j, (af, masks, counts, targets) in enumerate(jobs):
+        if not len(targets):
+            swept.append(j)
+        elif _dense(spec, len(af.arguments)):
+            dense.append(j)
+        elif _by_columns(graph := _attackers(af), len(masks)):
+            results[j] = _column_reads(spec, graph, masks, counts, targets)
+        else:
+            swept.append(j)
     if swept:
         systems = [(jobs[j][0], spec, mask) for j in swept for mask in jobs[j][1]]
         counts = np.concatenate([jobs[j][2] for j in swept])
@@ -700,6 +774,11 @@ def _attackers(af: ArgumentationFramework) -> _Attackers:
     return _Attackers(n, m, heads, sources, first, order)
 
 
+def _indegrees(graph: _Attackers) -> np.ndarray:
+    """Each argument's count of attackers."""
+    return np.bincount(graph.heads[: graph.m], minlength=graph.n)
+
+
 def _blocks(
     graphs: Sequence[_Attackers], masks: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -740,15 +819,14 @@ def _dense(spec: SemanticsSpec, n: int) -> bool:
     return spec.kind == "cs" and n * (n + 1) <= COALITION_CELLS
 
 
-def _counting_scales(
-    spec: SemanticsSpec, count: np.ndarray, starts: np.ndarray, errors: dict
-) -> np.ndarray:
-    """Each block's ``damping / N``, 0.0 without a norm.
+def _counting_scales(spec: SemanticsSpec, tops: np.ndarray, errors: dict) -> np.ndarray:
+    """Each block's ``damping / N`` from its top in-degree, 0.0 without a
+    norm.
 
     A block whose norm is refused gets its error in ``errors``.
     """
-    scale = np.zeros(len(starts))
-    for b, top in enumerate(np.maximum.reduceat(count, starts).tolist()):
+    scale = np.zeros(len(tops))
+    for b, top in enumerate(tops.tolist()):
         try:
             norm = _norm_for(top, spec.counting)
         except DivergentSeriesError as error:
@@ -759,8 +837,9 @@ def _counting_scales(
     return scale
 
 
-def _update(kind: str, total: np.ndarray, fixed: tuple) -> np.ndarray:
-    """The scoring rule, from each argument's folded attacker degrees.
+def _update(kind: str, total: np.ndarray, fixed: tuple, out: np.ndarray) -> np.ndarray:
+    """The scoring rule, from each argument's folded attacker degrees, into
+    ``out``, which it returns; ``total`` is used up.
 
     ``total`` is the sum of the attacker degrees (their max for ``max``),
     and ``fixed`` what the rule reads that stays fixed over the sweeps:
@@ -768,13 +847,20 @@ def _update(kind: str, total: np.ndarray, fixed: tuple) -> np.ndarray:
     divisor max(k, 1) of an argument of k attackers.
     """
     if kind == "cs":
+        # 1 - scale * total.
         (scale,) = fixed
-        return 1.0 - scale * total
+        np.multiply(scale, total, out=total)
+        return np.subtract(1.0, total, out=out)
     if kind == "car":
-        # An unattacked argument has total 0.0, so dividing by 1 keeps it at 1.
+        # 1 / (base + total / divisor).  An unattacked argument has total
+        # 0.0, so dividing by 1 keeps it at 1.
         base, divisor = fixed
-        return 1.0 / (base + total / divisor)
-    return 1.0 / (1.0 + total)
+        np.divide(total, divisor, out=total)
+        np.add(base, total, out=total)
+    else:
+        # 1 / (1 + total).
+        np.add(1.0, total, out=total)
+    return np.divide(1.0, total, out=out)
 
 
 def _picard_rows(
@@ -794,7 +880,8 @@ def _picard_rows(
     if spec.kind == "cs":
         # An attack-free block, or one whose norm was refused, has scale 0
         # and stops at once.
-        fixed = (np.repeat(_counting_scales(spec, count, starts, errors), sizes),)
+        tops = np.maximum.reduceat(count, starts)
+        fixed = (np.repeat(_counting_scales(spec, tops, errors), sizes),)
     elif spec.kind == "car":
         fixed = (1.0 + count, np.maximum(count, 1))
     fold = np.maximum if spec.kind == "max" else np.add
@@ -809,7 +896,7 @@ def _picard_rows(
         # left-to-right sum (or max) of the sorted attackers, from 0.0.
         total = np.zeros(width)
         fold.at(total, heads, state[sources])
-        swept = _update(spec.kind, total, fixed)
+        swept = _update(spec.kind, total, fixed, total)
         residual = np.maximum.reduceat(np.abs(swept - state), starts)
         solved = residual <= bar
         if solved.any():
@@ -823,6 +910,105 @@ def _picard_rows(
     return values, starts, errors
 
 
+def _by_columns(graph: _Attackers, size: int) -> bool:
+    """Whether a coalition job of ``size`` masks sweeps in columns: once
+    the m * R cells a sweep gathers and folds outweigh the extra numpy call
+    per attacker slot (``COLUMN_CROSSOVER``)."""
+    if size * graph.m < COLUMN_CROSSOVER:
+        return False  # as the top in-degree is at least 1
+    top = int(_indegrees(graph).max())
+    return size * graph.m >= COLUMN_CROSSOVER * top
+
+
+def _column_reads(
+    spec: SemanticsSpec,
+    graph: _Attackers,
+    masks: Sequence[int],
+    counts: np.ndarray,
+    targets: np.ndarray,
+) -> np.ndarray | GradimpactError:
+    """One framework's coalition reads, mask s read at the next
+    ``counts[s]`` of ``targets``, or the error of its first failing mask,
+    each mask swept as a column of one (n x R) state.
+
+    The rows hold the arguments by falling in-degree, so the arguments with
+    a j-th attacker are the first ``depth[j]`` rows (the jagged-diagonal
+    layout).  A sweep gathers every attacker slot's degrees in one row
+    gather, zeroes the dropped attacks, and folds slot j into the first
+    ``depth[j]`` rows with one contiguous call.  Each total is still the
+    left-to-right sum (or max) of the sorted attackers from 0.0, and a
+    dropped attacker adds 0.0, which leaves a total of degrees as it was,
+    so each column equals its ``_picard_rows`` block bit for bit; it stops
+    on its own residual, and fails alone, as a block does.
+    """
+    n, m = graph.n, graph.m
+    indegree = _indegrees(graph)
+    rows = np.argsort(-indegree, kind="stable")
+    place = np.empty_like(rows)
+    place[rows] = np.arange(n)
+    depth = np.count_nonzero(indegree[:, None] > np.arange(indegree.max()), axis=0)
+    # The cells of the gathered degrees, slot after slot: slot j's cell r
+    # holds the j-th attacker of row r.  The unattacked rows, past the
+    # first ``attacked``, score 1.0 in every sweep, as a block's do.
+    edges = np.concatenate([graph.first[rows[:d]] + j for j, d in enumerate(depth)])
+    slot_sources = place[graph.sources[edges]]
+    cell = np.empty(m, dtype=np.intp)
+    cell[edges] = np.arange(m)
+    slots = list(zip(np.cumsum(depth).tolist(), depth.tolist()))[1:]
+    attacked = int(depth[0])
+    fold = np.maximum if spec.kind == "max" else np.add
+    reads = np.cumsum(counts) - counts
+    # Per column: n cells each of two states, change, solution and car's
+    # two fixed arrays, and m of gathered degrees, with as many again for
+    # the dropped attacks' indices.
+    step = max(1, COALITION_CELLS // (6 * n + 2 * m))
+    out = np.zeros(len(targets))
+    for lo in range(0, len(masks), step):
+        chunk = masks[lo : lo + step]
+        width = len(chunk)
+        packed = b"".join(mask.to_bytes(len(graph.heads) // 8, "little") for mask in chunk)
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+        column, edge = np.nonzero(bits.reshape(width, -1))
+        dropped = cell[edge] * width + column
+        errors: dict[int, GradimpactError] = {}
+        fixed: tuple = ()
+        if spec.kind in ("car", "cs"):
+            lost = np.bincount(place[graph.heads[edge]] * width + column, minlength=n * width)
+            count = indegree[rows[:attacked], None] - lost[: attacked * width].reshape(-1, width)
+            if spec.kind == "cs":
+                fixed = (_counting_scales(spec, count.max(axis=0), errors),)
+            else:
+                fixed = (1.0 + count, np.maximum(count, 1))
+        state, swept, values = np.ones((n, width)), np.ones((n, width)), np.ones((n, width))
+        gathered, change = np.empty((m, width)), np.empty((attacked, width))
+        bar = np.full(width, spec.tolerance)
+        for _ in range(spec.max_iterations):
+            np.take(state, slot_sources, axis=0, out=gathered, mode="clip")
+            gathered.reshape(-1)[dropped] = 0.0
+            # Slot 0's cells become the totals.
+            for end, d in slots:
+                fold(gathered[:d], gathered[end - d : end], out=gathered[:d])
+            head = _update(spec.kind, gathered[:attacked], fixed, swept[:attacked])
+            np.subtract(head, state[:attacked], out=change)
+            residual = np.abs(change, out=change).max(axis=0)
+            solved = residual <= bar
+            if solved.any():
+                np.copyto(values[:attacked], head, where=solved)
+                bar[solved] = -1.0
+                if bar.max() < 0.0:
+                    break
+            state, swept = swept, state
+        else:
+            for c in np.flatnonzero(bar >= 0.0).tolist():
+                errors.setdefault(c, NonConvergenceError(spec.max_iterations, float(residual[c])))
+        if errors:
+            return errors[min(errors)]
+        at, end = reads[lo], reads[lo] + counts[lo : lo + step].sum()
+        column = np.repeat(np.arange(width), counts[lo : lo + step])
+        out[at:end] = values[place[targets[at:end]], column]
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 def _counting_rows(
     spec: SemanticsSpec, graphs: Sequence[_Attackers], masks: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, dict[int, GradimpactError]]:
@@ -831,7 +1017,8 @@ def _counting_rows(
     sizes, starts, heads, sources = _blocks(graphs, masks)
     n, rows = graphs[0].n, len(graphs)
     errors: dict[int, GradimpactError] = {}
-    scale = _counting_scales(spec, np.bincount(heads, minlength=n * rows), starts, errors)
+    count = np.bincount(heads, minlength=n * rows)
+    scale = _counting_scales(spec, np.maximum.reduceat(count, starts), errors)
     if not scale.any():
         # Attack-free frameworks score 1 everywhere: there is nothing to solve.
         return np.ones(n * rows), starts, errors

@@ -32,7 +32,7 @@ from gradimpact import (
 from gradimpact import attribution, semantics
 from gradimpact.fixtures import chain_pair, disjoint_pair
 from gradimpact.generate import GeneratorConfig, random_af
-from gradimpact.semantics import KINDS
+from gradimpact.semantics import DEFAULT_MAX_ITERATIONS, KINDS
 
 from oracles import picard_scores
 
@@ -222,6 +222,28 @@ def test_hub_coalitions_equal_their_reduced_frameworks(kind):
     assert degrees(af, spec, mask).as_dict() == reduced.as_dict()
 
 
+@pytest.mark.parametrize("kind", ["hbs", "car", "max"])
+def test_hub_coalitions_in_columns_equal_their_reduced_frameworks(kind, monkeypatch):
+    # The same long sums swept in columns: each hub's total folds 58 or 30
+    # attacker slots, in order, with the dropped ones adding 0.0.
+    af = _two_hubs()
+    spec = SemanticsSpec(kind)
+    coalitions = [(), (0,), (29,), (57,), (0, 57), (28, 29, 57), tuple(range(30))]
+    rows = [
+        (t, slots)
+        for t in (0, 1)
+        for slots in coalitions
+        if max(slots, default=0) < af.in_degree(af.arguments[t])
+    ]
+    monkeypatch.setattr(semantics, "_by_columns", lambda graph, masks: True)
+    values = _coalition_reads(af, spec, [(t, sum(1 << j for j in slots)) for t, slots in rows])
+    for (t, slots), value in zip(rows, values):
+        hub = af.arguments[t]
+        incoming = af.attacks_on(hub)
+        reduced = degrees(af.delete_attacks(incoming[j] for j in slots), spec)
+        assert value == reduced[hub]
+
+
 def _stacked_blocks():
     """Frameworks of 1 to 14 arguments, with a few masks each: chains settle
     in a sweep per argument, cycles take dozens of sweeps."""
@@ -363,6 +385,120 @@ def test_a_coalition_bit_past_its_target_in_degree_is_rejected(kind, monkeypatch
         semantics.solve_coalitions(spec, [(af, *group[:3]) for group in grouped])
 
 
+@st.composite
+def coalition_jobs(draw):
+    """A framework with attacks and one coalition job over it: mask 0, the
+    mask that drops every attack on its hub, and random masks, each read
+    at one to three targets."""
+    n = draw(st.integers(1, 8))
+    names = [f"a{i}" for i in range(n)]
+    pairs = [(s, t) for s in names for t in names]
+    attacks = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=24))
+    af = ArgumentationFramework.of(names, attacks)
+    indegree = [af.in_degree(a) for a in names]
+    hub = indegree.index(max(indegree))
+    hub_mask = ((1 << indegree[hub]) - 1) << int(semantics._attackers(af).first[hub])
+    masks = [0, hub_mask] + draw(st.lists(st.integers(0, (1 << len(af.attacks)) - 1), max_size=12))
+    masks = draw(st.permutations(masks))
+    counts = draw(st.lists(st.integers(1, 3), min_size=len(masks), max_size=len(masks)))
+    targets = draw(st.lists(st.integers(0, n - 1), min_size=sum(counts), max_size=sum(counts)))
+    return af, masks, np.array(counts, dtype=np.intp), np.array(targets, dtype=np.intp)
+
+
+def _by_layout(spec, job, columns, patch):
+    """One coalition job's result on the column layout or the flat one;
+    ``cs`` is swept on either."""
+    patch.setattr(semantics, "_by_columns", lambda graph, masks: columns)
+    patch.setattr(semantics, "_dense", lambda spec, n: False)
+    (result,) = semantics.solve_coalitions(spec, [job])
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return [value.hex() for value in result.tolist()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coalition_jobs(),
+    st.sampled_from(KINDS),
+    st.sampled_from((None, 2.5)),
+    st.sampled_from((DEFAULT_MAX_ITERATIONS, 4, 9)),
+    st.sampled_from((None, 200)),
+)
+def test_column_and_flat_layouts_agree_bit_for_bit(job, kind, norm, budget, cells):
+    # Every read in float hex, or the same error of the same first failing
+    # mask, under a tight sweep budget and split into chunks of a few
+    # columns or blocks as well.
+    spec = SemanticsSpec(
+        kind, max_iterations=budget, counting=CountingConfig(norm_override=norm)
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        if cells is not None:
+            patch.setattr(semantics, "COALITION_CELLS", cells)
+        columns = _by_layout(spec, job, True, patch)
+        flat = _by_layout(spec, job, False, patch)
+    assert columns == flat
+
+
+def test_a_column_job_reports_its_first_failing_mask(monkeypatch):
+    # a sits on two 2-cycles, so within 12 sweeps only the mask that drops
+    # both of its attacks settles; the two one-attack masks fail with
+    # different residuals, and the first of them is reported.
+    looped = ArgumentationFramework.of(
+        ["a", "b", "c", "d"],
+        [("a", "b"), ("b", "a"), ("a", "c"), ("c", "a"), ("d", "b")],
+    )
+    spec = SemanticsSpec("hbs", max_iterations=12)
+    bits = semantics.attack_bits(looped)
+    from_b, from_c = 1 << bits[("b", "a")], 1 << bits[("c", "a")]
+    job = (looped, [from_b | from_c, from_c, from_b], np.ones(3, np.intp), np.zeros(3, np.intp))
+    monkeypatch.setattr(semantics, "_by_columns", lambda graph, masks: True)
+    (error,) = semantics.solve_coalitions(spec, [job])
+    with pytest.raises(NonConvergenceError) as first:
+        degrees(looped, spec, from_c)
+    with pytest.raises(NonConvergenceError) as second:
+        degrees(looped, spec, from_b)
+    assert first.value.residual != second.value.residual
+    assert isinstance(error, NonConvergenceError)
+    assert (error.iterations, error.residual) == (first.value.iterations, first.value.residual)
+    monkeypatch.setattr(semantics, "_by_columns", lambda graph, masks: False)
+    (flat,) = semantics.solve_coalitions(spec, [job])
+    assert (flat.iterations, flat.residual) == (error.iterations, error.residual)
+
+
+def test_a_coalition_job_sweeps_in_columns_from_the_crossover_on(monkeypatch):
+    # A hub under 4 attacks from a ring of 60: m = 64 and top in-degree 4,
+    # so a job of R masks takes the columns once R * 64 reaches
+    # COLUMN_CROSSOVER * 4, and the flat stack one mask short of that.
+    ring = [f"r{i:02d}" for i in range(60)]
+    af = ArgumentationFramework.of(
+        ring + ["h"], list(zip(ring, ring[1:] + ring[:1])) + [(r, "h") for r in ring[:4]]
+    )
+    graph = semantics._attackers(af)
+    assert (graph.m, af.max_in_degree()) == (64, 4)
+    least = -(-semantics.COLUMN_CROSSOVER * 4 // graph.m)
+    hub = af.arguments.index("h")
+    shift = int(graph.first[hub])
+    kernels = []
+    for kernel in ("_column_reads", "_picard_rows"):
+        solve = getattr(semantics, kernel)
+
+        def counted(*args, solve=solve, kernel=kernel):
+            kernels.append(kernel)
+            return solve(*args)
+
+        monkeypatch.setattr(semantics, kernel, counted)
+    reads = {}
+    for size in (least, least - 1):
+        masks = [(c % 16) << shift for c in range(size)]
+        job = (af, masks, np.ones(size, np.intp), np.full(size, hub, np.intp))
+        (reads[size],) = semantics.solve_coalitions(SemanticsSpec("max"), [job])
+    assert kernels == ["_column_reads", "_picard_rows"]
+    assert reads[least][: least - 1].tolist() == reads[least - 1].tolist()
+    for c, value in enumerate(reads[least - 1][:16].tolist()):
+        removed = [(r, "h") for j, r in enumerate(ring[:4]) if c >> j & 1]
+        assert value == degrees(af.delete_attacks(removed), SemanticsSpec("max"))["h"]
+
+
 def _traced_peak(af, spec):
     """Peak bytes of the numpy arrays and Python objects one cold solve allocates."""
     semantics._library.cache_clear()
@@ -494,10 +630,30 @@ def test_stored_results_return_before_any_batch(showcase, monkeypatch):
     monkeypatch.setattr(semantics, "solve_systems", refuse)
     monkeypatch.setattr(attribution, "plan_intensities", refuse)
     monkeypatch.setattr(attribution, "solve_coalitions", refuse)
-    # The table builds the weighting and the measure on each read.
+    # Each read hands back the weighting and the measure kept in the table.
     for spec, (weighting, measure) in zip(specs, stored):
         assert degrees(showcase, spec) == weighting
         assert shapley_all(showcase, spec) == measure
+
+
+def test_built_results_are_kept_beside_their_entries_and_dropped_with_them(showcase):
+    table = semantics._library
+    table.cache_clear()
+    spec = SemanticsSpec("hbs")
+    weighting, masked = degrees(showcase, spec), degrees(showcase, spec, 1)
+    measure = shapley_all(showcase, spec)
+    hits = table.cache_info().hits
+    assert degrees(showcase, spec) is weighting
+    assert degrees(showcase, spec, 1) is masked
+    assert shapley_all(showcase, spec) is measure
+    assert table.cache_info().hits == hits + 2
+    # The kept results count against the table's bound on held values.
+    held = sum(flat.held for flat in table._flats.values())
+    assert held == 2 * len(showcase.arguments) + len(showcase.attacks)
+    table.cache_clear()
+    again = degrees(showcase, spec)
+    assert again is not weighting and again == weighting
+    assert shapley_all(showcase, spec) is not measure
 
 
 def test_degrees_input_validation():
