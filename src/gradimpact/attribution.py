@@ -7,8 +7,11 @@ intensity averages, over all orders of removing the attacks on a, the degree
 change caused by removing (b, a) at its turn.
 
 Targets with at most ``exact_indegree_cap`` attackers are enumerated exactly;
-beyond the cap a seeded permutation sample estimates the same average.  A
-coalition of the attacks on a has bit j for a's j-th sorted attacker.
+beyond it, ``sample_count`` permutations of a's attacks, seeded by ``seed``
+and a's name, estimate the average, and meet efficiency up to rounding: a
+permutation's marginals sum to a's degree loss (Castro, Gómez and Tejada,
+2009).  A coalition of the attacks on a has bit j for a's j-th sorted
+attacker.
 ``plan_intensities`` plans a framework's games once per ``ShapleyConfig``,
 as arrays: its coalition systems, the degrees each is read at, and where
 each game's scores lie among those reads.  ``prefetch_intensities`` reads
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -70,7 +73,8 @@ BOUND_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class ShapleyConfig:
-    """Exact-enumeration cap and sampling parameters."""
+    """Exact-enumeration cap, and ``sample_count`` permutations per sampled
+    target, on a stream seeded by ``seed`` and the target's name."""
 
     exact_indegree_cap: int = 12
     sample_count: int = 2000
@@ -130,27 +134,28 @@ class ShapleyMeasure(Mapping[Attack, float]):
         }
 
 
-def _sample_seed(seed: int, attack: Attack) -> int:
-    import hashlib
-    digest = hashlib.sha256(f"{seed}:{attack[0]}>{attack[1]}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
-def _draws(
-    incoming: tuple[Attack, ...], attack: Attack, config: ShapleyConfig
-) -> list[tuple[int, int]]:
-    """Coalitions with and without ``attack``, one pair per seeded permutation."""
+def _permutations(target: str, k: int, config: ShapleyConfig) -> tuple[list[int], np.ndarray]:
+    """The distinct prefixes of permutations of k attacks on ``target``, in
+    first use, and per attack the row numbers of its (with, without)
+    prefixes in each.  A permutation sorts a row of 64-bit keys; a prefix
+    is held as ceil(k / 64) words, low bits first."""
     import random
-    rng = random.Random(_sample_seed(config.seed, attack))
-    bit = incoming.index(attack)
-    # Shuffling positions draws the same permutations as shuffling the attacks.
-    order = list(range(len(incoming)))
-    draws = []
-    for _ in range(config.sample_count):
-        rng.shuffle(order)
-        before = sum(1 << i for i in order[: order.index(bit)])
-        draws.append((before | 1 << bit, before))
-    return draws
+    s = config.sample_count
+    bits = random.Random(f"{config.seed}:{target}").getrandbits(64 * s * k)
+    keys = np.frombuffer(bits.to_bytes(8 * s * k, "little"), "<u8").reshape(s, k)
+    order = np.argsort(keys, axis=1, kind="stable")  # the attack at each turn
+    taken = np.arange(s)[:, None]
+    words = np.zeros((s, k + 1, (k + 63) // 64), np.uint64)
+    words[taken, np.arange(1, k + 1), order >> 6] = np.uint64(1) << (order & 63).astype(np.uint64)
+    prefixes = np.bitwise_or.accumulate(words, axis=1).reshape(s * (k + 1), -1)
+    unique, first, inverse = np.unique(prefixes, axis=0, return_index=True, return_inverse=True)
+    used = np.argsort(first)  # the distinct prefixes in first use
+    row = np.argsort(used)[inverse.reshape(-1)].reshape(s, k + 1)
+    pairs = np.empty((k, s, 2), np.intp)
+    pairs[order, taken] = np.stack([row[:, 1:], row[:, :-1]], axis=2)
+    data, width = unique[used].astype("<u8").tobytes(), 8 * words.shape[2]
+    masks = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    return masks, pairs.reshape(k, 2 * s)
 
 
 class GamePlan(NamedTuple):
@@ -159,7 +164,7 @@ class GamePlan(NamedTuple):
     attacks; a column per exact game: its in-degree k, its first edge,
     and the scores of its coalitions 0 and 1, which 2 to 2^k - 1 follow;
     and, if any attack is sampled, each one's edge and a row of the scores
-    of its draws, with and without it in turn."""
+    of its prefixes in each permutation, with and without it in turn."""
 
     masks: list[int]
     counts: np.ndarray
@@ -171,36 +176,27 @@ class GamePlan(NamedTuple):
 
 def plan_intensities(af: ArgumentationFramework, config: ShapleyConfig) -> GamePlan:
     """The games of every attacked target: exact ones score each coalition
-    of the target's attacks, sampled ones the draws of each attack.  Rows
+    of the target's attacks, sampled ones its permutations' prefixes.  Rows
     stand in the order a one-by-one evaluation reaches them, so a failing
     solve reports the coalition it would reach first."""
     graph = _attackers(af)
+    first = graph.first
     rows: list[tuple[int, int]] = []
-    exact, drawn, pairs = [], [], []
+    exact, edges, pairs = [], [], []
     for t, k in enumerate(_indegrees(graph).tolist()):
         if k > config.exact_indegree_cap:
-            incoming = af.attacks_on(af.arguments[t])
-            attacks = [_draws(incoming, attack, config) for attack in incoming]
-            # Each distinct coalition's row number, in order of first draw.
-            drawn_rows: dict[int, int] = {}
-            for coalition in chain.from_iterable(chain.from_iterable(attacks)):
-                drawn_rows.setdefault(coalition, len(rows) + len(drawn_rows))
-            for draws in attacks:
-                pairs.append([drawn_rows[c] for pair in draws for c in pair])
-            rows.extend(zip(repeat(t), drawn_rows))
-            drawn.append((t, k))
+            coalitions, game = _permutations(af.arguments[t], k, config)
+            pairs.append(game + len(rows))
+            rows.extend(zip(repeat(t), coalitions))
+            edges.extend(range(first[t], first[t] + k))
         elif k:
             exact.append((k, t, len(rows)))
             rows.extend(zip(repeat(t), range(1 << k)))
     masks, counts, targets, order = grouped_rows(af, rows)
     score = np.empty_like(order)  # each row's place among the reads
     score[order] = np.arange(len(order))
-    first = graph.first
     games = [(k, first[t], score[r], score[r + 1]) for k, t, r in exact]
-    sampled = None
-    if drawn:
-        edges = [first[t] + j for t, k in drawn for j in range(k)]
-        sampled = (np.array(edges, dtype=np.intp), score[np.array(pairs, dtype=np.intp)])
+    sampled = (np.array(edges, np.intp), score[np.concatenate(pairs)]) if pairs else None
     exact = np.array(games, dtype=np.intp).reshape(-1, 4).T
     return GamePlan(masks, counts, targets, len(af.attacks), exact, sampled)
 
@@ -313,9 +309,9 @@ def prefetch_intensities(
     from their plans (``plan``), all coalitions in one ``solve_coalitions``
     stack, and filed there with their errors.  Each intensity is summed
     left to right from 0.0, as a loop sums it: bit j's over the coalitions
-    without j in ascending order, and a sampled attack's over its draws
-    before their mean.  A failing framework gets the error of its first
-    failing row.
+    without j in ascending order, and a sampled attack's over its
+    permutations before their mean.  A failing framework gets the error of
+    its first failing row.
     """
     frameworks = table.frameworks
     measures = [None if given is None else given.get(frameworks[fid]) for fid in fids]

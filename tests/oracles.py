@@ -10,7 +10,6 @@ caller where a semantics is needed).
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 import re
@@ -216,28 +215,43 @@ def subset_shapley(
     return values
 
 
+def keyed_permutations(target: str, k: int, sample_count: int, seed: int) -> list[list[int]]:
+    """The sampler's permutations of a target's k attacks, as positions in
+    removal order.
+
+    One ``random.Random("seed:target")`` draws
+    ``getrandbits(64 * sample_count * k)``, read as 64-bit keys from the
+    lowest bits up, k per permutation; a permutation removes the attacks
+    in the order of their keys, ties by position.
+    """
+    bits = random.Random(f"{seed}:{target}").getrandbits(64 * sample_count * k)
+    orders = []
+    for p in range(sample_count):
+        keys = [bits >> 64 * (p * k + i) & (1 << 64) - 1 for i in range(k)]
+        orders.append(sorted(range(k), key=keys.__getitem__))
+    return orders
+
+
 def sampled_shapley(
+    target: str,
     incoming: Sequence[Edge],
-    attack: Edge,
     worth: Callable[[tuple[Edge, ...]], float],
     sample_count: int,
     seed: int,
-) -> float:
-    """Mean marginal of ``attack`` over seeded random removal orders.
-
-    The permutation stream is keyed by the seed and the attack, as the
-    library's sampler documents: one ``random.Random`` per attack, seeded
-    with the first eight bytes of ``sha256("seed:source>target")``.
-    """
-    digest = hashlib.sha256(f"{seed}:{attack[0]}>{attack[1]}".encode()).digest()
-    rng = random.Random(int.from_bytes(digest[:8], "big"))
-    order = list(incoming)
-    total = 0.0
-    for _ in range(sample_count):
-        rng.shuffle(order)
-        before = tuple(sorted(order[: order.index(attack)]))
-        total += worth(before + (attack,)) - worth(before)
-    return total / sample_count
+) -> dict[Edge, float]:
+    """Mean marginal of each attack on ``target`` over its keyed removal
+    orders (``keyed_permutations``): each attack scores the degree change
+    its removal makes at its turn."""
+    totals = [0.0] * len(incoming)
+    for order in keyed_permutations(target, len(incoming), sample_count, seed):
+        removed: list[Edge] = []
+        before = worth(())
+        for i in order:
+            removed.append(incoming[i])
+            after = worth(tuple(sorted(removed)))
+            totals[i] += after - before
+            before = after
+    return {attack: total / sample_count for attack, total in zip(incoming, totals)}
 
 
 def reference_shapley(
@@ -270,8 +284,7 @@ def reference_shapley(
             values.update(subset_shapley(incoming, score))
             continue
         sampled = True
-        for attack in incoming:
-            values[attack] = sampled_shapley(incoming, attack, score, sample_count, seed)
+        values.update(sampled_shapley(target, incoming, score, sample_count, seed))
     entries = tuple(sorted(values.items(), key=lambda kv: (kv[0][1], kv[0][0])))
     return entries, "sampled" if sampled else "exact"
 

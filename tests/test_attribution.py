@@ -28,6 +28,7 @@ from gradimpact.semantics import KINDS
 from oracles import (
     counting_coalition_degree,
     counting_series,
+    keyed_permutations,
     permutation_shapley,
     picard_scores,
     reference_shapley,
@@ -479,6 +480,99 @@ def test_sampling_approximates_the_exact_value():
     assert measure.entries == again.entries
     other = shapley_all(af, spec, ShapleyConfig(exact_indegree_cap=0, seed=6))
     assert other.entries != measure.entries
+
+
+def _ring_hub(k):
+    """A hub attacked by each of k arguments on a ring, each of which
+    attacks the next."""
+    ring = [f"r{i}" for i in range(k)]
+    cycle = [(ring[i], ring[(i + 1) % k]) for i in range(k)]
+    return ArgumentationFramework.of(["h", *ring], [(r, "h") for r in ring] + cycle)
+
+
+def _efficiency_gaps(af, spec, measure):
+    """How far the intensities into each attacked target miss its degree
+    loss, 1 - v(t): an unattacked argument scores 1 under every semantics."""
+    base = degrees(af, spec)
+    return [
+        abs(sum(measure[c] for c in af.attacks_on(t)) - (1.0 - base[t]))
+        for t in af.arguments
+        if af.attacks_on(t)
+    ]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [13, 30])
+def test_sampled_hubs_meet_efficiency(k, kind):
+    # Each permutation's marginals telescope to the hub's full degree loss.
+    af, spec = _ring_hub(k), SemanticsSpec(kind)
+    measure = shapley_all(af, spec)
+    assert measure.mode == SAMPLED_MODE
+    assert max(_efficiency_gaps(af, spec, measure)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(attack_graphs(), st.sampled_from(KINDS), st.sampled_from((0, 1)))
+def test_sampled_targets_meet_efficiency(af, kind, cap):
+    spec = SemanticsSpec(kind)
+    measure = shapley_all(af, spec, ShapleyConfig(exact_indegree_cap=cap, sample_count=16))
+    assert max(_efficiency_gaps(af, spec, measure)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["hbs", "car"])
+def test_sampled_estimates_are_unbiased(kind):
+    # Five attacks on h, and one on each other attacked argument.
+    names = ["h", "a1", "a2", "a3", "a4", "a5"]
+    attacks = [(a, "h") for a in names[1:]] + [
+        ("a1", "a2"), ("a2", "a3"), ("a4", "a5"), ("h", "a1"),
+    ]
+    af, spec = ArgumentationFramework.of(names, attacks), SemanticsSpec(kind)
+    exact = shapley_all(af, spec)
+    runs = np.array([
+        [value for _, value in shapley_all(
+            af, spec, ShapleyConfig(exact_indegree_cap=0, sample_count=32, seed=seed)
+        ).entries]
+        for seed in range(20)
+    ])
+    error = runs.std(axis=0, ddof=1) / np.sqrt(len(runs))
+    truth = np.array([value for _, value in exact.entries])
+    # A lone attack's marginal never varies; its mean differs by rounding.
+    assert np.all(np.abs(runs.mean(axis=0) - truth) <= 4 * error + 1e-12)
+    assert error.max() > 0
+
+
+def test_a_hub_of_70_attacks_is_sampled_as_the_reference_samples_it():
+    # Past 64 attackers a coalition takes two 64-bit words.
+    af, spec = _ring_hub(70), SemanticsSpec("hbs")
+    config = ShapleyConfig(sample_count=3, seed=11)
+    measure = shapley_all(af, spec, config)
+    assert max(_efficiency_gaps(af, spec, measure)) <= 1e-12
+
+    def worth(target, removed):
+        return degrees(af.delete_attacks(removed), spec)[target]
+
+    entries, mode = reference_shapley(af.arguments, af.attacks, worth, 12, 3, 11)
+    assert measure.mode == mode == SAMPLED_MODE
+    assert [(attack, value.hex()) for attack, value in measure.entries] == [
+        (attack, value.hex()) for attack, value in entries
+    ]
+
+
+def test_sampled_rows_stand_in_first_use_order():
+    # So that a failing solve names the coalition a one-by-one evaluation
+    # reaches first: permutation by permutation, prefix by prefix.
+    names = ["a1", "a2", "a3", "a4", "a5"]
+    af = ArgumentationFramework.of(["h", *names], [(a, "h") for a in names])
+    reached = {0: None}
+    for order in keyed_permutations("h", 5, 6, 2):
+        coalition = 0
+        for i in order:
+            coalition |= 1 << i
+            reached.setdefault(coalition)
+    config = ShapleyConfig(exact_indegree_cap=0, sample_count=6, seed=2)
+    # h's attacks are the framework's only ones, so each mask is a coalition.
+    assert attribution.plan_intensities(af, config).masks == list(reached)
+    assert list(reached) != sorted(reached)
 
 
 def test_unknown_attack_is_rejected(showcase):

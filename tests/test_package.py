@@ -39,3 +39,23 @@ def test_names_resolve_from_their_modules():
     assert set(gradimpact.__all__) <= set(dir(gradimpact))
     with pytest.raises(AttributeError):
         gradimpact.not_a_name
+
+
+def test_a_sampled_shapley_session_leaves_numpy_random_unimported():
+    # numpy.random costs a cold process about 10 ms to import; the sampler
+    # draws its permutation keys from the standard library instead.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH", "")) if p)
+    code = (
+        "import sys\n"
+        "from gradimpact import SemanticsSpec, ShapleyConfig, shapley_all\n"
+        "from gradimpact.fixtures import showcase_af\n"
+        "config = ShapleyConfig(exact_indegree_cap=0, sample_count=8)\n"
+        "assert shapley_all(showcase_af(), SemanticsSpec('hbs'), config).mode == 'sampled'\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert done.stdout == "False\n"
